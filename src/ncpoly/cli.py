@@ -212,8 +212,9 @@ def _write_output(path, alphabet, ordering, basis, stats, status, elapsed):
             handle.write(format_polynomial(p) + "\n")
         handle.write(f"# stats: status={status}\n")
         handle.write(f"# stats: basis_size={len(basis)}\n")
-        for key in ("prolongations", "inv_reductions", "spolys_considered",
-                    "zero_reductions", "criterion2_skips", "iterations"):
+        for key in ("prolongations", "reused", "inv_reductions",
+                    "spolys_considered", "zero_reductions", "criterion2_skips",
+                    "iterations"):
             if key in stats:
                 handle.write(f"# stats: {key}={stats[key]}\n")
         handle.write(f"# stats: wall_time={elapsed:.3f}s\n")

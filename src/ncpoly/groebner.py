@@ -156,7 +156,8 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     by sugar value first), with ties between distinct element pairs
     broken by participant indices (a < c, or a = c and b <= d) and any
     remaining ties by the first left cofactor; new entries with equal
-    keys go in front of existing ones.
+    keys go in front of existing ones.  A nonzero constant, given or
+    reached as a remainder, completes the run at once.
     """
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
@@ -184,9 +185,12 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             keys.insert(at, key)
             pending.insert(at, (spec, sug))
 
-    for i in range(len(G)):
-        for j in range(i, len(G)):
-            add_overlaps(i, j)
+    # a nonzero constant generates the whole algebra, so the basis is
+    # already Gröbner; the empty word has no overlaps to enumerate
+    if all(g.lm() for g in G):
+        for i in range(len(G)):
+            for j in range(i, len(G)):
+                add_overlaps(i, j)
 
     settled = set()
     stats = {"spolys_considered": 0, "zero_reductions": 0,
@@ -229,6 +233,8 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             logs.append(log_merge(s_log, *used))
         G.append(rem)
         sugars.append(sug)
+        if not rem.lm():
+            break    # a nonzero constant: see above
         new = len(G) - 1
         for i in range(len(G)):
             add_overlaps(i, new)

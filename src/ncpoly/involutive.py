@@ -365,13 +365,14 @@ def inv_divide(p, P, table, ordering=None, mode="thin", active=None, stats=None)
 
     Same shape as conventional division, but a term is reducible only by
     an involutive divisor.  ``active`` restricts which basis elements may
-    divide (the table always describes all of P)."""
+    divide; the table always describes all of P, and its lead monomials
+    are the ones read."""
     if ordering is None:
         ordering = p.ordering
     if active is None:
         active = range(len(P))
     work = p.with_ordering(ordering)
-    lms = [q.lm() for q in P]
+    lms = table.lms
     rem_terms = []
     log = []
     while not work.is_zero():
@@ -448,6 +449,26 @@ class InvolutiveBasisResult:
     status: str = "complete"
 
 
+def _certificate(P, table, dlog):
+    """The zero-reduction certificate of a reduction log: per step, the
+    divisor object, the word it reduced and its left cofactor's length."""
+    return tuple((P[j], l.mon + table.lms[j] + r.mon, len(l.mon))
+                 for l, j, r in dlog)
+
+
+def _certificate_holds(steps, P, table, mode):
+    """Whether ``inv_divide`` would make every recorded choice again: at
+    each recorded word, the same divisor object at the same placement.
+    Reduction is deterministic, so it would then reach zero again through
+    the same arithmetic."""
+    active = range(len(P))
+    for divisor, word, left in steps:
+        hit = _find_divisor(word, table.lms, table, mode, active)
+        if hit is None or P[hit[0]] is not divisor or len(hit[1]) != left:
+            return False
+    return True
+
+
 def involutive_basis(F, division, ordering, mode="thin",
                      max_degree=DEFAULT_MAX_DEGREE,
                      max_iterations=DEFAULT_MAX_ITERATIONS, logged=False):
@@ -458,7 +479,17 @@ def involutive_basis(F, division, ordering, mode="thin",
     remainder joins the basis, which is autoreduced again and all
     prolongations recomputed; the run completes when every prolongation
     reduces to zero.  All twelve divisions are continuous and Gröbner, so
-    a complete result is an Involutive Basis and a Gröbner Basis."""
+    a complete result is an Involutive Basis and a Gröbner Basis.
+
+    A prolongation that reduced to zero leaves a certificate: the divisor
+    and placement chosen at each step.  While its element is still in the
+    basis and every recorded choice is still the one ``inv_divide`` would
+    make, the prolongation is known to reduce to zero again and is not
+    rebuilt.  Stats: ``prolongations`` counts prolongations examined,
+    reused or reduced (``max_iterations`` caps this count); ``reused``
+    counts those settled by a certificate; ``inv_reductions`` counts the
+    reduction steps actually performed; ``basis_changes`` counts
+    remainders added to the basis."""
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
     if mode not in ("thin", "thick"):
@@ -470,9 +501,11 @@ def involutive_basis(F, division, ordering, mode="thin",
     if not basis:
         raise ValueError("input basis has no nonzero polynomials")
     logs = [log_identity(k) for k in range(len(basis))] if logged else None
-    stats = {"prolongations": 0, "inv_reductions": 0, "basis_changes": 0}
+    stats = {"prolongations": 0, "reused": 0, "inv_reductions": 0,
+             "basis_changes": 0}
     basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)
     status = "complete"
+    certificates = {}   # (element, side, letter) -> certificate
 
     while True:
         table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
@@ -490,12 +523,18 @@ def involutive_basis(F, division, ordering, mode="thin",
                 status = "iteration_cap_hit"
                 break
             stats["prolongations"] += 1
+            g = basis[idx]
+            known = certificates.get((g, side, x))
+            if known is not None and _certificate_holds(known, basis, table, mode):
+                stats["reused"] += 1
+                continue
             if side == 0:
-                s = term_mul_poly(Term(Fraction(1), (x,)), basis[idx], Term(Fraction(1), ()))
+                s = term_mul_poly(Term(Fraction(1), (x,)), g, Term(Fraction(1), ()))
             else:
-                s = term_mul_poly(Term(Fraction(1), ()), basis[idx], Term(Fraction(1), (x,)))
+                s = term_mul_poly(Term(Fraction(1), ()), g, Term(Fraction(1), (x,)))
             rem, dlog = inv_divide(s, basis, table, ordering, mode, stats=stats)
             if rem.is_zero():
+                certificates[g, side, x] = _certificate(basis, table, dlog)
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"
@@ -513,6 +552,10 @@ def involutive_basis(F, division, ordering, mode="thin",
             basis.append(rem)
             stats["basis_changes"] += 1
             basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)
+            live = {id(p) for p in basis}
+            certificates = {
+                key: known for key, known in certificates.items()
+                if id(key[0]) in live and all(id(d) in live for d, _, _ in known)}
             grew = True
             break
         if status != "complete":

@@ -161,6 +161,17 @@ def test_mora_degree_cap(xyz, o):
     assert result.status in ("degree_cap_hit", "complete")
 
 
+@pytest.mark.parametrize("texts", [("x - 1", "x - 2"), ("x*y - z", "3", "y")])
+def test_mora_unit_ideal(xyz, o, texts):
+    # a constant, reached as a remainder or given, completes the run
+    F = P(xyz, o, *texts)
+    result = mora(F, o, logged=True)
+    assert result.status == "complete"
+    assert reduce_basis(result.basis, o) == [P(xyz, o, "1")]
+    for g, log in zip(result.basis, result.logs, strict=True):
+        assert log_expand(log, F) == g
+
+
 def test_mora_rejects_empty_input(xyz, o):
     with pytest.raises(ValueError):
         mora([Polynomial.zero(xyz, o)], o)

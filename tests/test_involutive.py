@@ -10,6 +10,7 @@ from ncpoly import (InvolutiveDivision, MonomialOrdering,
                     fast_inv_divides_global, inv_divide, involutive_basis,
                     involutively_divides, log_expand,
                     overlap_skip_reduction, poly_combine, reduce_basis)
+from ncpoly.involutive import _certificate, _certificate_holds
 
 from conftest import (P, all_spolys_reduce_to_zero, monic_set, random_poly,
                       random_word, seeded_rng, w)
@@ -416,6 +417,77 @@ def test_involutive_basis_is_groebner_basis(xy, xyz, o):
         res = involutive_basis(F, InvolutiveDivision(key), ordering, mode=mode)
         assert res.status == "complete"
         assert all_spolys_reduce_to_zero(res.basis, ordering)
+
+
+def test_certificate_replay_checks_every_choice(xyz, o):
+    # a zero-reduction certificate holds only while each recorded word
+    # still picks the same divisor object at the same placement
+    Pset = P(xyz, o, "x*y - z", "y - z")
+    every = {0, 1, 2}
+    table = MultiplicativeTable(InvolutiveDivision(3), xyz,
+                                [p.lm() for p in Pset],
+                                [every, every], [every, {0, 2}])
+    rem, log = inv_divide(Pset[0], Pset, table, o)
+    assert rem.is_zero()
+    steps = _certificate(Pset, table, log)
+    assert steps == ((Pset[0], w(xyz, "xy"), 0),)
+    assert _certificate_holds(steps, Pset, table, "thin")
+    # an equal polynomial is not the recorded divisor
+    assert not _certificate_holds(steps, [Pset[0].scaled(1), Pset[1]],
+                                  table, "thin")
+    # x*y - z comes first in the basis, so it divides xy, not y - z
+    assert not _certificate_holds(((Pset[1], w(xyz, "xy"), 1),), Pset,
+                                  table, "thin")
+    # y is not right multiplicative for y, so yy is divided at offset 1
+    assert _certificate_holds(((Pset[1], w(xyz, "yy"), 1),), Pset,
+                              table, "thin")
+    assert not _certificate_holds(((Pset[1], w(xyz, "yy"), 0),), Pset,
+                                  table, "thin")
+    # nothing divides zz
+    assert not _certificate_holds(((Pset[0], w(xyz, "zz"), 0),), Pset,
+                                  table, "thin")
+
+
+GROUPS = {
+    "S3": ("x^3 - 1", "y^2 - 1", "x*y*x*y - 1"),
+    "A4": ("x^3 - 1", "y^2 - 1", "x*y*x*y*x*y - 1"),
+    "S4": ("x^4 - 1", "y^3 - 1", "x*y*x*y - 1"),
+}
+INVERSES = ("X*x - 1", "x*X - 1", "Y*y - 1", "y*Y - 1")
+
+
+def group_presentation(alphabet, ordering, group):
+    return P(alphabet, ordering, *GROUPS[group], *INVERSES)
+
+
+# reusing zero-reduction certificates must leave the completion's path
+# as it was without them: the same prolongations examined (the cap
+# counts these), the same remainders added, the same basis and logs
+@pytest.mark.parametrize(
+    "group, key, mode, kwargs, status, prolongations, changes, size", [
+        ("S3", 1, "thin", {}, "complete", 1597, 41, 19),
+        ("S3", 2, "thin", {}, "complete", 1293, 38, 19),
+        ("S3", 3, "thin", {}, "complete", 295, 19, 16),
+        ("S3", 3, "thick", {}, "complete", 328, 21, 18),
+        ("A4", 3, "thin", {}, "complete", 974, 38, 30),
+        ("A4", 3, "thin", {"logged": True}, "complete", 974, 38, 30),
+        ("S4", 1, "thin", {}, "complete", 7796, 104, 73),
+        ("S4", 1, "thin", {"max_iterations": 2000}, "iteration_cap_hit",
+         2000, 55, 56),
+    ])
+def test_completion_trajectory_pinned(group_alphabet, group, key, mode, kwargs,
+                                      status, prolongations, changes, size):
+    o = MonomialOrdering("deglex", group_alphabet)
+    F = group_presentation(group_alphabet, o, group)
+    res = involutive_basis(F, InvolutiveDivision(key), o, mode=mode, **kwargs)
+    assert res.status == status
+    assert res.stats["prolongations"] == prolongations
+    assert res.stats["basis_changes"] == changes
+    assert len(res.basis) == res.stats["basis_size"] == size
+    assert 0 < res.stats["reused"] < prolongations
+    if res.logs is not None:
+        for g, log in zip(res.basis, res.logs, strict=True):
+            assert log_expand(log, F) == g
 
 
 def test_disjoint_cones_for_global_divisions(xy):
