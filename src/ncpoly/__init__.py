@@ -13,9 +13,8 @@ from .groebner import (GroebnerResult, divide, log_expand, mora,
                        reduce_basis, sugar_value)
 from .involutive import (InvolutiveBasisResult, InvolutiveDivision,
                          MultiplicativeTable, assign_multiplicative,
-                         autoreduce, fast_inv_divides_global, inv_divide,
-                         involutive_basis, involutively_divides,
-                         overlap_skip_reduction)
+                         autoreduce, inv_divide, involutive_basis,
+                         involutively_divides)
 from .orderings import (MonomialOrdering, OrderingFunction,
                         admissibility_check, decomposition, degree_function,
                         harmonious, initial)

@@ -86,10 +86,6 @@ class Term(NamedTuple):
     mon: tuple
 
 
-def unit_term():
-    return Term(Fraction(1), ())
-
-
 class Polynomial:
     """A finite sum of terms, strictly descending under ``ordering``.
 

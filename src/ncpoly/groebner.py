@@ -61,6 +61,14 @@ def log_merge(*logs):
         for (lm, k, rm), c in acc.items() if c != 0)
 
 
+def log_reduced(base, dlog, logs):
+    """The representation of a reduction's remainder: the representation
+    ``base`` of the reduced polynomial minus the division log ``dlog``,
+    whose triples index the representations ``logs``."""
+    return log_merge(base, *(log_scale(log_conjugate(l, logs[k], r), -1)
+                             for l, k, r in dlog))
+
+
 def log_expand(log, F):
     """sum(l * F[k] * r) over the triples of the representation."""
     if not F:
@@ -75,54 +83,103 @@ def log_expand(log, F):
 # Division
 # ---------------------------------------------------------------------------
 
-def find_subword(u, v):
-    """Smallest 0-based offset at which v occurs inside u, else None."""
-    dv = len(v)
-    for s in range(len(u) - dv + 1):
-        if u[s:s + dv] == v:
-            return s
+def first_divisor(u, lms, lefts=None, rights=None, thick=False, active=None):
+    """The first divisor of word u, as (j, s), or None.
+
+    j is the first index (in ``active`` order, default all of ``lms``)
+    whose word lms[j] occurs in u at a placement u = u3 * lms[j] * u4
+    that row j's letter sets admit; s = len(u3) is the smallest such.
+    lefts[j] and rights[j] hold the letters u3 and u4 may carry: thin
+    divisors test only the letters next to lms[j], thick ones every
+    cofactor letter.  ``lefts=None`` admits every letter: conventional
+    division.
+    """
+    n = len(u)
+    thin = lefts is not None and not thick
+    for j in range(len(lms)) if active is None else active:
+        v = lms[j]
+        d = len(v)
+        if d > n:
+            continue
+        lo, hi = 0, n - d
+        if lefts is not None:
+            right = rights[j]
+            if not right:       # u4 must be empty: only the suffix placement
+                if u[hi:] == v:
+                    left = lefts[j]
+                    if not hi or (left.issuperset(u[:hi]) if thick
+                                  else u[hi - 1] in left):
+                        return j, hi
+                continue
+            left = lefts[j]
+            if not left:        # u3 must be empty: only the prefix placement
+                if u[:d] == v and (not hi or (right.issuperset(u[d:]) if thick
+                                              else u[d] in right)):
+                    return j, 0
+                continue
+            if thick:
+                # u3 must lie inside the longest left-multiplicative prefix
+                # of u, u4 inside the longest right-multiplicative suffix;
+                # every placement in between is admitted
+                lo = n
+                while lo and u[lo - 1] in right:
+                    lo -= 1
+                lo = max(0, lo - d)
+                hi = 0
+                while hi < n - d and u[hi] in left:
+                    hi += 1
+        for s in range(lo, hi + 1):
+            if u[s:s + d] == v and (not thin or (
+                    (not s or u[s - 1] in left)
+                    and (s + d == n or u[s + d] in right))):
+                return j, s
     return None
+
+
+def reduce_by(p, P, ordering, lookup):
+    """Reduce p by P term by term, returning (remainder, log).
+
+    While some term of the running polynomial is divisible, ``lookup``
+    maps its word u to (j, s): P[j] is cancelled at the placement whose
+    left cofactor is u[:s].  Irreducible lead terms migrate to the
+    remainder.  The log's triples reference indices into P and satisfy
+    p = remainder + expansion(log).
+    """
+    work = p.with_ordering(ordering)
+    rem_terms = []
+    log = []
+    while not work.is_zero():
+        u = work.lm()
+        hit = lookup(u)
+        if hit is None:
+            rem_terms.append(work.lt())
+            work = Polynomial(work.terms[1:], work.alphabet, ordering, _trusted=True)
+            continue
+        j, s = hit
+        q = P[j]
+        lterm = Term(work.lc() / q.lc(), u[:s])
+        rterm = Term(Fraction(1), u[s + len(q.lm()):])
+        work = poly_combine(work, term_mul_poly(lterm, q, rterm), -1)
+        log.append((lterm, j, rterm))
+    remainder = Polynomial(tuple(rem_terms), p.alphabet, ordering, _trusted=True)
+    return remainder, tuple(log)
 
 
 def divide(p, P, ordering=None):
     """Divide p by the set P, returning (remainder, log).
 
-    Works term by term: while some term of the running polynomial has a
-    basis lead monomial as a subword, the leftmost placement (smallest
-    left cofactor) of the first dividing basis element is cancelled;
-    irreducible lead terms migrate to the remainder.  The log's triples
-    reference indices into P and satisfy p = remainder + expansion(log).
+    Conventional division: every placement of a basis lead monomial is
+    admitted, and each term is divided by the first element of P whose
+    lead monomial it contains, at the leftmost placement.  See
+    ``reduce_by`` for the loop and the log.
     """
     if ordering is None:
         ordering = p.ordering
     if any(q.is_zero() for q in P):
         raise ValueError("divisors must be nonzero")
-    work = p.with_ordering(ordering)
-    divisors = [(q.with_ordering(ordering)) for q in P]
+    divisors = [q.with_ordering(ordering) for q in P]
     lms = [q.lm() for q in divisors]
-    rem_terms = []
-    log = []
-    while not work.is_zero():
-        u = work.lm()
-        c = work.lc()
-        hit = None
-        for jj, lmj in enumerate(lms):
-            s = find_subword(u, lmj)
-            if s is not None:
-                hit = (jj, s)
-                break
-        if hit is None:
-            rem_terms.append(work.lt())
-            work = Polynomial(work.terms[1:], work.alphabet, ordering, _trusted=True)
-            continue
-        jj, s = hit
-        ul, ur = u[:s], u[s + len(lms[jj]):]
-        coeff = c / divisors[jj].lc()
-        lterm, rterm = Term(coeff, ul), Term(Fraction(1), ur)
-        work = poly_combine(work, term_mul_poly(lterm, divisors[jj], rterm), -1)
-        log.append((lterm, jj, rterm))
-    remainder = Polynomial(tuple(rem_terms), p.alphabet, ordering, _trusted=True)
-    return remainder, tuple(log)
+    return reduce_by(p, divisors, ordering, lambda u: first_divisor(u, lms))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +286,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 log_scale(log_conjugate(Term(G[spec.i].lc(), spec.l2),
                                         logs[spec.j],
                                         Term(Fraction(1), spec.r2)), -1))
-            used = [log_scale(log_conjugate(l, logs[k], r), -1) for l, k, r in dlog]
-            logs.append(log_merge(s_log, *used))
+            logs.append(log_reduced(s_log, dlog, logs))
         G.append(rem)
         sugars.append(sug)
         if not rem.lm():
@@ -252,12 +308,12 @@ def reduce_basis(G, ordering):
     monomial a multiple of another's, every element fully reduced against
     the rest.  Output sorted descending by lead monomial."""
     work = [g.with_ordering(ordering).monic() for g in G if not g.is_zero()]
+    lms = [g.lm() for g in work]
     i = 0
     while i < len(work):
-        lm_i = work[i].lm()
-        if any(jj != i and find_subword(lm_i, work[jj].lm()) is not None
-               for jj in range(len(work))):
-            del work[i]
+        others = [jj for jj in range(len(work)) if jj != i]
+        if first_divisor(lms[i], lms, active=others) is not None:
+            del work[i], lms[i]
         else:
             i += 1
     done = []

@@ -15,12 +15,15 @@ basis); the rest are local and recomputed from scratch whenever the
 basis changes.  Every right-handed kind is the exact word-reversal
 mirror of the corresponding left-handed kind.
 
-Involutive divisibility comes in two flavours: thin divisors test only
-the cofactor letters adjacent to the divisor (the last letter of the
-left cofactor and the first of the right), thick divisors test every
-cofactor letter.  Thin is the default.  Thick-divisor runs can leave
-words conventionally reducible yet involutively irreducible; see the
-degree-cap tests for a witness.
+Involutive reduction is conventional reduction whose cofactors the
+multiplicative table must admit: ``inv_divide`` runs the division loop
+and divisor lookup of ``groebner`` with the table's letter sets, and
+reads nothing else of the division.  Divisibility comes in two
+flavours: thin divisors test only the cofactor letters adjacent to the
+divisor (the last letter of the left cofactor and the first of the
+right), thick divisors test every cofactor letter.  Thin is the
+default.  Thick-divisor runs can leave words conventionally reducible
+yet involutively irreducible; see the degree-cap tests for a witness.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Polynomial, Term, poly_combine, term_mul_poly
+from .algebra import Term, term_mul_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS,
-                       log_conjugate, log_identity, log_merge, log_scale)
+                       first_divisor, log_conjugate, log_identity, log_reduced,
+                       reduce_by)
 
 DIVISION_NAMES = {
     1: "Left",
@@ -257,28 +261,8 @@ def _prefix_rule(u, right):
 
 
 # ---------------------------------------------------------------------------
-# Involutive divisibility
+# Involutive divisibility and reduction
 # ---------------------------------------------------------------------------
-
-def _placement(u2, u1, left, right, mode):
-    d2, d1 = len(u2), len(u1)
-    for s in range(d1 - d2 + 1):    # smallest left cofactor first
-        if u1[s:s + d2] != u2:
-            continue
-        u3, u4 = u1[:s], u1[s + d2:]
-        if mode == "thin":
-            if u3 and u3[-1] not in left:
-                continue
-            if u4 and u4[0] not in right:
-                continue
-        else:
-            if any(x not in left for x in u3):
-                continue
-            if any(x not in right for x in u4):
-                continue
-        return u3, u4
-    return None
-
 
 def involutively_divides(u2, u1, table, mode="thin"):
     """The admitted placement u1 = u3 * u2 * u4 with minimal-degree u3,
@@ -287,110 +271,30 @@ def involutively_divides(u2, u1, table, mode="thin"):
         raise ValueError(f"mode must be 'thin' or 'thick', got {mode!r}")
     u2, u1 = tuple(u2), tuple(u1)
     left, right = table.sets_for(u2)
-    return _placement(u2, u1, left, right, mode)
-
-
-def fast_inv_divides_global(u2, u1, side):
-    """Global-division divisibility in one comparison: Left division means
-    u2 divides u1 exactly when u2 is a suffix of u1; Right means prefix."""
-    u2, u1 = tuple(u2), tuple(u1)
-    d2, d1 = len(u2), len(u1)
-    if d2 > d1:
+    hit = first_divisor(u1, [u2], [left], [right], mode == "thick")
+    if hit is None:
         return None
-    if side == "left":
-        if u1[d1 - d2:] == u2:
-            return u1[:d1 - d2], ()
-        return None
-    if side == "right":
-        if u1[:d2] == u2:
-            return (), u1[d2:]
-        return None
-    raise ValueError("side must be 'left' or 'right' (global divisions only)")
-
-
-def overlap_skip_reduction(u, lm, right_nonmult):
-    """Initial 1-based scan offset for thick-divisor reduction under a
-    one-sided left overlap division: any placement starting earlier would
-    trap a right-nonmultiplicative letter inside the right cofactor."""
-    last = None
-    for pos in range(len(u), 0, -1):
-        if u[pos - 1] in right_nonmult:
-            last = pos
-            break
-    if last is None:
-        return 1
-    return max(1, last - len(lm) + 1)
-
-
-# ---------------------------------------------------------------------------
-# Involutive reduction
-# ---------------------------------------------------------------------------
-
-_LEFT_ONE_SIDED = frozenset((3, 4, 6, 7))
-
-
-def _find_divisor(u, lms, table, mode, active):
-    """First basis element (in ``active`` order) whose lead monomial
-    involutively divides u, with its placement."""
-    key = table.division.key
-    for j in active:
-        lmj = lms[j]
-        if len(lmj) > len(u):
-            continue
-        if key == 1:
-            if u[len(u) - len(lmj):] == lmj:
-                return j, u[:len(u) - len(lmj)], ()
-            continue
-        if key == 2:
-            if u[:len(lmj)] == lmj:
-                return j, (), u[len(lmj):]
-            continue
-        left, right = table.left[j], table.right[j]
-        if mode == "thick" and key in _LEFT_ONE_SIDED:
-            start = overlap_skip_reduction(
-                u, lmj, table.nonmult_right(j)) - 1
-            hit = _placement(lmj, u[start:] if start else u, left, right, mode)
-            if hit is not None:
-                u3, u4 = hit
-                return j, u[:start] + u3, u4
-            continue
-        hit = _placement(lmj, u, left, right, mode)
-        if hit is not None:
-            return j, hit[0], hit[1]
-    return None
+    s = hit[1]
+    return u1[:s], u1[s + len(u2):]
 
 
 def inv_divide(p, P, table, ordering=None, mode="thin", active=None, stats=None):
     """Involutive remainder of p modulo P, with its log over P.
 
-    Same shape as conventional division, but a term is reducible only by
-    an involutive divisor.  ``active`` restricts which basis elements may
-    divide; the table always describes all of P, and its lead monomials
-    are the ones read."""
+    Conventional division whose cofactors the multiplicative table must
+    admit: a term is divided by the first element of P (in ``active``
+    order, default all of P) that involutively divides it, at the
+    admitted placement with the shortest left cofactor.  The table
+    always describes all of P, and its lead monomials are the ones
+    read.  ``stats["inv_reductions"]`` counts the reduction steps."""
     if ordering is None:
         ordering = p.ordering
-    if active is None:
-        active = range(len(P))
-    work = p.with_ordering(ordering)
-    lms = table.lms
-    rem_terms = []
-    log = []
-    while not work.is_zero():
-        u = work.lm()
-        hit = _find_divisor(u, lms, table, mode, active)
-        if hit is None:
-            rem_terms.append(work.lt())
-            work = Polynomial(work.terms[1:], work.alphabet, ordering, _trusted=True)
-            continue
-        j, u3, u4 = hit
-        coeff = work.lc() / P[j].lc()
-        lterm, rterm = Term(coeff, u3), Term(Fraction(1), u4)
-        work = poly_combine(work, term_mul_poly(lterm, P[j], rterm), -1)
-        log.append((lterm, j, rterm))
-        if stats is not None:
-            stats["inv_reductions"] = stats.get("inv_reductions", 0) + 1
-    remainder = Polynomial(tuple(rem_terms), p.alphabet, ordering, _trusted=True)
-    return remainder, tuple(log)
+    thick = mode == "thick"
+    rem, log = reduce_by(p, P, ordering, lambda u: first_divisor(
+        u, table.lms, table.left, table.right, thick, active))
+    if stats is not None:
+        stats["inv_reductions"] = stats.get("inv_reductions", 0) + len(log)
+    return rem, log
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +324,7 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
             if rem == basis[i]:
                 continue
             if logs is not None:
-                used = [log_scale(log_conjugate(l, logs[k], r), -1)
-                        for l, k, r in dlog]
-                new_log = log_merge(logs[i], *used)
+                new_log = log_reduced(logs[i], dlog, logs)
             if rem.is_zero():
                 del basis[i]
                 if logs is not None:
@@ -461,10 +363,10 @@ def _certificate_holds(steps, P, table, mode):
     each recorded word, the same divisor object at the same placement.
     Reduction is deterministic, so it would then reach zero again through
     the same arithmetic."""
-    active = range(len(P))
+    thick = mode == "thick"
     for divisor, word, left in steps:
-        hit = _find_divisor(word, table.lms, table, mode, active)
-        if hit is None or P[hit[0]] is not divisor or len(hit[1]) != left:
+        hit = first_divisor(word, table.lms, table.left, table.right, thick)
+        if hit is None or P[hit[0]] is not divisor or hit[1] != left:
             return False
     return True
 
@@ -546,9 +448,7 @@ def involutive_basis(F, division, ordering, mode="thin",
                 else:
                     s_log = log_conjugate(Term(Fraction(1), ()), logs[idx],
                                           Term(Fraction(1), (x,)))
-                used = [log_scale(log_conjugate(l, logs[k], r), -1)
-                        for l, k, r in dlog]
-                logs.append(log_merge(s_log, *used))
+                logs.append(log_reduced(s_log, dlog, logs))
             basis.append(rem)
             stats["basis_changes"] += 1
             basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)

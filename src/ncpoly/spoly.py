@@ -7,7 +7,7 @@ inside one word, so non-overlapping placements never generate work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import Term, poly_combine, term_mul_poly
 
@@ -30,9 +30,6 @@ class OverlapSpec:
     r2: tuple
     kind: str
     overlap_word: tuple
-
-    def with_indices(self, i, j):
-        return replace(self, i=i, j=j)
 
 
 def enumerate_overlaps(u1, u2, same_element, i=0, j=1):
@@ -91,11 +88,17 @@ def s_polynomial(spec, p1, p2):
 def settled_key(spec):
     """Canonical bookkeeping key for an overlap: participant indices in
     ascending order plus the left cofactor of the smaller-index element."""
-    if spec.i < spec.j:
-        return (spec.i, spec.j, spec.l1)
-    if spec.j < spec.i:
-        return (spec.j, spec.i, spec.l2)
-    return (spec.i, spec.j, min(spec.l1, spec.l2))
+    return _overlap_key(spec.i, spec.l1, spec.j, spec.l2)
+
+
+def _overlap_key(i, l_i, j, l_j):
+    """``settled_key`` of an overlap of elements i and j placed with left
+    cofactors l_i and l_j."""
+    if i < j:
+        return (i, j, l_i)
+    if j < i:
+        return (j, i, l_j)
+    return (i, j, min(l_i, l_j))
 
 
 def criterion2_applies(spec, basis, settled):
@@ -120,12 +123,12 @@ def criterion2_applies(spec, basis, settled):
             l3 = w[:s]
             if any(h_idx == p_idx and l3 == lp for p_idx, lp in participants):
                 continue  # this is one of the participants' own placements
-            if _placement_admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
+            if _admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
                 return True
     return False
 
 
-def _placement_admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
+def _admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
     w = spec.overlap_word
     for p_idx, lp, up in ((spec.i, spec.l1, basis[spec.i].lm()),
                           (spec.j, spec.l2, basis[spec.j].lm())):
@@ -138,15 +141,7 @@ def _placement_admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
         cut_l = min(a0, b0)
         cut_r = min(len(w) - a1, len(w) - b1)
         lp_red, l3_red = w[cut_l:a0], w[cut_l:b0]
-        induced = _induced_key(p_idx, lp_red, h_idx, l3_red)
+        induced = _overlap_key(p_idx, lp_red, h_idx, l3_red)
         if induced == own_key or induced not in settled:
             return False
     return True
-
-
-def _induced_key(i, l1, j, l2):
-    if i < j:
-        return (i, j, l1)
-    if j < i:
-        return (j, i, l2)
-    return (i, j, min(l1, l2))

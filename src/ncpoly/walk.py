@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Polynomial, poly_combine, term_mul_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
                        log_expand, mora, reduce_basis)
 from .involutive import InvolutiveDivision, involutive_basis
@@ -70,6 +69,7 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
                           stats=inner.stats)
     H_prime = reduce_basis(inner.basis, job.target)
     lifted = []
+    target_G = [g.with_ordering(job.target) for g in G]
     for h in H_prime:
         rem, log = divide(h.with_ordering(job.source), G_init, job.source)
         if not rem.is_zero():
@@ -77,11 +77,7 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
                 "initials basis failed to divide an initial-ideal element "
                 "to zero; the input was not a Gröbner Basis for the source "
                 "ordering")
-        full = Polynomial.zero(job.target.alphabet, job.target)
-        for l, k, r in log:
-            full = poly_combine(
-                full, term_mul_poly(l, G[k].with_ordering(job.target), r), 1)
-        lifted.append(full)
+        lifted.append(log_expand(log, target_G))
     return WalkResult(basis=reduce_basis(lifted, job.target),
                       status="complete", stats=inner.stats)
 

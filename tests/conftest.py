@@ -95,5 +95,22 @@ def brute_force_overlaps(u1, u2, same_element):
     return found
 
 
+def brute_force_placement(u, v, left=None, right=None, thick=False):
+    """Oracle for one row of ``first_divisor``, from the definition: the
+    smallest s with u == u3 * v * u4, len(u3) == s, whose cofactors the
+    letter sets admit (thin: the letters next to v; thick: every cofactor
+    letter; ``left=None``: every placement), else None."""
+    for s in range(len(u) - len(v) + 1):
+        if u[s:s + len(v)] != v:
+            continue
+        u3, u4 = u[:s], u[s + len(v):]
+        if left is None:
+            return s
+        tested3, tested4 = (u3, u4) if thick else (u3[-1:], u4[:1])
+        if all(x in left for x in tested3) and all(x in right for x in tested4):
+            return s
+    return None
+
+
 def seeded_rng(name):
     return random.Random(hash(name) & 0xFFFFFFFF)

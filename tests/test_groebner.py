@@ -3,13 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncpoly import (MonomialOrdering, Polynomial, divide, log_expand, mora,
                     reduce_basis, sugar_value)
+from ncpoly.groebner import first_divisor
 from ncpoly.spoly import OverlapSpec
 
-from conftest import (P, all_spolys_reduce_to_zero, random_poly, seeded_rng,
-                      w)
+from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
+                      random_poly, seeded_rng, w)
 
 
 @pytest.fixture
@@ -62,8 +65,43 @@ def test_divide_rejects_zero_divisor(xyz, o):
         divide(P(xyz, o, "x"), [Polynomial.zero(xyz, o)], o)
 
 
+letters = st.integers(0, 2)
+row_sets = st.tuples(st.frozensets(letters), st.frozensets(letters))
+
+
+@st.composite
+def divisor_rows(draw):
+    """Divisor words, their letter sets and a lookup order.  Sets of None
+    admit every letter (conventional division); otherwise each row gets
+    its own, possibly empty or partial, pair of sets."""
+    lms = draw(st.lists(st.lists(letters, max_size=3).map(tuple),
+                        min_size=1, max_size=4))
+    sets = draw(st.none() | st.lists(row_sets, min_size=len(lms),
+                                     max_size=len(lms)))
+    active = draw(st.none() | st.lists(st.integers(0, len(lms) - 1),
+                                       unique=True))
+    return lms, sets, active
+
+
+@settings(max_examples=500)
+@given(st.lists(letters, max_size=8).map(tuple), divisor_rows(), st.booleans())
+# thick, last letter of u not right-multiplicative: only the suffix placement
+@example(u=(0, 1), rows=([(1,)], [({0}, {0})], None), thick=True)
+def test_first_divisor_matches_oracle(u, rows, thick):
+    lms, sets, active = rows
+    expected = None
+    for j in range(len(lms)) if active is None else active:
+        left, right = (None, None) if sets is None else sets[j]
+        s = brute_force_placement(u, lms[j], left, right, thick)
+        if s is not None:
+            expected = (j, s)
+            break
+    lefts = None if sets is None else [left for left, _ in sets]
+    rights = None if sets is None else [right for _, right in sets]
+    assert first_divisor(u, lms, lefts, rights, thick, active) == expected
+
+
 def test_divide_remainder_irreducible(xyz, o):
-    from ncpoly.groebner import find_subword
     rng = seeded_rng("divide-irreducible")
     for _ in range(25):
         p = random_poly(rng, xyz, o)
@@ -73,7 +111,8 @@ def test_divide_remainder_irreducible(xyz, o):
             continue
         rem, log = divide(p, divisors, o)
         for t in rem.terms:
-            assert all(find_subword(t.mon, d.lm()) is None for d in divisors)
+            assert all(brute_force_placement(t.mon, d.lm()) is None
+                       for d in divisors)
         from ncpoly import poly_combine
         assert poly_combine(p, rem, -1) == log_expand(log, divisors)
 
