@@ -8,7 +8,7 @@ exact rational coefficients.
 
 from .algebra import (Alphabet, ParseError, Polynomial, Term,
                       format_polynomial, parse_polynomial, poly_combine,
-                      prefix, subword, suffix, term_mul_poly, word_concat)
+                      term_mul_poly)
 from .groebner import (GroebnerResult, divide, log_expand, mora,
                        reduce_basis, sugar_value)
 from .involutive import (InvolutiveBasisResult, InvolutiveDivision,

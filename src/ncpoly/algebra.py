@@ -59,27 +59,8 @@ class Alphabet:
 
 # ---------------------------------------------------------------------------
 # Words.  A word is a plain tuple of generator indices; () is the unit
-# monomial.  Positions in the helpers below are 1-based and inclusive, so
-# subword(m, 1, deg(m)) is m itself.
+# monomial.
 # ---------------------------------------------------------------------------
-
-def subword(m, i, j):
-    if not (1 <= i <= j <= len(m)):
-        raise ValueError(f"subword indices ({i}, {j}) out of range for degree {len(m)}")
-    return m[i - 1:j]
-
-
-def prefix(m, i):
-    return subword(m, 1, i)
-
-
-def suffix(m, i):
-    return subword(m, len(m) - i + 1, len(m))
-
-
-def word_concat(u, v):
-    return tuple(u) + tuple(v)
-
 
 class Term(NamedTuple):
     coeff: Fraction
@@ -112,10 +93,6 @@ class Polynomial:
     @classmethod
     def zero(cls, alphabet, ordering):
         return cls((), alphabet, ordering, _trusted=True)
-
-    @classmethod
-    def from_terms(cls, terms, alphabet, ordering):
-        return cls(terms, alphabet, ordering)
 
     def is_zero(self):
         return not self.terms
@@ -354,7 +331,7 @@ def parse_polynomial(text, alphabet, ordering):
         raise ParseError("empty polynomial", 0)
     parser = _Parser(tokens, len(text))
     terms = parser.parse_poly()
-    return Polynomial.from_terms(terms, alphabet, ordering)
+    return Polynomial(terms, alphabet, ordering)
 
 
 def format_word(mon, alphabet):

@@ -23,7 +23,7 @@ import time
 from .algebra import Alphabet, ParseError, format_polynomial, parse_polynomial
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
                        mora, reduce_basis)
-from .involutive import InvolutiveDivision, involutive_basis
+from .involutive import involutive_basis
 from .orderings import MonomialOrdering
 from .walk import WalkJob, groebner_walk, involutive_walk
 
@@ -143,14 +143,16 @@ def run(args, out=None, err=None):
     caps = {"max_degree": args.max_degree, "max_iterations": args.max_iterations}
     started = time.perf_counter()
     try:
-        basis, stats, status = _dispatch(args, generators, ordering, caps)
+        basis, stats, status, computed_in = _dispatch(args, generators,
+                                                      ordering, caps)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     elapsed = time.perf_counter() - started
 
     out_path = _output_path(args.problem, ordering.kind, args.algorithm)
-    _write_output(out_path, alphabet, ordering, basis, stats, status, elapsed)
+    _write_output(out_path, alphabet, computed_in, basis, stats, status,
+                  elapsed)
     if args.verbose:
         print(f"wrote {out_path} ({len(basis)} polynomials, status {status})",
               file=out)
@@ -166,36 +168,26 @@ def run(args, out=None, err=None):
 
 
 def _dispatch(args, generators, ordering, caps):
-    if args.algorithm == "groebner":
-        result = mora(generators, ordering, strategy=args.strategy,
+    """Returns (basis, stats, status, the ordering the basis is in).  A
+    walk converts its source run's basis, unless a cap stopped that run."""
+    walks = args.algorithm in ("gwalk", "iwalk")
+    source = (MonomialOrdering(args.source_ordering, ordering.alphabet)
+              if walks else ordering)
+    if args.algorithm in ("groebner", "gwalk"):
+        result = mora(generators, source, strategy=args.strategy,
                       use_criterion2=not args.no_criterion2, **caps)
-        return result.basis, result.stats, result.status
-    if args.algorithm == "involutive":
-        result = involutive_basis(generators, InvolutiveDivision(args.division),
-                                  ordering, mode=args.divisors, **caps)
-        return result.basis, result.stats, result.status
-    # walks: compute the source basis first, then convert
-    source = MonomialOrdering(args.source_ordering, ordering.alphabet)
-    if args.algorithm == "gwalk":
-        inner = mora([g.with_ordering(source) for g in generators], source,
-                     strategy=args.strategy,
-                     use_criterion2=not args.no_criterion2, **caps)
-        if inner.status != "complete":
-            return inner.basis, inner.stats, inner.status
-        job = WalkJob(source=source, target=ordering, basis=inner.basis)
-        walk = groebner_walk(job, **caps)
     else:
-        division = InvolutiveDivision(args.division)
-        inner = involutive_basis([g.with_ordering(source) for g in generators],
-                                 division, source, mode=args.divisors, **caps)
-        if inner.status != "complete":
-            return inner.basis, inner.stats, inner.status
-        job = WalkJob(source=source, target=ordering, basis=inner.basis,
-                      division=division, mode=args.divisors)
-        walk = involutive_walk(job, **caps)
-    stats = dict(inner.stats)
+        result = involutive_basis(generators, args.division, source,
+                                  mode=args.divisors, **caps)
+    if not walks or result.status != "complete":
+        return result.basis, result.stats, result.status, source
+    job = WalkJob(source=source, target=ordering, basis=result.basis,
+                  division=args.division, mode=args.divisors)
+    convert = groebner_walk if args.algorithm == "gwalk" else involutive_walk
+    walk = convert(job, **caps)
+    stats = dict(result.stats)
     stats.update({f"walk_{k}": v for k, v in walk.stats.items()})
-    return walk.basis, stats, walk.status
+    return walk.basis, stats, walk.status, ordering
 
 
 def _output_path(problem_path, ordering_kind, algorithm):
@@ -212,11 +204,9 @@ def _write_output(path, alphabet, ordering, basis, stats, status, elapsed):
             handle.write(format_polynomial(p) + "\n")
         handle.write(f"# stats: status={status}\n")
         handle.write(f"# stats: basis_size={len(basis)}\n")
-        for key in ("prolongations", "reused", "inv_reductions",
-                    "spolys_considered", "zero_reductions", "criterion2_skips",
-                    "iterations"):
-            if key in stats:
-                handle.write(f"# stats: {key}={stats[key]}\n")
+        for key, value in stats.items():
+            if key != "basis_size":
+                handle.write(f"# stats: {key}={value}\n")
         handle.write(f"# stats: wall_time={elapsed:.3f}s\n")
 
 

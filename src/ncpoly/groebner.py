@@ -261,18 +261,17 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             break
         keys.pop(0)
         spec, sug = pending.pop(0)
+        # exact: criterion 2 rejects an induced key equal to this one's
+        settled.add(settled_key(spec))
         if use_criterion2 and criterion2_applies(spec, G, settled):
             stats["criterion2_skips"] += 1
-            settled.add(settled_key(spec))
             continue
         stats["spolys_considered"] += 1
         s = s_polynomial(spec, G[spec.i], G[spec.j])
         if s.is_zero():
-            settled.add(settled_key(spec))
             stats["zero_reductions"] += 1
             continue
         rem, dlog = divide(s, G, ordering)
-        settled.add(settled_key(spec))
         if rem.is_zero():
             stats["zero_reductions"] += 1
             continue

@@ -148,10 +148,6 @@ def assign_multiplicative(division, lms, alphabet):
         left = [set(everything) for _ in lms]
         right = [set() for _ in lms]
         return MultiplicativeTable(division, alphabet, lms, left, right)
-    if division.key == 2:    # Right: mirror of Left
-        left = [set() for _ in lms]
-        right = [set(everything) for _ in lms]
-        return MultiplicativeTable(division, alphabet, lms, left, right)
 
     if not division.left_handed:
         mirrored = assign_multiplicative(
@@ -166,9 +162,9 @@ def assign_multiplicative(division, lms, alphabet):
     right = [set(everything) for _ in u]
 
     if division.key == 3:
-        _left_overlap_rules(u, left, right)
+        _left_overlap_rules(u, right)
     elif division.key == 4:
-        _left_overlap_rules(u, left, right)
+        _left_overlap_rules(u, right)
         _disjoint_cones(u, right)
     elif division.key == 5:
         _two_sided_rules(u, left, right)
@@ -201,14 +197,10 @@ def _edge_overlap_rules(u, right):
                 if ua[alpha - k:] == ub[:k]:        # SUFF(ua,k) == PRE(ub,k)
                     right[a].discard(ub[k])         # letter k+1 of ub
 
-def _left_overlap_rules(u, left, right):
+def _left_overlap_rules(u, right):
     # subword matches (strict: ub may not be a suffix of ua) ...
     for a in range(len(u)):
-        for b in range(len(u)):
-            if a == b:
-                continue
-            if b < a:
-                continue
+        for b in range(a + 1, len(u)):
             ua, ub = u[a], u[b]
             alpha, beta = len(ua), len(ub)
             for k in range(1, alpha - beta + 1):    # k < alpha - beta + 1
@@ -264,14 +256,20 @@ def _prefix_rule(u, right):
 # Involutive divisibility and reduction
 # ---------------------------------------------------------------------------
 
+def _thick(mode):
+    """Whether ``mode`` asks for thick divisors; only 'thin' and 'thick'
+    are modes."""
+    if mode not in ("thin", "thick"):
+        raise ValueError(f"mode must be 'thin' or 'thick', got {mode!r}")
+    return mode == "thick"
+
+
 def involutively_divides(u2, u1, table, mode="thin"):
     """The admitted placement u1 = u3 * u2 * u4 with minimal-degree u3,
     or None.  ``mode`` selects thin or thick divisors."""
-    if mode not in ("thin", "thick"):
-        raise ValueError(f"mode must be 'thin' or 'thick', got {mode!r}")
     u2, u1 = tuple(u2), tuple(u1)
     left, right = table.sets_for(u2)
-    hit = first_divisor(u1, [u2], [left], [right], mode == "thick")
+    hit = first_divisor(u1, [u2], [left], [right], _thick(mode))
     if hit is None:
         return None
     s = hit[1]
@@ -289,7 +287,7 @@ def inv_divide(p, P, table, ordering=None, mode="thin", active=None, stats=None)
     read.  ``stats["inv_reductions"]`` counts the reduction steps."""
     if ordering is None:
         ordering = p.ordering
-    thick = mode == "thick"
+    thick = _thick(mode)
     rem, log = reduce_by(p, P, ordering, lambda u: first_divisor(
         u, table.lms, table.left, table.right, thick, active))
     if stats is not None:
@@ -306,6 +304,9 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
     rest, until stable.  The table is always built from the full current
     set; the divisors are the set without p_i.  Zero reductions drop the
     element.  Returns (basis, logs); logs is None unless provided."""
+    if not isinstance(division, InvolutiveDivision):
+        division = InvolutiveDivision(division)
+    _thick(mode)    # rejects an unknown mode even when nothing is divided
     basis = [p.with_ordering(ordering) for p in P if not p.is_zero()]
     logs = list(logs) if logs is not None else None
     alphabet = ordering.alphabet
@@ -323,8 +324,6 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
                                    active=others, stats=stats)
             if rem == basis[i]:
                 continue
-            if logs is not None:
-                new_log = log_reduced(logs[i], dlog, logs)
             if rem.is_zero():
                 del basis[i]
                 if logs is not None:
@@ -332,7 +331,7 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
             else:
                 basis[i] = rem
                 if logs is not None:
-                    logs[i] = new_log
+                    logs[i] = log_reduced(logs[i], dlog, logs)
             changed = True
             break
     return basis, logs
@@ -363,7 +362,7 @@ def _certificate_holds(steps, P, table, mode):
     each recorded word, the same divisor object at the same placement.
     Reduction is deterministic, so it would then reach zero again through
     the same arithmetic."""
-    thick = mode == "thick"
+    thick = _thick(mode)
     for divisor, word, left in steps:
         hit = first_divisor(word, table.lms, table.left, table.right, thick)
         if hit is None or P[hit[0]] is not divisor or hit[1] != left:
@@ -394,8 +393,7 @@ def involutive_basis(F, division, ordering, mode="thin",
     remainders added to the basis."""
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
-    if mode not in ("thin", "thick"):
-        raise ValueError(f"mode must be 'thin' or 'thick', got {mode!r}")
+    _thick(mode)
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     alphabet = ordering.alphabet
@@ -430,10 +428,9 @@ def involutive_basis(F, division, ordering, mode="thin",
             if known is not None and _certificate_holds(known, basis, table, mode):
                 stats["reused"] += 1
                 continue
-            if side == 0:
-                s = term_mul_poly(Term(Fraction(1), (x,)), g, Term(Fraction(1), ()))
-            else:
-                s = term_mul_poly(Term(Fraction(1), ()), g, Term(Fraction(1), (x,)))
+            letter, unit = Term(Fraction(1), (x,)), Term(Fraction(1), ())
+            lterm, rterm = (letter, unit) if side == 0 else (unit, letter)
+            s = term_mul_poly(lterm, g, rterm)
             rem, dlog = inv_divide(s, basis, table, ordering, mode, stats=stats)
             if rem.is_zero():
                 certificates[g, side, x] = _certificate(basis, table, dlog)
@@ -442,13 +439,8 @@ def involutive_basis(F, division, ordering, mode="thin",
                 status = "degree_cap_hit"
                 break
             if logged:
-                if side == 0:
-                    s_log = log_conjugate(Term(Fraction(1), (x,)), logs[idx],
-                                          Term(Fraction(1), ()))
-                else:
-                    s_log = log_conjugate(Term(Fraction(1), ()), logs[idx],
-                                          Term(Fraction(1), (x,)))
-                logs.append(log_reduced(s_log, dlog, logs))
+                logs.append(log_reduced(log_conjugate(lterm, logs[idx], rterm),
+                                        dlog, logs))
             basis.append(rem)
             stats["basis_changes"] += 1
             basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)
@@ -463,7 +455,8 @@ def involutive_basis(F, division, ordering, mode="thin",
         if not grew:
             break  # every prolongation reduced to zero
 
-    table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
+    # the last table built describes the final basis: every exit above
+    # leaves the basis as that table found it
     stats["basis_size"] = len(basis)
     return InvolutiveBasisResult(basis=basis, table=table, logs=logs,
                                  stats=stats, status=status)

@@ -136,10 +136,9 @@ def _admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
         b0, b1 = s, s + dh
         if a1 <= b0 or b1 <= a0:
             continue  # disjoint as placed: reduces to zero regardless
-        # l's are prefixes of w, r's are suffixes of w, so the maximal
-        # common prefix/suffix is simply the shorter one
+        # l's are prefixes of w, so the maximal common prefix is simply
+        # the shorter one
         cut_l = min(a0, b0)
-        cut_r = min(len(w) - a1, len(w) - b1)
         lp_red, l3_red = w[cut_l:a0], w[cut_l:b0]
         induced = _overlap_key(p_idx, lp_red, h_idx, l3_red)
         if induced == own_key or induced not in settled:

@@ -1,10 +1,13 @@
 """Basis conversion between harmonious orderings (the degree-based trio).
 
-Both walks follow the same shape: take the degree-initials G' of the
-source basis, compute the target-ordering basis H' of <G'>, express each
-element of H' over G' and substitute the full source elements for their
-initials.  The Gröbner walk finishes with a reduction to the unique
-reduced basis; the involutive walk has no final reduction step.
+Both walks have one shape, ``_walk``: take the degree-initials G' of the
+source basis, complete <G'> in the target ordering, express each element
+of the result over G' and substitute the full source elements for their
+initials.  They differ in the lift.  The Gröbner walk divides each
+element of the reduced basis H' by G' under the *source* ordering (G' is
+a Gröbner Basis there, so the remainder is zero) and reduces the result.
+The involutive walk's inner run is logged, its logs are the
+representations, and there is no final reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional
 
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
                        log_expand, mora, reduce_basis)
-from .involutive import InvolutiveDivision, involutive_basis
+from .involutive import involutive_basis
 from .orderings import degree_function, harmonious, initial
 
 
@@ -34,7 +37,10 @@ class WalkResult:
     stats: dict = field(default_factory=dict)
 
 
-def _check_job(job):
+def _walk(job, complete, logs):
+    """``complete(F)`` completes the target-ordered initials F;
+    ``logs(inner, initials)`` yields the representations over the
+    initials.  A completion stopped by a cap is returned as it stands."""
     if not harmonious(job.source, job.target):
         raise ValueError(
             "walks require harmonious orderings: their functional "
@@ -43,68 +49,47 @@ def _check_job(job):
             "deginvlex and degrevlex)")
     if not job.basis:
         raise ValueError("empty input basis")
-
-
-def _initials(job):
     theta = degree_function()
-    source_basis = [g.with_ordering(job.source) for g in job.basis]
-    return source_basis, [initial(g, theta) for g in source_basis]
+    G = [g.with_ordering(job.source) for g in job.basis]
+    G_init = [initial(g, theta) for g in G]
+    inner = complete([g.with_ordering(job.target) for g in G_init])
+    if inner.status != "complete":
+        return WalkResult(basis=inner.basis, status=inner.status,
+                          stats=inner.stats)
+    target_G = [g.with_ordering(job.target) for g in G]
+    return WalkResult(basis=[log_expand(log, target_G)
+                             for log in logs(inner, G_init)],
+                      stats=inner.stats)
 
 
 def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
                   max_iterations=DEFAULT_MAX_ITERATIONS):
-    """Convert a source-ordering Gröbner Basis to the target ordering.
+    """Convert a source-ordering Gröbner Basis to the reduced basis of
+    the target ordering."""
+    def division_logs(inner, G_init):
+        for h in reduce_basis(inner.basis, job.target):
+            rem, log = divide(h.with_ordering(job.source), G_init, job.source)
+            if not rem.is_zero():
+                raise AssertionError(
+                    "initials basis failed to divide an initial-ideal "
+                    "element to zero; the input was not a Gröbner Basis "
+                    "for the source ordering")
+            yield log
 
-    Elements of the target-ordering reduced basis H' of the initial
-    ideal are expressed over the initials G' by dividing under the
-    *source* ordering, where G' is a Gröbner Basis for <G'> and the
-    remainder is therefore zero.  Returns the reduced target basis.
-    """
-    _check_job(job)
-    G, G_init = _initials(job)
-    inner = mora([g.with_ordering(job.target) for g in G_init], job.target,
-                 max_degree=max_degree, max_iterations=max_iterations)
-    if inner.status != "complete":
-        return WalkResult(basis=inner.basis, status=inner.status,
-                          stats=inner.stats)
-    H_prime = reduce_basis(inner.basis, job.target)
-    lifted = []
-    target_G = [g.with_ordering(job.target) for g in G]
-    for h in H_prime:
-        rem, log = divide(h.with_ordering(job.source), G_init, job.source)
-        if not rem.is_zero():
-            raise AssertionError(
-                "initials basis failed to divide an initial-ideal element "
-                "to zero; the input was not a Gröbner Basis for the source "
-                "ordering")
-        lifted.append(log_expand(log, target_G))
-    return WalkResult(basis=reduce_basis(lifted, job.target),
-                      status="complete", stats=inner.stats)
+    result = _walk(job, lambda F: mora(F, job.target, max_degree=max_degree,
+                                       max_iterations=max_iterations),
+                   division_logs)
+    if result.status == "complete":
+        result.basis = reduce_basis(result.basis, job.target)
+    return result
 
 
 def involutive_walk(job, max_degree=DEFAULT_MAX_DEGREE,
                     max_iterations=DEFAULT_MAX_ITERATIONS):
-    """Convert a source-ordering Involutive Basis to the target ordering.
-
-    The inner Involutive Basis run is logged, so each element of H'
-    arrives with an explicit representation over the initials; the lift
-    substitutes the full source elements.  No final reduction.
-    """
-    _check_job(job)
+    """Convert a source-ordering Involutive Basis to the target ordering."""
     if job.division is None:
         raise ValueError("the involutive walk needs an involutive division")
-    division = (job.division if isinstance(job.division, InvolutiveDivision)
-                else InvolutiveDivision(job.division))
-    G, G_init = _initials(job)
-    inner = involutive_basis(
-        [g.with_ordering(job.target) for g in G_init], division, job.target,
-        mode=job.mode, max_degree=max_degree, max_iterations=max_iterations,
-        logged=True)
-    if inner.status != "complete":
-        return WalkResult(basis=inner.basis, status=inner.status,
-                          stats=inner.stats)
-    lifted = []
-    target_G = [g.with_ordering(job.target) for g in G]
-    for log in inner.logs:
-        lifted.append(log_expand(log, target_G))
-    return WalkResult(basis=lifted, status="complete", stats=inner.stats)
+    return _walk(job, lambda F: involutive_basis(
+        F, job.division, job.target, mode=job.mode, max_degree=max_degree,
+        max_iterations=max_iterations, logged=True),
+        lambda inner, G_init: inner.logs)

@@ -46,7 +46,7 @@ def random_poly(rng, alphabet, ordering, max_degree=4, max_terms=5):
     terms = [Term(rng.randint(-5, 5) or 1,
                   random_word(rng, len(alphabet), max_degree))
              for _ in range(rng.randint(1, max_terms))]
-    return Polynomial.from_terms(terms, alphabet, ordering)
+    return Polynomial(terms, alphabet, ordering)
 
 
 def all_spolys_reduce_to_zero(basis, ordering):

@@ -1,4 +1,4 @@
-"""Words, terms, polynomials, parsing and printing."""
+"""Alphabets, terms, polynomials, parsing and printing."""
 
 from fractions import Fraction
 
@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
-                    format_polynomial, parse_polynomial, poly_combine, prefix,
-                    subword, suffix, term_mul_poly, word_concat)
+                    format_polynomial, parse_polynomial, poly_combine,
+                    term_mul_poly)
 
 from conftest import P, w
 
@@ -34,48 +34,6 @@ def test_alphabet_lookup(xyz):
     assert xyz.name(2) == "z"
     with pytest.raises(ValueError):
         xyz.index("q")
-
-
-# ---------------------------------------------------------------------------
-# Words: 1-based, inclusive subword/prefix/suffix
-# ---------------------------------------------------------------------------
-
-def test_subword(xyz):
-    zyxx = w(xyz, "zyxx")
-    assert subword(zyxx, 2, 3) == w(xyz, "yx")
-
-
-def test_prefix(xyz):
-    assert prefix(w(xyz, "xxyz"), 3) == w(xyz, "xxy")
-
-
-def test_suffix_full_length_is_identity(xyz):
-    yyzx = w(xyz, "yyzx")
-    assert suffix(yyzx, 4) == yyzx
-
-
-def test_subword_out_of_range_errors(xyz):
-    m = w(xyz, "xyz")
-    for i, j in ((0, 2), (2, 1), (1, 4), (4, 4)):
-        with pytest.raises(ValueError):
-            subword(m, i, j)
-
-
-def test_word_concat():
-    a = Alphabet(["x1", "x2", "x3"])
-    u = (2, 2, 1)       # x3^2 x2
-    v = (0, 0, 0, 2)    # x1^3 x3
-    assert word_concat(u, v) == (2, 2, 1, 0, 0, 0, 2)
-
-
-def test_word_concat_unit(xyz):
-    m = w(xyz, "zxy")
-    assert word_concat((), m) == m
-    assert word_concat(m, ()) == m
-
-
-def test_word_concat_letter_sequence(xyz):
-    assert word_concat(w(xyz, "xy"), w(xyz, "yx")) == w(xyz, "xyyx")
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +172,14 @@ coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
                    st.integers(1, 9))
 raw_terms = st.lists(st.tuples(coeffs, words), min_size=0, max_size=8)
 polys = raw_terms.map(
-    lambda ts: Polynomial.from_terms([Term(c, m) for c, m in ts],
-                                     _ALPHABET, _ORDERING))
+    lambda ts: Polynomial([Term(c, m) for c, m in ts], _ALPHABET, _ORDERING))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 terms = st.tuples(coeffs, words).map(lambda t: Term(*t))
 
 
 @given(polys)
 def test_normalization_idempotent(p):
-    again = Polynomial.from_terms(p.terms, _ALPHABET, _ORDERING)
+    again = Polynomial(p.terms, _ALPHABET, _ORDERING)
     assert again.terms == p.terms
 
 

@@ -25,6 +25,12 @@ Y*y - 1
 y*Y - 1
 """
 
+WALK_FILE = """\
+vars: x > y
+2*x*y + y^2 + 5
+x^2 + y^2 + 8
+"""
+
 MORA_FILE = """\
 vars: x > y > z
 ordering: deglex
@@ -97,8 +103,9 @@ def test_s3_involutive_run(tmp_path):
     path = write(tmp_path, "s3.txt", S3_FILE)
     assert main([str(path), "--algorithm", "involutive",
                  "--division", "1"]) == EXIT_OK
-    polys, _ = read_output(tmp_path / "s3.deg.inv")
+    polys, stats = read_output(tmp_path / "s3.deg.inv")
     assert len(polys) == 19
+    assert any("basis_changes=" in l for l in stats)
 
 
 def test_strong_left_overlap_thick_run(tmp_path):
@@ -122,9 +129,7 @@ def test_cap_hit_exit_code(tmp_path):
 
 
 def test_walk_runs(tmp_path):
-    body = ("vars: x > y\n"
-            "2*x*y + y^2 + 5\nx^2 + y^2 + 8\n")
-    path = write(tmp_path, "walk.txt", body)
+    path = write(tmp_path, "walk.txt", WALK_FILE)
     assert main([str(path), "--algorithm", "gwalk", "--source-ordering",
                  "degrevlex", "--ordering", "deglex"]) == EXIT_OK
     polys, _ = read_output(tmp_path / "walk.deg.gwk")
@@ -134,6 +139,34 @@ def test_walk_runs(tmp_path):
         == EXIT_OK
     polys, _ = read_output(tmp_path / "walk.drl.iwk")
     assert len(polys) == 5
+
+
+def test_walk_footer_lists_walk_counters(tmp_path):
+    path = write(tmp_path, "walk.txt", WALK_FILE)
+    assert main([str(path), "--algorithm", "gwalk", "--ordering",
+                 "deglex"]) == EXIT_OK
+    _, stats = read_output(tmp_path / "walk.deg.gwk")
+    keys = [l.split()[2].split("=")[0] for l in stats]
+    assert keys[:2] == ["status", "basis_size"]
+    assert keys[-1] == "wall_time"
+    assert "iterations" in keys and "walk_iterations" in keys
+
+
+def test_capped_walk_source_run_names_its_ordering(tmp_path):
+    # the source run stops at the cap: its degrevlex basis is the answer
+    path = write(tmp_path, "walk.txt", WALK_FILE)
+    assert main([str(path), "--algorithm", "gwalk", "--ordering", "deglex",
+                 "--max-iterations", "2"]) == EXIT_CAP
+    out = tmp_path / "walk.deg.gwk"
+    assert "ordering: degrevlex" in out.read_text().splitlines()
+    _, stats = read_output(out)
+    assert "# stats: status=iteration_cap_hit" in stats
+    assert not any("walk_" in l for l in stats)
+    # the file reads back with its terms in the order they were written
+    alphabet, gens, kind = parse_problem_file(str(out))
+    o = MonomialOrdering(kind, alphabet)
+    assert [repr(parse_polynomial(text, alphabet, o)) for _, text in gens] \
+        == [text for _, text in gens]
 
 
 def test_output_round_trip(tmp_path):

@@ -166,7 +166,7 @@ def test_left_division_is_suffix_test(xyz):
                     == ((u3, u4) if fits else None)
 
 
-def test_thin_vs_thick(xyz):
+def test_thin_vs_thick(xyz, o):
     # thin looks only at the adjacent cofactor letters
     m = w(xyz, "y")
     table = custom_table(xyz, m, {"x"}, set())
@@ -175,6 +175,15 @@ def test_thin_vs_thick(xyz):
     assert involutively_divides(m, w(xyz, "zxy"), table, "thick") is None
     with pytest.raises(ValueError):
         involutively_divides(m, m, table, "fat")
+    p = P(xyz, o, "y")
+    with pytest.raises(ValueError):
+        inv_divide(p, [p], table, o, "fat")
+    F = P(xyz, o, "y", "z*y")
+    for basis in (F, F[:1]):    # also when there is nothing to divide
+        with pytest.raises(ValueError):
+            autoreduce(basis, 3, o, mode="fat")
+    # a plain division key is accepted, as by involutive_basis
+    assert autoreduce(F, 3, o) == autoreduce(F, InvolutiveDivision(3), o)
 
 
 def test_involutive_placements_are_conventional(xyz):

@@ -38,7 +38,7 @@ def test_three_orderings_on_sample_polynomial(xyz):
 
     def order(kind):
         o = MonomialOrdering(kind, xyz)
-        p = Polynomial.from_terms(terms, xyz, o)
+        p = Polynomial(terms, xyz, o)
         return [t.mon for t in p.terms]
 
     assert order("deglex") == [w(xyz, m) for m in ("yyzx", "zxyx", "xzx")]

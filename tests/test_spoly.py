@@ -180,9 +180,9 @@ tails = st.lists(st.tuples(coeff, st.lists(st.integers(0, 2), max_size=3)),
 @example(u1=(0,), u2=(0,), t1=[], t2=[(-1, [0])])   # p2 cancels to zero
 def test_spoly_cancels_overlap_word(u1, u2, t1, t2):
     from ncpoly import Polynomial, Term
-    p1 = Polynomial.from_terms(
+    p1 = Polynomial(
         [Term(1, u1)] + [Term(c, tuple(m)) for c, m in t1], _A, _O)
-    p2 = Polynomial.from_terms(
+    p2 = Polynomial(
         [Term(1, u2)] + [Term(c, tuple(m)) for c, m in t2], _A, _O)
     if p1.is_zero() or p2.is_zero() or p1.lm() != u1 or p2.lm() != u2:
         return
