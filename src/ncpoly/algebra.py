@@ -204,12 +204,18 @@ def term_mul_poly(l, p, r):
     """The two-sided product l * p * r of a polynomial by terms."""
     if l.coeff == 0 or r.coeff == 0:
         raise ValueError("multiplier terms must be nonzero")
-    c = l.coeff * r.coeff
-    terms = [Term(c * t.coeff, l.mon + t.mon + r.mon) for t in p.terms]
+    c = Fraction(l.coeff * r.coeff)
+    terms = tuple(Term(c * t.coeff, l.mon + t.mon + r.mon) for t in p.terms)
+    if not p.ordering.admissible:
+        # lex/invlex are not compatible with multiplication: re-sort
+        return Polynomial(terms, p.alphabet, p.ordering)
     # an admissible ordering is compatible with two-sided multiplication,
-    # so descending order is preserved; renormalize anyway for safety with
-    # the experimental non-admissible orderings.
-    return Polynomial(terms, p.alphabet, p.ordering)
+    # so the product is already strictly descending; only the multiplier
+    # letters are new
+    n = len(p.alphabet)
+    if not all(0 <= x < n for x in l.mon + r.mon):
+        raise ValueError("multiplier letter out of range for alphabet")
+    return Polynomial(terms, p.alphabet, p.ordering, _trusted=True)
 
 
 # ---------------------------------------------------------------------------

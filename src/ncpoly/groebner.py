@@ -13,6 +13,7 @@ rather than an exception.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -22,6 +23,7 @@ from .spoly import enumerate_overlaps, s_polynomial, settled_key, criterion2_app
 
 DEFAULT_MAX_DEGREE = 20
 DEFAULT_MAX_ITERATIONS = 100_000
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,28 +141,52 @@ def first_divisor(u, lms, lefts=None, rights=None, thick=False, active=None):
 def reduce_by(p, P, ordering, lookup):
     """Reduce p by P term by term, returning (remainder, log).
 
-    While some term of the running polynomial is divisible, ``lookup``
-    maps its word u to (j, s): P[j] is cancelled at the placement whose
-    left cofactor is u[:s].  Irreducible lead terms migrate to the
-    remainder.  The log's triples reference indices into P and satisfy
+    The running polynomial is a dict from word to coefficient and a heap
+    of its words, greatest first under ``ordering``, which must be
+    admissible.  While the greatest word u has a divisor, ``lookup``
+    maps u to (j, s): P[j] is cancelled in place at the placement whose
+    left cofactor is u[:s].  A word whose coefficient cancels stays in
+    the dict as a zero until it is popped, so each word is pushed once.
+    Irreducible words go to the remainder, which comes out descending.
+    The log's triples reference indices into P and satisfy
     p = remainder + expansion(log).
     """
-    work = p.with_ordering(ordering)
+    if not ordering.admissible:
+        raise ValueError(f"ordering {ordering.kind} is not admissible")
+    desc = ordering.desc_key
+    work = {mon: coeff for coeff, mon in p.terms}
+    heap = [(desc(u), u) for u in work]
+    heapq.heapify(heap)
     rem_terms = []
     log = []
-    while not work.is_zero():
-        u = work.lm()
+    while heap:
+        u = heapq.heappop(heap)[1]
+        c = work.pop(u)
+        if not c:
+            continue
         hit = lookup(u)
         if hit is None:
-            rem_terms.append(work.lt())
-            work = Polynomial(work.terms[1:], work.alphabet, ordering, _trusted=True)
+            rem_terms.append(Term(c, u))
             continue
         j, s = hit
         q = P[j]
-        lterm = Term(work.lc() / q.lc(), u[:s])
-        rterm = Term(Fraction(1), u[s + len(q.lm()):])
-        work = poly_combine(work, term_mul_poly(lterm, q, rterm), -1)
-        log.append((lterm, j, rterm))
+        if q.ordering is not ordering and q.ordering != ordering:
+            raise ValueError("polynomials live in different algebras or orderings")
+        lead = q.terms[0]
+        m = c / lead.coeff
+        left, right = u[:s], u[s + len(lead.mon):]
+        # every product word is below u, so none is popped already; the
+        # lead term cancels u exactly
+        neg = -m
+        for tc, tm in q.terms[1:]:
+            v = left + tm + right
+            d = work.get(v)
+            if d is None:
+                heapq.heappush(heap, (desc(v), v))
+                work[v] = neg * tc
+            else:
+                work[v] = d + neg * tc
+        log.append((Term(m, left), j, Term(_ONE, right)))
     remainder = Polynomial(tuple(rem_terms), p.alphabet, ordering, _trusted=True)
     return remainder, tuple(log)
 

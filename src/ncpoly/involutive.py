@@ -36,6 +36,7 @@ from .algebra import Term, term_mul_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS,
                        first_divisor, log_conjugate, log_identity, log_reduced,
                        reduce_by)
+from .orderings import _degrevlex_key
 
 DIVISION_NAMES = {
     1: "Left",
@@ -126,10 +127,6 @@ class MultiplicativeTable:
                  frozenset(name(g) for g in self.right[idx]))
             for idx, lm in enumerate(self.lms)
         }
-
-
-def _degrevlex_key(word):
-    return (len(word), word[::-1])
 
 
 def assign_multiplicative(division, lms, alphabet):

@@ -27,8 +27,57 @@ ADMISSIBLE_KINDS = ("deglex", "deginvlex", "degrevlex")
 ALL_KINDS = ADMISSIBLE_KINDS + ("lex", "invlex")
 
 
+def _deglex_key(word):
+    return (len(word), tuple([-l for l in word]))
+
+
+def _deginvlex_key(word):
+    return (len(word), word)
+
+
+def _degrevlex_key(word):
+    return (len(word), word[::-1])
+
+
+def _lex_key(word):
+    return tuple([-l for l in word])
+
+
+def _invlex_key(word):
+    return word
+
+
+# ascending descending-key order is descending monomial order; the
+# degree comes first, so only words of one length compare letters, and
+# on equal lengths negating every letter reverses lexicographic order
+def _deglex_desc(word):
+    return (-len(word), word)
+
+
+def _deginvlex_desc(word):
+    return (-len(word), tuple([-l for l in word]))
+
+
+def _degrevlex_desc(word):
+    return (-len(word), tuple([-l for l in reversed(word)]))
+
+
+_KEYS = {"deglex": (_deglex_key, _deglex_desc),
+         "deginvlex": (_deginvlex_key, _deginvlex_desc),
+         "degrevlex": (_degrevlex_key, _degrevlex_desc),
+         "lex": (_lex_key, None),
+         "invlex": (_invlex_key, None)}
+
+
 class MonomialOrdering:
-    __slots__ = ("kind", "alphabet")
+    """A monomial ordering, as a sort key on words.
+
+    ``key(w)`` ascends with the ordering.  ``desc_key(w)`` ascends as
+    the ordering descends, for a min-heap; it exists only for the
+    admissible kinds and is None for lex/invlex.
+    """
+
+    __slots__ = ("kind", "alphabet", "_key", "desc_key")
 
     def __init__(self, kind, alphabet, unsafe=False):
         kind = kind.lower()
@@ -40,22 +89,14 @@ class MonomialOrdering:
                 "pass unsafe=True to experiment with it")
         self.kind = kind
         self.alphabet = alphabet
+        self._key, self.desc_key = _KEYS[kind]
 
     @property
     def admissible(self):
-        return self.kind in ADMISSIBLE_KINDS
+        return self.desc_key is not None
 
     def key(self, word):
-        kind = self.kind
-        if kind == "deglex":
-            return (len(word), tuple(-l for l in word))
-        if kind == "deginvlex":
-            return (len(word), word)
-        if kind == "degrevlex":
-            return (len(word), word[::-1])
-        if kind == "lex":
-            return tuple(-l for l in word)
-        return word  # invlex
+        return self._key(word)
 
     def compare(self, m1, m2):
         """-1, 0 or 1 as m1 <, ==, > m2."""

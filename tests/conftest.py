@@ -34,6 +34,20 @@ def P(alphabet, ordering, *texts):
     return polys[0] if len(polys) == 1 else polys
 
 
+# monoid presentations of small groups over Y > X > y > x, capitals the
+# inverses
+GROUPS = {
+    "S3": ("x^3 - 1", "y^2 - 1", "x*y*x*y - 1"),
+    "A4": ("x^3 - 1", "y^2 - 1", "x*y*x*y*x*y - 1"),
+    "S4": ("x^4 - 1", "y^3 - 1", "x*y*x*y - 1"),
+}
+INVERSES = ("X*x - 1", "x*X - 1", "Y*y - 1", "y*Y - 1")
+
+
+def group_presentation(alphabet, ordering, group):
+    return P(alphabet, ordering, *GROUPS[group], *INVERSES)
+
+
 def monic_set(polys):
     return {p.monic() for p in polys}
 
@@ -114,3 +128,38 @@ def brute_force_placement(u, v, left=None, right=None, thick=False):
 
 def seeded_rng(name):
     return random.Random(hash(name) & 0xFFFFFFFF)
+
+
+def reference_reduce(p, divisors, ordering, sets=None, thick=False, active=None):
+    """Oracle for ``divide`` and ``inv_divide``: the textbook division on
+    a running polynomial kept as a dict, written from the definition.
+    Each step takes the greatest word u under ``ordering.key``; the first
+    divisor (in ``active`` order) that ``brute_force_placement`` admits
+    in u, at its smallest placement, cancels u, and otherwise u moves to
+    the remainder.  ``sets`` holds each divisor's (left, right) letter
+    sets, None for conventional division.  Returns the remainder's terms
+    (descending) and the log, shaped as the library returns them."""
+    work = {t.mon: t.coeff for t in p.terms}
+    rem, log = [], []
+    order = range(len(divisors)) if active is None else active
+    while work:
+        u = max(work, key=ordering.key)
+        for j in order:
+            left, right = (None, None) if sets is None else sets[j]
+            lm = max((t.mon for t in divisors[j].terms), key=ordering.key)
+            s = brute_force_placement(u, lm, left, right, thick)
+            if s is not None:
+                break
+        else:
+            rem.append(Term(work.pop(u), u))
+            continue
+        q = {t.mon: t.coeff for t in divisors[j].terms}
+        m = work[u] / q[lm]
+        l, r = u[:s], u[s + len(lm):]
+        for mon, coeff in q.items():
+            v = l + mon + r
+            work[v] = work.get(v, 0) - m * coeff
+            if work[v] == 0:
+                del work[v]
+        log.append((Term(m, l), j, Term(1, r)))
+    return tuple(rem), tuple(log)

@@ -96,6 +96,22 @@ def test_term_mul_poly_term_by_term(xyz, o):
     assert got == P(xyz, o, "x*y + x")
 
 
+def test_term_mul_poly_resorts_under_unsafe_lex(xy):
+    # lex is not compatible with multiplication: x < x*y, yet x^2 > x*y*x
+    lex = MonomialOrdering("lex", xy, unsafe=True)
+    p = P(xy, lex, "x*y + x")
+    assert p.terms == (Term(1, w(xy, "xy")), Term(1, w(xy, "x")))
+    got = term_mul_poly(Term(Fraction(1), ()), p, Term(Fraction(1), w(xy, "x")))
+    assert got.terms == (Term(1, w(xy, "xx")), Term(1, w(xy, "xyx")))
+    assert format_polynomial(got) == "x^2 + x*y*x"
+
+
+def test_term_mul_poly_rejects_foreign_letters(xyz, o):
+    with pytest.raises(ValueError):
+        term_mul_poly(Term(Fraction(1), (3,)), P(xyz, o, "x"),
+                      Term(Fraction(1), ()))
+
+
 def test_term_mul_poly_rejects_zero_terms(xyz, o):
     with pytest.raises(ValueError):
         term_mul_poly(Term(Fraction(0), ()), P(xyz, o, "x"),
@@ -209,3 +225,15 @@ def test_term_mul_distributes_over_combine(l, p, q, r):
     lhs = term_mul_poly(l, poly_combine(p, q, 1), r)
     rhs = poly_combine(term_mul_poly(l, p, r), term_mul_poly(l, q, r), 1)
     assert lhs == rhs
+
+
+@given(st.sampled_from(("deglex", "deginvlex", "degrevlex")), terms, polys, terms)
+def test_term_mul_poly_trusted_product_is_normalized(kind, l, p, r):
+    o = MonomialOrdering(kind, _ALPHABET)
+    p = p.with_ordering(o)
+    got = term_mul_poly(l, p, r)
+    product = [Term(l.coeff * t.coeff * r.coeff, l.mon + t.mon + r.mon)
+               for t in p.terms]
+    assert got.terms == Polynomial(product, _ALPHABET, o).terms
+    assert isinstance(got.terms, tuple)
+    assert all(isinstance(t.coeff, Fraction) for t in got.terms)

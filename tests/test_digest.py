@@ -1,0 +1,70 @@
+"""Pinned output digest: the exact text of a slice of worked runs.
+
+Reduced logged Mora on S3 and A4, involutive completion on S3 under
+Left, Right and LeftOverlap (thin, logged) and LeftOverlap thick, one
+Gröbner Walk and one Involutive Walk.  Each run is written out as text
+(status, every basis element through ``format_polynomial``, every log
+triple, the table and the stats) and the SHA-256 of the whole text is
+pinned.  A change to the reduction loop, the orderings or the
+representation bookkeeping that alters any output, even one log
+coefficient or the order of a basis, changes the digest.
+"""
+
+import hashlib
+
+from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering, WalkJob,
+                    format_polynomial, groebner_walk, involutive_basis,
+                    involutive_walk, mora, reduce_basis)
+from ncpoly.algebra import format_word
+
+from conftest import group_presentation
+
+DIGEST = "474c6fd4b8358372805feb66a5b06dc01a3dd220889a46177ba8ba2f8fcf6628"
+
+
+def _log_text(log, alphabet):
+    return " + ".join(
+        f"({l.coeff})*[{format_word(l.mon, alphabet)}]*F{k}"
+        f"*({r.coeff})*[{format_word(r.mon, alphabet)}]" for l, k, r in log)
+
+
+def _runs():
+    A = Alphabet(["Y", "X", "y", "x"])
+    deglex = MonomialOrdering("deglex", A)
+    drl = MonomialOrdering("degrevlex", A)
+    s3 = group_presentation(A, drl, "S3")
+    for group in ("S3", "A4"):
+        res = mora(group_presentation(A, drl, group), drl, logged=True)
+        yield f"mora {group}", res.status, res.stats, res.basis, res.logs, None
+        yield (f"reduce_basis {group}", None, None, reduce_basis(res.basis, drl),
+               None, None)
+    for key, mode in ((1, "thin"), (2, "thin"), (3, "thin"), (3, "thick")):
+        res = involutive_basis(group_presentation(A, deglex, "S3"),
+                               InvolutiveDivision(key), deglex, mode=mode,
+                               logged=mode == "thin")
+        yield (f"involutive S3 {key} {mode}", res.status, res.stats, res.basis,
+               res.logs, res.table)
+    gb = reduce_basis(mora(s3, drl).basis, drl)
+    res = groebner_walk(WalkJob(drl, deglex, gb))
+    yield "groebner_walk S3", res.status, res.stats, res.basis, None, None
+    ib = involutive_basis(s3, InvolutiveDivision(1), drl).basis
+    res = involutive_walk(WalkJob(drl, deglex, ib, InvolutiveDivision(1)))
+    yield "involutive_walk S3", res.status, res.stats, res.basis, None, None
+
+
+def digest_text():
+    lines = []
+    for label, status, stats, basis, logs, table in _runs():
+        lines.append(f"{label}: {status} {stats}")
+        lines.extend(format_polynomial(g) for g in basis)
+        for log in logs or ():
+            lines.append(_log_text(log, basis[0].alphabet))
+        if table is not None:
+            for idx, lm in enumerate(table.lms):
+                left, right = table.row(idx)
+                lines.append(f"{lm} {sorted(left)} {sorted(right)}")
+    return "\n".join(lines)
+
+
+def test_output_digest_pinned():
+    assert hashlib.sha256(digest_text().encode()).hexdigest() == DIGEST

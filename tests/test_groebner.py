@@ -1,18 +1,21 @@
 """Division, Mora's algorithm, reduced bases, sugar, logged runs."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpoly import (MonomialOrdering, Polynomial, divide, log_expand, mora,
-                    reduce_basis, sugar_value)
+from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
+                    MultiplicativeTable, Polynomial, Term,
+                    assign_multiplicative, divide, inv_divide, log_expand,
+                    mora, poly_combine, reduce_basis, sugar_value)
 from ncpoly.groebner import first_divisor
 from ncpoly.spoly import OverlapSpec
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
-                      random_poly, seeded_rng, w)
+                      random_poly, reference_reduce, seeded_rng, w)
 
 
 @pytest.fixture
@@ -51,7 +54,6 @@ def test_divide_worked_example(xyz, o):
     assert rem == P(xyz, o, "-6/5*x*y*x*y^2*x^2 - 3/5*x*y*x^4 "
                             "- 12/5*x*y*x^3 + 2*x^2")
     # the identity p = remainder + sum(l * d * r)
-    from ncpoly import poly_combine
     assert poly_combine(p, rem, -1) == log_expand(log, [d])
 
 
@@ -101,6 +103,71 @@ def test_first_divisor_matches_oracle(u, rows, thick):
     assert first_divisor(u, lms, lefts, rights, thick, active) == expected
 
 
+_XYZ = Alphabet(["x", "y", "z"])
+_ADMISSIBLE = [MonomialOrdering(kind, _XYZ)
+               for kind in ("deglex", "deginvlex", "degrevlex")]
+coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                   st.integers(1, 4))
+
+
+def polys(ordering, max_degree, min_size):
+    terms = st.lists(st.tuples(coeffs, st.lists(letters, max_size=max_degree)),
+                     min_size=min_size, max_size=6)
+    return terms.map(lambda ts: Polynomial(
+        [Term(c, tuple(m)) for c, m in ts], _XYZ, ordering)).filter(
+            lambda q: len(q.terms) >= min_size)
+
+
+@st.composite
+def division_problems(draw):
+    """An admissible ordering, a polynomial, nonzero divisors, and the
+    divisors' letter sets (None: conventional division), a thick flag and
+    a lookup order for involutive division."""
+    o = draw(st.sampled_from(_ADMISSIBLE))
+    p = draw(polys(o, 6, 0))
+    divisors = draw(st.lists(polys(o, 3, 1), min_size=1, max_size=4))
+    sets = draw(st.none() | st.lists(row_sets, min_size=len(divisors),
+                                     max_size=len(divisors)))
+    active = draw(st.none() | st.lists(st.integers(0, len(divisors) - 1),
+                                       unique=True))
+    return o, p, divisors, sets, draw(st.booleans()), active
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_problems())
+def test_reduction_matches_reference(problem):
+    o, p, divisors, sets, thick, active = problem
+    if sets is None:
+        rem, log = divide(p, divisors, o)
+    else:
+        table = MultiplicativeTable(
+            InvolutiveDivision(1), _XYZ, [d.lm() for d in divisors],
+            [left for left, _ in sets], [right for _, right in sets])
+        rem, log = inv_divide(p, divisors, table, o,
+                              "thick" if thick else "thin", active)
+    expected = reference_reduce(p, divisors, o, sets, thick,
+                                None if sets is None else active)
+    assert (rem.terms, log) == expected
+    assert poly_combine(rem, log_expand(log, divisors), 1) == p
+
+
+def test_division_refuses_non_admissible_orderings(xy):
+    lex = MonomialOrdering("lex", xy, unsafe=True)
+    # once returned the malformed remainder -24*x - 24*x - 2
+    p = P(xy, lex, "3*x*y^3 + 3*y*x*y^2 + y")
+    divisors = P(xy, lex, "y + 2", "3*x^2 + y")
+    with pytest.raises(ValueError, match="not admissible"):
+        divide(p, divisors, lex)
+    table = assign_multiplicative(InvolutiveDivision(1),
+                                  [d.lm() for d in divisors], xy)
+    with pytest.raises(ValueError, match="not admissible"):
+        inv_divide(p, divisors, table, lex)
+    # once never returned
+    with pytest.raises(ValueError, match="not admissible"):
+        divide(P(xy, lex, "x^2*y*x"), P(xy, lex, "x*y + y^2", "3*x - 3*y*x"),
+               lex)
+
+
 def test_divide_remainder_irreducible(xyz, o):
     rng = seeded_rng("divide-irreducible")
     for _ in range(25):
@@ -113,7 +180,6 @@ def test_divide_remainder_irreducible(xyz, o):
         for t in rem.terms:
             assert all(brute_force_placement(t.mon, d.lm()) is None
                        for d in divisors)
-        from ncpoly import poly_combine
         assert poly_combine(p, rem, -1) == log_expand(log, divisors)
 
 

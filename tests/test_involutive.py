@@ -12,7 +12,8 @@ from ncpoly import (InvolutiveDivision, MonomialOrdering,
 from ncpoly.involutive import _certificate, _certificate_holds
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
-                      monic_set, random_poly, random_word, seeded_rng, w)
+                      group_presentation, monic_set, random_poly, random_word,
+                      seeded_rng, w)
 
 
 @pytest.fixture
@@ -219,6 +220,15 @@ def test_inv_divide_dry_run(xyz, o):
     assert poly_combine(p, rem, -1) == log_expand(log, Pset)
 
 
+def test_inv_divide_rejects_divisors_in_another_ordering(xyz, o):
+    Pset = P(xyz, o, "x^2 - 2*y", "x*y - x")
+    table = assign_multiplicative(InvolutiveDivision(1),
+                                  [p.lm() for p in Pset], xyz)
+    drl = MonomialOrdering("degrevlex", xyz)
+    with pytest.raises(ValueError, match="different algebras or orderings"):
+        inv_divide(P(xyz, drl, "x^2*y"), Pset, table, drl)
+
+
 def test_inv_divide_irreducible_is_identity(xyz, o):
     Pset = [P(xyz, o, "x^2 - 2*y")]
     table = custom_table(xyz, w(xyz, "xx"), set(), set())
@@ -419,18 +429,6 @@ def test_certificate_replay_checks_every_choice(xyz, o):
     # nothing divides zz
     assert not _certificate_holds(((Pset[0], w(xyz, "zz"), 0),), Pset,
                                   table, "thin")
-
-
-GROUPS = {
-    "S3": ("x^3 - 1", "y^2 - 1", "x*y*x*y - 1"),
-    "A4": ("x^3 - 1", "y^2 - 1", "x*y*x*y*x*y - 1"),
-    "S4": ("x^4 - 1", "y^3 - 1", "x*y*x*y - 1"),
-}
-INVERSES = ("X*x - 1", "x*X - 1", "Y*y - 1", "y*Y - 1")
-
-
-def group_presentation(alphabet, ordering, group):
-    return P(alphabet, ordering, *GROUPS[group], *INVERSES)
 
 
 # reduction steps performed by each run below, keyed by (group, key,
