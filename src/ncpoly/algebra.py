@@ -157,13 +157,23 @@ class Polynomial:
 
 def _normalize(terms, alphabet, ordering):
     n = len(alphabet)
-    acc = {}
+    pairs = []
     for coeff, mon in terms:
         mon = tuple(mon)
         for letter in mon:
             if not (0 <= letter < n):
                 raise ValueError(f"letter index {letter} out of range for alphabet")
-        acc[mon] = acc.get(mon, Fraction(0)) + Fraction(coeff)
+        pairs.append((Fraction(coeff), mon))
+    return _sum_terms(pairs, ordering)
+
+
+def _sum_terms(pairs, ordering):
+    """The (coefficient, word) pairs summed per word, zeros dropped, as
+    terms descending under ``ordering``."""
+    acc = {}
+    for coeff, mon in pairs:
+        prev = acc.get(mon)
+        acc[mon] = coeff if prev is None else prev + coeff
     out = [Term(c, m) for m, c in acc.items() if c != 0]
     out.sort(key=lambda t: ordering.key(t.mon), reverse=True)
     return tuple(out)
@@ -176,28 +186,9 @@ def poly_combine(a, b, scalar):
     scalar = Fraction(scalar)
     if scalar == 0:
         return a
-    # merge two sorted term lists
-    key = a.ordering.key
-    ta, tb = a.terms, b.terms
-    ia = ib = 0
-    out = []
-    while ia < len(ta) and ib < len(tb):
-        ma, mb = ta[ia].mon, tb[ib].mon
-        if ma == mb:
-            c = ta[ia].coeff + scalar * tb[ib].coeff
-            if c != 0:
-                out.append(Term(c, ma))
-            ia += 1
-            ib += 1
-        elif key(ma) > key(mb):
-            out.append(ta[ia])
-            ia += 1
-        else:
-            out.append(Term(scalar * tb[ib].coeff, mb))
-            ib += 1
-    out.extend(ta[ia:])
-    out.extend(Term(scalar * t.coeff, t.mon) for t in tb[ib:])
-    return Polynomial(tuple(out), a.alphabet, a.ordering, _trusted=True)
+    pairs = a.terms + tuple((scalar * c, m) for c, m in b.terms)
+    return Polynomial(_sum_terms(pairs, a.ordering), a.alphabet, a.ordering,
+                      _trusted=True)
 
 
 def term_mul_poly(l, p, r):
@@ -237,9 +228,9 @@ def _tokenize(text, alphabet):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

@@ -169,10 +169,14 @@ def run(args, out=None, err=None):
 
 def _dispatch(args, generators, ordering, caps):
     """Returns (basis, stats, status, the ordering the basis is in).  A
-    walk converts its source run's basis, unless a cap stopped that run."""
+    walk converts its source run's basis, unless a cap stopped that run;
+    its source and target orderings must differ."""
     walks = args.algorithm in ("gwalk", "iwalk")
     source = (MonomialOrdering(args.source_ordering, ordering.alphabet)
               if walks else ordering)
+    if walks and source == ordering:
+        raise ValueError("a walk needs two different orderings, but "
+                         f"--source-ordering and --ordering are both {ordering.kind}")
     if args.algorithm in ("groebner", "gwalk"):
         result = mora(generators, source, strategy=args.strategy,
                       use_criterion2=not args.no_criterion2, **caps)
@@ -231,7 +235,7 @@ def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
         except ParseError as exc:
             print(f"error: {exc}", file=err)
             continue
-        rem, _ = divide(p, reduced_gb, ordering) if not p.is_zero() else (p, ())
+        rem, _ = divide(p, reduced_gb)
         if rem.is_zero():
             print("member", file=out)
         else:

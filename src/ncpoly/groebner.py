@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Polynomial, Term, poly_combine, term_mul_poly
+from .algebra import Polynomial, Term, _sum_terms, term_mul_poly
 from .spoly import enumerate_overlaps, s_polynomial, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
@@ -75,10 +75,10 @@ def log_expand(log, F):
     """sum(l * F[k] * r) over the triples of the representation."""
     if not F:
         raise ValueError("cannot expand a representation over an empty basis")
-    acc = Polynomial.zero(F[0].alphabet, F[0].ordering)
-    for l, k, r in log:
-        acc = poly_combine(acc, term_mul_poly(l, F[k], r), 1)
-    return acc
+    ordering = F[0].ordering
+    terms = (t for l, k, r in log for t in term_mul_poly(l, F[k], r).terms)
+    return Polynomial(_sum_terms(terms, ordering), F[0].alphabet, ordering,
+                      _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +138,26 @@ def first_divisor(u, lms, lefts=None, rights=None, thick=False, active=None):
     return None
 
 
-def reduce_by(p, P, ordering, lookup):
+def reduce_by(p, P, lms, lefts=None, rights=None, thick=False, active=None):
     """Reduce p by P term by term, returning (remainder, log).
 
     The running polynomial is a dict from word to coefficient and a heap
-    of its words, greatest first under ``ordering``, which must be
-    admissible.  While the greatest word u has a divisor, ``lookup``
-    maps u to (j, s): P[j] is cancelled in place at the placement whose
-    left cofactor is u[:s].  A word whose coefficient cancels stays in
-    the dict as a zero until it is popped, so each word is pushed once.
-    Irreducible words go to the remainder, which comes out descending.
-    The log's triples reference indices into P and satisfy
+    of its words, greatest first under p's ordering, which must be
+    admissible and shared by every element of P.  While the greatest
+    word u has a divisor, ``first_divisor(u, lms, lefts, rights, thick,
+    active)`` gives (j, s): P[j] is cancelled in place at the placement
+    whose left cofactor is u[:s].  A word whose coefficient cancels
+    stays in the dict as a zero until it is popped, so each word is
+    pushed once.  Irreducible words go to the remainder, which comes out
+    descending.  The log's triples reference indices into P and satisfy
     p = remainder + expansion(log).
     """
+    ordering = p.ordering
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
+    for q in P:
+        if q.ordering is not ordering and q.ordering != ordering:
+            raise ValueError("polynomials live in different algebras or orderings")
     desc = ordering.desc_key
     work = {mon: coeff for coeff, mon in p.terms}
     heap = [(desc(u), u) for u in work]
@@ -164,14 +169,12 @@ def reduce_by(p, P, ordering, lookup):
         c = work.pop(u)
         if not c:
             continue
-        hit = lookup(u)
+        hit = first_divisor(u, lms, lefts, rights, thick, active)
         if hit is None:
             rem_terms.append(Term(c, u))
             continue
         j, s = hit
         q = P[j]
-        if q.ordering is not ordering and q.ordering != ordering:
-            raise ValueError("polynomials live in different algebras or orderings")
         lead = q.terms[0]
         m = c / lead.coeff
         left, right = u[:s], u[s + len(lead.mon):]
@@ -191,21 +194,18 @@ def reduce_by(p, P, ordering, lookup):
     return remainder, tuple(log)
 
 
-def divide(p, P, ordering=None):
+def divide(p, P):
     """Divide p by the set P, returning (remainder, log).
 
-    Conventional division: every placement of a basis lead monomial is
-    admitted, and each term is divided by the first element of P whose
-    lead monomial it contains, at the leftmost placement.  See
-    ``reduce_by`` for the loop and the log.
+    Conventional division under p's ordering, which every element of P
+    must share: every placement of a basis lead monomial is admitted,
+    and each term is divided by the first element of P whose lead
+    monomial it contains, at the leftmost placement.  See ``reduce_by``
+    for the loop and the log.
     """
-    if ordering is None:
-        ordering = p.ordering
     if any(q.is_zero() for q in P):
         raise ValueError("divisors must be nonzero")
-    divisors = [q.with_ordering(ordering) for q in P]
-    lms = [q.lm() for q in divisors]
-    return reduce_by(p, divisors, ordering, lambda u: first_divisor(u, lms))
+    return reduce_by(p, P, [q.lm() for q in P])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         if s.is_zero():
             stats["zero_reductions"] += 1
             continue
-        rem, dlog = divide(s, G, ordering)
+        rem, dlog = divide(s, G)
         if rem.is_zero():
             stats["zero_reductions"] += 1
             continue
@@ -305,12 +305,11 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             status = "degree_cap_hit"
             break
         if logged:
-            s_log = log_merge(
+            s_log = log_reduced(
                 log_conjugate(Term(G[spec.j].lc(), spec.l1), logs[spec.i],
-                              Term(Fraction(1), spec.r1)),
-                log_scale(log_conjugate(Term(G[spec.i].lc(), spec.l2),
-                                        logs[spec.j],
-                                        Term(Fraction(1), spec.r2)), -1))
+                              Term(_ONE, spec.r1)),
+                ((Term(G[spec.i].lc(), spec.l2), spec.j, Term(_ONE, spec.r2)),),
+                logs)
             logs.append(log_reduced(s_log, dlog, logs))
         G.append(rem)
         sugars.append(sug)
@@ -347,7 +346,7 @@ def reduce_basis(G, ordering):
         g = rest.pop(0)
         others = rest + done
         if others:
-            rem, _ = divide(g, others, ordering)
+            rem, _ = divide(g, others)
         else:
             rem = g
         if not rem.is_zero():

@@ -273,23 +273,18 @@ def involutively_divides(u2, u1, table, mode="thin"):
     return u1[:s], u1[s + len(u2):]
 
 
-def inv_divide(p, P, table, ordering=None, mode="thin", active=None, stats=None):
+def inv_divide(p, P, table, mode="thin", active=None):
     """Involutive remainder of p modulo P, with its log over P.
 
-    Conventional division whose cofactors the multiplicative table must
-    admit: a term is divided by the first element of P (in ``active``
-    order, default all of P) that involutively divides it, at the
-    admitted placement with the shortest left cofactor.  The table
-    always describes all of P, and its lead monomials are the ones
-    read.  ``stats["inv_reductions"]`` counts the reduction steps."""
-    if ordering is None:
-        ordering = p.ordering
-    thick = _thick(mode)
-    rem, log = reduce_by(p, P, ordering, lambda u: first_divisor(
-        u, table.lms, table.left, table.right, thick, active))
-    if stats is not None:
-        stats["inv_reductions"] = stats.get("inv_reductions", 0) + len(log)
-    return rem, log
+    Conventional division under p's ordering, whose cofactors the
+    multiplicative table must admit: a term is divided by the first
+    element of P (in ``active`` order, default all of P) that
+    involutively divides it, at the admitted placement with the shortest
+    left cofactor.  The table always describes all of P, and its lead
+    monomials are the ones read.  The log has one triple per reduction
+    step."""
+    return reduce_by(p, P, table.lms, table.left, table.right, _thick(mode),
+                     active)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,9 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
     """Repeatedly replace any p_i that is involutively reducible by the
     rest, until stable.  The table is always built from the full current
     set; the divisors are the set without p_i.  Zero reductions drop the
-    element.  Returns (basis, logs); logs is None unless provided."""
+    element.  Returns (basis, logs); logs is None unless provided.
+    ``stats["inv_reductions"]``, when stats is given, counts the reduction
+    steps."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     _thick(mode)    # rejects an unknown mode even when nothing is divided
@@ -317,8 +314,9 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
             others = [j for j in range(len(basis)) if j != i]
             if not others:
                 continue
-            rem, dlog = inv_divide(basis[i], basis, table, ordering, mode,
-                                   active=others, stats=stats)
+            rem, dlog = inv_divide(basis[i], basis, table, mode, others)
+            if stats is not None:
+                stats["inv_reductions"] = stats.get("inv_reductions", 0) + len(dlog)
             if rem == basis[i]:
                 continue
             if rem.is_zero():
@@ -428,7 +426,8 @@ def involutive_basis(F, division, ordering, mode="thin",
             letter, unit = Term(Fraction(1), (x,)), Term(Fraction(1), ())
             lterm, rterm = (letter, unit) if side == 0 else (unit, letter)
             s = term_mul_poly(lterm, g, rterm)
-            rem, dlog = inv_divide(s, basis, table, ordering, mode, stats=stats)
+            rem, dlog = inv_divide(s, basis, table, mode)
+            stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
                 certificates[g, side, x] = _certificate(basis, table, dlog)
                 continue

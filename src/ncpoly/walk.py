@@ -68,7 +68,7 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
     the target ordering."""
     def division_logs(inner, G_init):
         for h in reduce_basis(inner.basis, job.target):
-            rem, log = divide(h.with_ordering(job.source), G_init, job.source)
+            rem, log = divide(h.with_ordering(job.source), G_init)
             if not rem.is_zero():
                 raise AssertionError(
                     "initials basis failed to divide an initial-ideal "

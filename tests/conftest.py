@@ -63,7 +63,7 @@ def random_poly(rng, alphabet, ordering, max_degree=4, max_terms=5):
     return Polynomial(terms, alphabet, ordering)
 
 
-def all_spolys_reduce_to_zero(basis, ordering):
+def all_spolys_reduce_to_zero(basis):
     """The Gröbner Basis property, checked directly from the definition."""
     for i in range(len(basis)):
         for j in range(i, len(basis)):
@@ -72,7 +72,7 @@ def all_spolys_reduce_to_zero(basis, ordering):
                 s = s_polynomial(spec, basis[i], basis[j])
                 if s.is_zero():
                     continue
-                rem, _ = divide(s, basis, ordering)
+                rem, _ = divide(s, basis)
                 if not rem.is_zero():
                     return False
     return True

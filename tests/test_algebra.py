@@ -156,7 +156,7 @@ def test_parse_unknown_generator(xyz, o):
 
 
 def test_parse_errors_carry_position(xyz, o):
-    for text in ("", "x +", "x ^ 0", "1/0", "x y", "2**x"):
+    for text in ("", "x +", "x ^ 0", "1/0", "x y", "2**x", "x²"):
         with pytest.raises(ParseError):
             parse_polynomial(text, xyz, o)
 

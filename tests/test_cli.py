@@ -141,6 +141,19 @@ def test_walk_runs(tmp_path):
     assert len(polys) == 5
 
 
+def test_walk_to_its_own_ordering_is_refused(tmp_path, capsys):
+    # WALK_FILE names no ordering, so source and target both default to
+    # degrevlex
+    path = write(tmp_path, "walk.txt", WALK_FILE)
+    for flags in (["--algorithm", "gwalk"], ["--algorithm", "iwalk"],
+                  ["--algorithm", "gwalk", "--source-ordering", "deglex",
+                   "--ordering", "deglex"]):
+        assert main([str(path), *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--source-ordering" in err and "--ordering" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_walk_footer_lists_walk_counters(tmp_path):
     path = write(tmp_path, "walk.txt", WALK_FILE)
     assert main([str(path), "--algorithm", "gwalk", "--ordering",
@@ -234,7 +247,7 @@ def test_membership_answers_match_division_oracle(membership_gb, xyz):
     for query in ("x + y + z - 2", "x*z^2 + y*z^2 - 1",
                   "x^2*y + y^2*z + z^2*x"):
         p = P(xyz, o, query)
-        oracle, _ = divide(p, gb, o)
+        oracle, _ = divide(p, gb)
         out, _ = run_repl(gb, o, query + "\n")
         if oracle.is_zero():
             assert out.strip() == "member"
@@ -244,8 +257,10 @@ def test_membership_answers_match_division_oracle(membership_gb, xyz):
 
 def test_membership_parse_error_continues(membership_gb):
     gb, o = membership_gb
-    out, err = run_repl(gb, o, "q + 1\nx + y + z - 3\nquit\nx\n")
-    assert "error:" in err
+    # '²' passes str.isdigit(), but int() refuses it
+    out, err = run_repl(gb, o, "q + 1\nx²\nx + y + z - 3\nquit\nx\n")
+    assert err.count("error:") == 2
+    assert "unexpected character '²' (at position 1)" in err
     assert out.strip() == "member"     # the loop continued, quit stopped it
 
 
