@@ -9,17 +9,16 @@ exact rational coefficients.
 from .algebra import (Alphabet, ParseError, Polynomial, Term,
                       format_polynomial, parse_polynomial, poly_combine,
                       term_mul_poly)
-from .groebner import (GroebnerResult, divide, log_expand, mora,
-                       reduce_basis, sugar_value)
-from .involutive import (InvolutiveBasisResult, InvolutiveDivision,
-                         MultiplicativeTable, assign_multiplicative,
-                         autoreduce, inv_divide, involutive_basis,
-                         involutively_divides)
+from .groebner import (BasisResult, divide, log_expand, mora, reduce_basis,
+                       sugar_value)
+from .involutive import (InvolutiveDivision, MultiplicativeTable,
+                         assign_multiplicative, autoreduce, inv_divide,
+                         involutive_basis, involutively_divides)
 from .orderings import (MonomialOrdering, OrderingFunction,
                         admissibility_check, decomposition, degree_function,
                         harmonious, initial)
 from .spoly import OverlapSpec, criterion2_applies, enumerate_overlaps, s_polynomial
-from .walk import WalkJob, WalkResult, groebner_walk, involutive_walk
+from .walk import WalkJob, groebner_walk, involutive_walk
 
 __version__ = "0.1.0"
 

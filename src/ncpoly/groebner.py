@@ -16,6 +16,7 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .algebra import Polynomial, Term, _sum_terms, term_mul_poly
@@ -223,11 +224,28 @@ def sugar_value(spec, sugar1, sugar2):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GroebnerResult:
+class BasisResult:
+    """What every basis algorithm returns.  ``logs``, when the run was
+    logged, holds one representation per basis element over the
+    caller's input list, zero polynomials included; ``table`` is the
+    multiplicative table of an involutive basis."""
     basis: list
-    logs: Optional[list]
-    stats: dict = field(default_factory=dict)
     status: str = "complete"
+    stats: dict = field(default_factory=dict)
+    logs: Optional[list] = None
+    table: Optional[object] = None
+
+
+def _basis_in(F, ordering, logs=None):
+    """The entry of every basis algorithm: refuse a non-admissible
+    ordering, convert F to it and drop its zero polynomials.  Returns
+    (basis, logs), logs holding the entries of ``logs`` (aligned with F)
+    for the kept elements, or None."""
+    if not ordering.admissible:
+        raise ValueError(f"ordering {ordering.kind} is not admissible")
+    keep = [k for k, f in enumerate(F) if not f.is_zero()]
+    return ([F[k].with_ordering(ordering) for k in keep],
+            None if logs is None else [logs[k] for k in keep])
 
 
 def mora(F, ordering, strategy="normal", use_criterion2=True,
@@ -242,31 +260,24 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     keys go in front of existing ones.  A nonzero constant, given or
     reached as a remainder, completes the run at once.
     """
-    if not ordering.admissible:
-        raise ValueError(f"ordering {ordering.kind} is not admissible")
     if strategy not in ("normal", "sugar"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    G = [f.with_ordering(ordering) for f in F if not f.is_zero()]
+    G, logs = _basis_in(F, ordering, [log_identity(k) for k in range(len(F))]
+                        if logged else None)
     if not G:
         raise ValueError("input basis has no nonzero polynomials")
     sugars = [g.degree() for g in G]
-    logs = [log_identity(k) for k in range(len(G))] if logged else None
-
-    keys = []      # parallel sorted key list for the pending queue
-    pending = []   # (spec, sugar)
-
-    def queue_key(spec, sugar):
-        a, b = min(spec.i, spec.j), max(spec.i, spec.j)
-        base = (ordering.key(spec.overlap_word), a, b, len(spec.l1), spec.l1)
-        return (sugar,) + base if strategy == "sugar" else base
+    pending = []   # (key, spec, sugar), ascending by key
 
     def add_overlaps(i, j):
         for spec in enumerate_overlaps(G[i].lm(), G[j].lm(), i == j, i, j):
             sug = sugar_value(spec, sugars[i], sugars[j])
-            key = queue_key(spec, sug)
-            at = bisect.bisect_left(keys, key)
-            keys.insert(at, key)
-            pending.insert(at, (spec, sug))
+            key = (ordering.key(spec.overlap_word), min(i, j), max(i, j),
+                   len(spec.l1), spec.l1)
+            if strategy == "sugar":
+                key = (sug,) + key
+            pending.insert(bisect.bisect_left(pending, key, key=itemgetter(0)),
+                           (key, spec, sug))
 
     # a nonzero constant generates the whole algebra, so the basis is
     # already Gröbner; the empty word has no overlaps to enumerate
@@ -285,8 +296,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         if stats["iterations"] > max_iterations:
             status = "iteration_cap_hit"
             break
-        keys.pop(0)
-        spec, sug = pending.pop(0)
+        _, spec, sug = pending.pop(0)
         # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))
         if use_criterion2 and criterion2_applies(spec, G, settled):
@@ -320,7 +330,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             add_overlaps(i, new)
 
     stats["basis_size"] = len(G)
-    return GroebnerResult(basis=G, logs=logs, stats=stats, status=status)
+    return BasisResult(G, status, stats, logs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +341,7 @@ def reduce_basis(G, ordering):
     """The unique reduced Gröbner Basis: monic elements, no element's lead
     monomial a multiple of another's, every element fully reduced against
     the rest.  Output sorted descending by lead monomial."""
-    work = [g.with_ordering(ordering).monic() for g in G if not g.is_zero()]
+    work = [g.monic() for g in _basis_in(G, ordering)[0]]
     lms = [g.lm() for g in work]
     i = 0
     while i < len(work):

@@ -28,14 +28,12 @@ yet involutively irreducible; see the degree-cap tests for a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import Term, term_mul_poly
-from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS,
-                       first_divisor, log_conjugate, log_identity, log_reduced,
-                       reduce_by)
+from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
+                       _basis_in, first_divisor, log_conjugate, log_identity,
+                       log_reduced, reduce_by)
 from .orderings import _degrevlex_key
 
 DIVISION_NAMES = {
@@ -295,14 +293,13 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
     """Repeatedly replace any p_i that is involutively reducible by the
     rest, until stable.  The table is always built from the full current
     set; the divisors are the set without p_i.  Zero reductions drop the
-    element.  Returns (basis, logs); logs is None unless provided.
-    ``stats["inv_reductions"]``, when stats is given, counts the reduction
-    steps."""
+    element.  Returns (basis, logs); logs is None unless provided, and
+    then aligned with P.  ``stats["inv_reductions"]``, when stats is
+    given, counts the reduction steps."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     _thick(mode)    # rejects an unknown mode even when nothing is divided
-    basis = [p.with_ordering(ordering) for p in P if not p.is_zero()]
-    logs = list(logs) if logs is not None else None
+    basis, logs = _basis_in(P, ordering, logs)
     alphabet = ordering.alphabet
     changed = True
     while changed:
@@ -317,7 +314,7 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
             rem, dlog = inv_divide(basis[i], basis, table, mode, others)
             if stats is not None:
                 stats["inv_reductions"] = stats.get("inv_reductions", 0) + len(dlog)
-            if rem == basis[i]:
+            if not dlog:
                 continue
             if rem.is_zero():
                 del basis[i]
@@ -335,15 +332,6 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
 # ---------------------------------------------------------------------------
 # The Involutive Basis algorithm
 # ---------------------------------------------------------------------------
-
-@dataclass
-class InvolutiveBasisResult:
-    basis: list
-    table: MultiplicativeTable
-    logs: Optional[list]
-    stats: dict = field(default_factory=dict)
-    status: str = "complete"
-
 
 def _certificate(P, table, dlog):
     """The zero-reduction certificate of a reduction log: per step, the
@@ -386,16 +374,14 @@ def involutive_basis(F, division, ordering, mode="thin",
     counts those settled by a certificate; ``inv_reductions`` counts the
     reduction steps actually performed; ``basis_changes`` counts
     remainders added to the basis."""
-    if not ordering.admissible:
-        raise ValueError(f"ordering {ordering.kind} is not admissible")
+    basis, logs = _basis_in(F, ordering, [log_identity(k) for k in range(len(F))]
+                            if logged else None)
     _thick(mode)
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     alphabet = ordering.alphabet
-    basis = [f.with_ordering(ordering) for f in F if not f.is_zero()]
     if not basis:
         raise ValueError("input basis has no nonzero polynomials")
-    logs = [log_identity(k) for k in range(len(basis))] if logged else None
     stats = {"prolongations": 0, "reused": 0, "inv_reductions": 0,
              "basis_changes": 0}
     basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)
@@ -412,7 +398,6 @@ def involutive_basis(F, division, ordering, mode="thin",
             for x in sorted(table.nonmult_right(idx)):
                 queue.append((ordering.key(lm + (x,)), idx, 1, x))
         queue.sort()
-        grew = False
         for _, idx, side, x in queue:
             if stats["prolongations"] >= max_iterations:
                 status = "iteration_cap_hit"
@@ -444,15 +429,13 @@ def involutive_basis(F, division, ordering, mode="thin",
             certificates = {
                 key: known for key, known in certificates.items()
                 if id(key[0]) in live and all(id(d) in live for d, _, _ in known)}
-            grew = True
             break
+        else:
+            break  # every prolongation reduced to zero
         if status != "complete":
             break
-        if not grew:
-            break  # every prolongation reduced to zero
 
     # the last table built describes the final basis: every exit above
     # leaves the basis as that table found it
     stats["basis_size"] = len(basis)
-    return InvolutiveBasisResult(basis=basis, table=table, logs=logs,
-                                 stats=stats, status=status)
+    return BasisResult(basis, status, stats, logs, table)

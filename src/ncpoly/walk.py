@@ -12,11 +12,11 @@ representations, and there is no final reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
-                       log_expand, mora, reduce_basis)
+from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
+                       _basis_in, divide, log_expand, mora, reduce_basis)
 from .involutive import involutive_basis
 from .orderings import degree_function, harmonious, initial
 
@@ -30,13 +30,6 @@ class WalkJob:
     mode: str = "thin"
 
 
-@dataclass
-class WalkResult:
-    basis: list
-    status: str = "complete"
-    stats: dict = field(default_factory=dict)
-
-
 def _walk(job, complete, logs):
     """``complete(F)`` completes the target-ordered initials F;
     ``logs(inner, initials)`` yields the representations over the
@@ -47,19 +40,15 @@ def _walk(job, complete, logs):
             "decompositions must share an identical, extendible first "
             "ordering function (here: the degree function of deglex, "
             "deginvlex and degrevlex)")
-    if not job.basis:
-        raise ValueError("empty input basis")
+    G, _ = _basis_in(job.basis, job.source)
     theta = degree_function()
-    G = [g.with_ordering(job.source) for g in job.basis]
     G_init = [initial(g, theta) for g in G]
     inner = complete([g.with_ordering(job.target) for g in G_init])
     if inner.status != "complete":
-        return WalkResult(basis=inner.basis, status=inner.status,
-                          stats=inner.stats)
+        return inner
     target_G = [g.with_ordering(job.target) for g in G]
-    return WalkResult(basis=[log_expand(log, target_G)
-                             for log in logs(inner, G_init)],
-                      stats=inner.stats)
+    return BasisResult([log_expand(log, target_G) for log in logs(inner, G_init)],
+                       stats=inner.stats)
 
 
 def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,

@@ -156,9 +156,19 @@ def test_parse_unknown_generator(xyz, o):
 
 
 def test_parse_errors_carry_position(xyz, o):
-    for text in ("", "x +", "x ^ 0", "1/0", "x y", "2**x", "x²"):
-        with pytest.raises(ParseError):
+    cases = (("", 0, "empty polynomial"),
+             ("x +", 3, "expected a term"),
+             ("x ^ 0", 4, "exponent must be >= 1"),
+             ("1/0", 2, "zero denominator"),
+             ("x y", 2, "expected '+' or '-' between terms"),
+             ("2**x", 2, "expected gen"),
+             ("x²", 1, "unexpected character '²'"),
+             ("q", 0, "unknown generator starting at 'q'"))
+    for text, position, message in cases:
+        with pytest.raises(ParseError) as caught:
             parse_polynomial(text, xyz, o)
+        assert caught.value.position == position, text
+        assert str(caught.value) == f"{message} (at position {position})"
 
 
 def test_parse_longest_name_first():

@@ -248,11 +248,13 @@ def test_mora_strategy_independence(xyz, xy, o):
 
 
 def test_mora_logged(xyz, o):
-    F = P(xyz, o, *MORA_FIXTURE)
-    result = mora(F, o, logged=True)
-    assert len(result.logs) == len(result.basis)
-    for g, log in zip(result.basis, result.logs):
-        assert log_expand(log, F) == g
+    # a zero generator keeps its position: logs index the caller's F
+    for F in (P(xyz, o, *MORA_FIXTURE),
+              [Polynomial.zero(xyz, o)] + P(xyz, o, "x*y - y", "y*x - x")):
+        result = mora(F, o, logged=True)
+        assert len(result.logs) == len(result.basis)
+        for g, log in zip(result.basis, result.logs):
+            assert log_expand(log, F) == g
 
 
 def test_mora_generators_reduce_to_zero(xyz, o):

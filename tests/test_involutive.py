@@ -9,6 +9,7 @@ from ncpoly import (InvolutiveDivision, MonomialOrdering,
                     assign_multiplicative, autoreduce, divide, inv_divide,
                     involutive_basis, involutively_divides, log_expand,
                     poly_combine, reduce_basis)
+from ncpoly.groebner import log_identity
 from ncpoly.involutive import _certificate, _certificate_holds
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
@@ -304,6 +305,16 @@ def test_autoreduce_drops_zero_reductions(xyz, o):
     assert monic_set(basis) == monic_set(P(xyz, o, "x + z", "y"))
 
 
+def test_autoreduce_keeps_logs_aligned(xy):
+    o = MonomialOrdering("deglex", xy)
+    F = [Polynomial.zero(xy, o)] + P(xy, o, "x*y - y", "x*y*x - x")
+    logs = [log_identity(k) for k in range(len(F))]
+    basis, logs = autoreduce(F, InvolutiveDivision(1), o, logs=logs)
+    assert len(logs) == len(basis)
+    for g, log in zip(basis, logs):
+        assert log_expand(log, F) == g
+
+
 # ---------------------------------------------------------------------------
 # involutive_basis
 # ---------------------------------------------------------------------------
@@ -348,12 +359,15 @@ def test_involutive_basis_iteration_cap(xy):
 
 
 def test_involutive_basis_logged(xy):
+    # a zero generator keeps its position: logs index the caller's F
     o = MonomialOrdering("deglex", xy)
-    F = P(xy, o, "2*x*y + y^2 + 5", "x^2 + y^2 + 8")
-    res = involutive_basis(F, InvolutiveDivision(1), o, logged=True)
-    assert len(res.logs) == len(res.basis)
-    for g, log in zip(res.basis, res.logs):
-        assert log_expand(log, F) == g
+    for F in (P(xy, o, "2*x*y + y^2 + 5", "x^2 + y^2 + 8"),
+              [Polynomial.zero(xy, o)] + P(xy, o, "x*y - y", "y*x - x")):
+        res = involutive_basis(F, InvolutiveDivision(1), o, logged=True)
+        assert res.status == "complete"
+        assert len(res.logs) == len(res.basis)
+        for g, log in zip(res.basis, res.logs):
+            assert log_expand(log, F) == g
 
 
 def prolongations_reduce_to_zero(res, ordering, mode="thin"):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term,
-                    admissibility_check, decomposition, degree_function,
-                    harmonious, initial, mora, parse_polynomial)
+                    admissibility_check, autoreduce, decomposition,
+                    degree_function, harmonious, initial, mora,
+                    parse_polynomial, reduce_basis)
 from ncpoly.orderings import ADMISSIBLE_KINDS, OrderingFunction
 
 from conftest import P, w
@@ -80,6 +81,11 @@ def test_basis_algorithms_refuse_non_admissible(xyz):
     f = parse_polynomial("x*y - z", xyz, deglex)
     with pytest.raises(ValueError):
         mora([f], lex)
+    # a one-element basis needs no division, but is refused all the same
+    with pytest.raises(ValueError):
+        reduce_basis([f], lex)
+    with pytest.raises(ValueError):
+        autoreduce([f], 3, lex)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 import pytest
 
-from ncpoly import (InvolutiveDivision, MonomialOrdering, WalkJob, divide,
-                    degree_function, initial, involutive_basis, mora,
+from ncpoly import (InvolutiveDivision, MonomialOrdering, Polynomial, WalkJob,
+                    divide, degree_function, initial, involutive_basis, mora,
                     groebner_walk, involutive_walk, reduce_basis)
 
 from conftest import P, all_spolys_reduce_to_zero
@@ -47,6 +47,13 @@ def test_groebner_walk_source_equals_target(xy, drl):
     job = WalkJob(source=drl, target=drl, basis=basis)
     result = groebner_walk(job)
     assert result.basis == reduce_basis(basis, drl)
+
+
+def test_groebner_walk_drops_zero_polynomials(xy, drl, dl):
+    G = drl_basis(xy, drl)
+    walked = groebner_walk(WalkJob(drl, dl, [Polynomial.zero(xy, drl)] + G))
+    assert walked.status == "complete"
+    assert walked.basis == groebner_walk(WalkJob(drl, dl, G)).basis
 
 
 def test_groebner_walk_matches_direct_computation(xy, drl, dl):
