@@ -101,6 +101,14 @@ class MultiplicativeTable:
         self.left = [frozenset(s) for s in left]
         self.right = [frozenset(s) for s in right]
 
+    def __eq__(self, other):
+        return (isinstance(other, MultiplicativeTable)
+                and self.division == other.division
+                and self.alphabet == other.alphabet and self.lms == other.lms
+                and self.left == other.left and self.right == other.right)
+
+    __hash__ = None     # mutable lists
+
     def row(self, idx):
         return self.left[idx], self.right[idx]
 
@@ -289,25 +297,53 @@ def inv_divide(p, P, table, mode="thin", active=None):
 # Autoreduction
 # ---------------------------------------------------------------------------
 
-def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
-    """Repeatedly replace any p_i that is involutively reducible by the
-    rest, until stable.  The table is always built from the full current
-    set; the divisors are the set without p_i.  Zero reductions drop the
-    element.  Returns (basis, logs); logs is None unless provided, and
-    then aligned with P.  ``stats["inv_reductions"]``, when stats is
-    given, counts the reduction steps."""
+def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
+               table=None):
+    """Repeatedly replace the first p_i that is involutively reducible by
+    the rest, until stable.  The table is always built from the full
+    current set; the divisors are the set without p_i.  Zero reductions
+    drop the element.  Returns a ``BasisResult`` whose ``table`` is the
+    multiplicative table of the result and whose ``logs`` are None
+    unless provided, and then aligned with P.  ``stats["inv_reductions"]``,
+    when stats is given, counts the reduction steps.
+
+    ``table`` is for a basis that grew by one element: the table this
+    function returned for P[:-1], under the same division and mode.  It
+    is used only when its division and lead monomials match those of
+    P[:-1] (zero polynomials dropped).  Then the elements of P[:-1] are
+    checked only against the last element and against the elements that
+    replace them, until the row of one of them grows; the result is the
+    same as without ``table``."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
-    _thick(mode)    # rejects an unknown mode even when nothing is divided
+    thick = _thick(mode)    # rejects an unknown mode even when nothing is divided
     basis, logs = _basis_in(P, ordering, logs)
     alphabet = ordering.alphabet
-    changed = True
-    while changed:
-        changed = False
-        if not basis:
-            break
+    # fresh[i]: basis[i] may reduce, or be reduced by, the other elements.
+    # No term of an element that is not fresh is divisible by another such
+    # element j under j's recorded row rows[j], nor under any smaller row:
+    # smaller letter sets admit fewer placements, thin or thick.  So those
+    # elements need checking only against the fresh ones.
+    fresh = [True] * len(basis)
+    rows = [None] * len(basis)
+    if (table is not None and table.division == division
+            and table.lms == [p.lm() for p in basis[:-1]]):
+        fresh[:-1] = [False] * len(table.lms)
+        rows[:-1] = zip(table.left, table.right)
+    while True:
         table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
+        now = list(zip(table.left, table.right))
+        if not all(fresh[i] or (left <= rows[i][0] and right <= rows[i][1])
+                   for i, (left, right) in enumerate(now)):
+            fresh = [True] * len(basis)
+        rows = now
+        active = [j for j in range(len(basis)) if fresh[j]]
         for i in range(len(basis)):
+            if not fresh[i] and all(
+                    first_divisor(u, table.lms, table.left, table.right,
+                                  thick, active) is None
+                    for _, u in basis[i].terms):
+                continue
             others = [j for j in range(len(basis)) if j != i]
             if not others:
                 continue
@@ -317,16 +353,17 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None):
             if not dlog:
                 continue
             if rem.is_zero():
-                del basis[i]
+                del basis[i], fresh[i], rows[i]
                 if logs is not None:
                     del logs[i]
             else:
                 basis[i] = rem
+                fresh[i] = True
                 if logs is not None:
                     logs[i] = log_reduced(logs[i], dlog, logs)
-            changed = True
             break
-    return basis, logs
+        else:
+            return BasisResult(basis, logs=logs, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +416,23 @@ def involutive_basis(F, division, ordering, mode="thin",
     _thick(mode)
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
-    alphabet = ordering.alphabet
     if not basis:
         raise ValueError("input basis has no nonzero polynomials")
     stats = {"prolongations": 0, "reused": 0, "inv_reductions": 0,
              "basis_changes": 0}
-    basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)
     status = "complete"
     certificates = {}   # (element, side, letter) -> certificate
+    table = None
 
     while True:
-        table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
+        # after a basis change, table describes all but the appended
+        # remainder, so autoreduce need only check what that touches
+        result = autoreduce(basis, division, ordering, mode, logs, stats, table)
+        basis, logs, table = result.basis, result.logs, result.table
+        live = {id(p) for p in basis}
+        certificates = {
+            key: known for key, known in certificates.items()
+            if id(key[0]) in live and all(id(d) in live for d, _, _ in known)}
         queue = []
         for idx in range(len(basis)):
             lm = basis[idx].lm()
@@ -424,18 +467,13 @@ def involutive_basis(F, division, ordering, mode="thin",
                                         dlog, logs))
             basis.append(rem)
             stats["basis_changes"] += 1
-            basis, logs = autoreduce(basis, division, ordering, mode, logs, stats)
-            live = {id(p) for p in basis}
-            certificates = {
-                key: known for key, known in certificates.items()
-                if id(key[0]) in live and all(id(d) in live for d, _, _ in known)}
             break
         else:
             break  # every prolongation reduced to zero
         if status != "complete":
             break
 
-    # the last table built describes the final basis: every exit above
-    # leaves the basis as that table found it
+    # the table autoreduce returned last describes the final basis: every
+    # exit above leaves the basis as that table found it
     stats["basis_size"] = len(basis)
     return BasisResult(basis, status, stats, logs, table)

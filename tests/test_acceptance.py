@@ -238,12 +238,11 @@ def test_09_property_suites(xy, xyz):
         assert all(out == outputs[0] for out in outputs)
 
     # (e) additivity of involutive remainders on 100 random pairs
-    basis, _ = autoreduce(
+    res = autoreduce(
         P(xy, o2, "y^2 + 2*x*y", "y^2 + x^2", "5*y^3", "5*x*y^2",
           "y^2 + 2*y*x"),
         InvolutiveDivision(1), o2)
-    table = assign_multiplicative(InvolutiveDivision(1),
-                                  [p.lm() for p in basis], xy)
+    basis, table = res.basis, res.table
     rng = seeded_rng("acceptance-additivity")
     for _ in range(100):
         f = random_poly(rng, xy, o2)

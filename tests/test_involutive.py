@@ -260,9 +260,8 @@ def test_inv_divide_additivity(xy):
     # Rem(f, P) + Rem(g, P) = Rem(f + g, P) under the Left division
     o = MonomialOrdering("degrevlex", xy)
     F = P(xy, o, "y^2 + 2*x*y", "y^2 + x^2", "5*y^3", "5*x*y^2", "y^2 + 2*y*x")
-    basis, _ = autoreduce(F, InvolutiveDivision(1), o)
-    table = assign_multiplicative(InvolutiveDivision(1),
-                                  [p.lm() for p in basis], xy)
+    res = autoreduce(F, InvolutiveDivision(1), o)
+    basis, table = res.basis, res.table
     rng = seeded_rng("additivity")
     for _ in range(100):
         f = random_poly(rng, xy, o)
@@ -280,28 +279,28 @@ def test_inv_divide_additivity(xy):
 def test_autoreduce_walk_example(xy):
     o = MonomialOrdering("degrevlex", xy)
     F = P(xy, o, "y^2 + 2*x*y", "y^2 + x^2", "5*y^3", "5*x*y^2", "y^2 + 2*y*x")
-    basis, _ = autoreduce(F, InvolutiveDivision(1), o)
+    basis = autoreduce(F, InvolutiveDivision(1), o).basis
     assert set(basis) == set(P(xy, o, "2*x*y - x^2", "-2*y*x + x^2",
                                 "-5*y*x^2", "-5*x^3", "y^2 + x^2"))
 
 
 def test_autoreduce_fixed_point(xyz, o):
     F = P(xyz, o, "x*y - z", "z^2 - 1")
-    basis, _ = autoreduce(F, InvolutiveDivision(3), o)
-    again, _ = autoreduce(basis, InvolutiveDivision(3), o)
+    basis = autoreduce(F, InvolutiveDivision(3), o).basis
+    again = autoreduce(basis, InvolutiveDivision(3), o).basis
     assert basis == again == F
 
 
 def test_autoreduce_inner_reduction_step(xy):
     o = MonomialOrdering("deglex", xy)
     F = P(xy, o, "x^2*y^2 - 2*x*y^2 + x^2", "x^2*y - 2*x*y", "-x^2")
-    basis, _ = autoreduce(F, InvolutiveDivision(4), o, mode="thick")
+    basis = autoreduce(F, InvolutiveDivision(4), o, mode="thick").basis
     assert P(xy, o, "x^2*y^2 - 2*x*y^2") in basis
 
 
 def test_autoreduce_drops_zero_reductions(xyz, o):
     F = P(xyz, o, "x + z", "2*x + 2*z", "y")
-    basis, _ = autoreduce(F, InvolutiveDivision(1), o)
+    basis = autoreduce(F, InvolutiveDivision(1), o).basis
     assert monic_set(basis) == monic_set(P(xyz, o, "x + z", "y"))
 
 
@@ -309,10 +308,47 @@ def test_autoreduce_keeps_logs_aligned(xy):
     o = MonomialOrdering("deglex", xy)
     F = [Polynomial.zero(xy, o)] + P(xy, o, "x*y - y", "x*y*x - x")
     logs = [log_identity(k) for k in range(len(F))]
-    basis, logs = autoreduce(F, InvolutiveDivision(1), o, logs=logs)
-    assert len(logs) == len(basis)
-    for g, log in zip(basis, logs):
+    res = autoreduce(F, InvolutiveDivision(1), o, logs=logs)
+    assert len(res.logs) == len(res.basis)
+    for g, log in zip(res.basis, res.logs):
         assert log_expand(log, F) == g
+
+
+def test_autoreduce_table_of_all_but_the_last(group_alphabet):
+    # with the table autoreduce returned for P[:-1], only the appended
+    # element and what it touches are checked, to the same result
+    o = MonomialOrdering("deglex", group_alphabet)
+    F = group_presentation(group_alphabet, o, "S3")
+    every = set(range(len(group_alphabet)))
+    for key in range(1, 13):
+        division = InvolutiveDivision(key)
+        for mode in ("thin", "thick"):
+            r = autoreduce(F, division, o, mode)
+            h = next(rem for rem in prolongation_remainders(r, o, mode)
+                     if not rem.is_zero())
+            Q = r.basis + [h]
+            runs = []
+            for table in (None, r.table):
+                stats = {}
+                logs = [log_identity(k) for k in range(len(Q))]
+                runs.append((autoreduce(Q, division, o, mode, logs, stats,
+                                        table), stats["inv_reductions"]))
+            assert runs[0][0].logs is not None
+            assert runs[1] == runs[0], (key, mode)
+            # R[:-1] holds a multiple of R[0], so it is not autoreduced: a
+            # table claiming it is, with rows too large to grow, is ignored
+            # unless its division and lead monomials match R[:-1]
+            R = r.basis + [r.basis[0].scaled(2), h]
+            lms = [p.lm() for p in R[:-1]]
+            full = [every] * len(lms)
+            plain = autoreduce(R, division, o, mode)
+            assert len(plain.basis) < len(R)
+            for table in (
+                    MultiplicativeTable(InvolutiveDivision(key % 12 + 1),
+                                        group_alphabet, lms, full, full),
+                    MultiplicativeTable(division, group_alphabet, lms[::-1],
+                                        full, full)):
+                assert autoreduce(R, division, o, mode, table=table) == plain
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +360,7 @@ def test_left_division_example_basis(xy):
     F = P(xy, o, "2*x*y + y^2 + 5", "x^2 + y^2 + 8")
     res = involutive_basis(F, InvolutiveDivision(1), o)
     assert res.status == "complete"
+    assert res == involutive_basis(F, InvolutiveDivision(1), o)
     assert monic_set(res.basis) == monic_set(P(
         xy, o, "x*y + 1/2*y^2 + 5/2", "x^2 + y^2 + 8",
         "y^3 - 2*x + 37/5*y", "x*y^2 + x - 6/5*y", "y*x + 1/2*y^2 + 5/2"))
@@ -370,22 +407,24 @@ def test_involutive_basis_logged(xy):
             assert log_expand(log, F) == g
 
 
-def prolongations_reduce_to_zero(res, ordering, mode="thin"):
+def prolongation_remainders(res, ordering, mode="thin"):
+    """The involutive remainder of each prolongation of res.basis by a
+    nonmultiplicative letter of res.table."""
     table = res.table
     for idx, g in enumerate(res.basis):
         for x in sorted(table.nonmult_left(idx)):
             s = Polynomial([Term(t.coeff, (x,) + t.mon) for t in g.terms],
                            g.alphabet, ordering)
-            rem, _ = inv_divide(s, res.basis, table, mode)
-            if not rem.is_zero():
-                return False
+            yield inv_divide(s, res.basis, table, mode)[0]
         for x in sorted(table.nonmult_right(idx)):
             s = Polynomial([Term(t.coeff, t.mon + (x,)) for t in g.terms],
                            g.alphabet, ordering)
-            rem, _ = inv_divide(s, res.basis, table, mode)
-            if not rem.is_zero():
-                return False
-    return True
+            yield inv_divide(s, res.basis, table, mode)[0]
+
+
+def prolongations_reduce_to_zero(res, ordering, mode="thin"):
+    return all(rem.is_zero()
+               for rem in prolongation_remainders(res, ordering, mode))
 
 
 def test_locally_involutive_postcondition(xy, xyz, o):
@@ -492,6 +531,25 @@ def test_completion_trajectory_pinned(group_alphabet, group, key, mode, kwargs,
     if res.logs is not None:
         for g, log in zip(res.basis, res.logs, strict=True):
             assert log_expand(log, F) == g
+
+
+# Under SubwordFreeLeftOverlap (7) and its mirror (12) a basis change can
+# grow the row of an element autoreduce has already checked, which may then
+# divide the others; these runs take that path, and their counters are the
+# ones a full recheck after every change gives.
+@pytest.mark.parametrize("kind, key, counts", [
+    ("deginvlex", 7, (152, 102, 108, 18, 8)),
+    ("degrevlex", 7, (134, 86, 106, 17, 8)),
+    ("degrevlex", 12, (101, 57, 103, 14, 8)),
+])
+def test_completion_after_row_growth_pinned(group_alphabet, kind, key, counts):
+    o = MonomialOrdering(kind, group_alphabet)
+    res = involutive_basis(group_presentation(group_alphabet, o, "S3"),
+                           InvolutiveDivision(key), o)
+    assert res.status == "complete"
+    assert tuple(res.stats[name] for name in (
+        "prolongations", "reused", "inv_reductions", "basis_changes",
+        "basis_size")) == counts
 
 
 def test_disjoint_cones_for_global_divisions(xy):
