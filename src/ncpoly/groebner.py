@@ -16,6 +16,7 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
@@ -142,16 +143,20 @@ def first_divisor(u, lms, lefts=None, rights=None, thick=False, active=None):
 def reduce_by(p, P, lms, lefts=None, rights=None, thick=False, active=None):
     """Reduce p by P term by term, returning (remainder, log).
 
-    The running polynomial is a dict from word to coefficient and a heap
-    of its words, greatest first under p's ordering, which must be
+    The running polynomial is ``work / scale``: a dict from word to
+    integer coefficient over one positive integer denominator, with a
+    heap of its words, greatest first under p's ordering, which must be
     admissible and shared by every element of P.  While the greatest
     word u has a divisor, ``first_divisor(u, lms, lefts, rights, thick,
     active)`` gives (j, s): P[j] is cancelled in place at the placement
-    whose left cofactor is u[:s].  A word whose coefficient cancels
-    stays in the dict as a zero until it is popped, so each word is
-    pushed once.  Irreducible words go to the remainder, which comes out
-    descending.  The log's triples reference indices into P and satisfy
-    p = remainder + expansion(log).
+    whose left cofactor is u[:s], in integers.  ``scale`` grows only as
+    far as that step needs, and scaling by a nonzero integer keeps every
+    zero test, so each step is the one exact rational division takes.
+    A word whose coefficient cancels stays in the dict as a zero until
+    it is popped, so each word is pushed once.  Irreducible words go to
+    the remainder, which comes out descending.  The remainder and the
+    log hold ``Fraction``s.  The log's triples reference indices into P
+    and satisfy p = remainder + expansion(log).
     """
     ordering = p.ordering
     if not ordering.admissible:
@@ -160,37 +165,60 @@ def reduce_by(p, P, lms, lefts=None, rights=None, thick=False, active=None):
         if q.ordering is not ordering and q.ordering != ordering:
             raise ValueError("polynomials live in different algebras or orderings")
     desc = ordering.desc_key
-    work = {mon: coeff for coeff, mon in p.terms}
+    scale = 1
+    for c, _ in p.terms:
+        scale = lcm(scale, c.denominator)
+    work = {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}
     heap = [(desc(u), u) for u in work]
     heapq.heapify(heap)
     rem_terms = []
     log = []
     while heap:
         u = heapq.heappop(heap)[1]
-        c = work.pop(u)
-        if not c:
+        a = work.pop(u)
+        if not a:
             continue
         hit = first_divisor(u, lms, lefts, rights, thick, active)
         if hit is None:
-            rem_terms.append(Term(c, u))
+            rem_terms.append(Term(Fraction(a, scale), u))
             continue
         j, s = hit
-        q = P[j]
-        lead = q.terms[0]
-        m = c / lead.coeff
-        left, right = u[:s], u[s + len(lead.mon):]
+        q = P[j].terms
+        lc = q[0].coeff
+        left, right = u[:s], u[s + len(q[0].mon):]
+        log.append((Term(Fraction(a * lc.denominator, scale * lc.numerator),
+                         left), j, Term(_ONE, right)))
+        # den * q has integer coefficients and lead coefficient L; cancel
+        # a / scale = a1 / s1 against it over the least scale that keeps
+        # the multiplier (a1 / s1) / L times that scale an integer
+        den = 1
+        for tc, _ in q:
+            den = lcm(den, tc.denominator)
+        L = lc.numerator * (den // lc.denominator)
+        g = gcd(a, scale)
+        a1, s1 = a // g, scale // g
+        g = gcd(a1, L)
+        need = s1 * abs(L // g)
+        grown = lcm(scale, need)
+        if grown != scale:
+            f = grown // scale
+            for v in work:
+                work[v] *= f
+            scale = grown
+        m = a1 // g * (scale // need)
+        if L > 0:
+            m = -m
         # every product word is below u, so none is popped already; the
         # lead term cancels u exactly
-        neg = -m
-        for tc, tm in q.terms[1:]:
+        for tc, tm in q[1:]:
             v = left + tm + right
             d = work.get(v)
+            t = m * tc.numerator * (den // tc.denominator)
             if d is None:
                 heapq.heappush(heap, (desc(v), v))
-                work[v] = neg * tc
+                work[v] = t
             else:
-                work[v] = d + neg * tc
-        log.append((Term(m, left), j, Term(_ONE, right)))
+                work[v] = d + t
     remainder = Polynomial(tuple(rem_terms), p.alphabet, ordering, _trusted=True)
     return remainder, tuple(log)
 

@@ -8,18 +8,31 @@ triple, the table and the stats) and the SHA-256 of the whole text is
 pinned.  A change to the reduction loop, the orderings or the
 representation bookkeeping that alters any output, even one log
 coefficient or the order of a basis, changes the digest.
+
+The group presentations have coefficients +-1 only.  ``DENSE_DIGEST``
+pins runs on two dense cubics whose intermediate coefficients grow to
+hundreds of bits: logged Mora (normal and sugar), the reduced basis,
+and the division of a fixed non-member by the raw and the reduced
+basis, all under deglex.
 """
 
 import hashlib
 
 from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering, WalkJob,
-                    format_polynomial, groebner_walk, involutive_basis,
-                    involutive_walk, mora, reduce_basis)
+                    divide, format_polynomial, groebner_walk, involutive_basis,
+                    involutive_walk, mora, parse_polynomial, reduce_basis)
 from ncpoly.algebra import format_word
 
 from conftest import group_presentation
 
 DIGEST = "474c6fd4b8358372805feb66a5b06dc01a3dd220889a46177ba8ba2f8fcf6628"
+DENSE_DIGEST = "d49eb802722d751c777d39154bc728f7806e28b40296144edf2fa36b82f24e96"
+
+DENSE_CUBICS = (
+    "-x^3 - 9*x^2*y - 9*x*y*x - 4*x*y^2 + 3*y*x^2 - 8*y*x*y - 3*y^2*x - 8*y^3",
+    "7*x^3 - 2*x^2*y - 3*x*y*x + 5*x*y^2 - 7*y*x^2 - 6*y*x*y + 3*y^2*x + 7*y^3",
+)
+NON_MEMBER = "2/3*x^4*y - 5*y*x^3*y + 7/4*x*y*x*y*x - y^5 + 1/5*x*y - 3"
 
 
 def _log_text(log, alphabet):
@@ -52,9 +65,26 @@ def _runs():
     yield "involutive_walk S3", res.status, res.stats, res.basis, None, None
 
 
-def digest_text():
+def _dense_runs():
+    A = Alphabet(["x", "y"])
+    deglex = MonomialOrdering("deglex", A)
+    F = [parse_polynomial(text, A, deglex) for text in DENSE_CUBICS]
+    p = parse_polynomial(NON_MEMBER, A, deglex)
+    for strategy in ("normal", "sugar"):
+        res = mora(F, deglex, strategy, logged=True)
+        yield (f"mora dense {strategy}", res.status, res.stats, res.basis,
+               res.logs, None)
+        reduced = reduce_basis(res.basis, deglex)
+        yield f"reduce_basis dense {strategy}", None, None, reduced, None, None
+        for label, basis in (("raw", res.basis), ("reduced", reduced)):
+            rem, log = divide(p, basis)
+            yield (f"divide dense {strategy} {label}", None, None, [rem],
+                   [log], None)
+
+
+def digest_text(runs):
     lines = []
-    for label, status, stats, basis, logs, table in _runs():
+    for label, status, stats, basis, logs, table in runs:
         lines.append(f"{label}: {status} {stats}")
         lines.extend(format_polynomial(g) for g in basis)
         for log in logs or ():
@@ -67,4 +97,9 @@ def digest_text():
 
 
 def test_output_digest_pinned():
-    assert hashlib.sha256(digest_text().encode()).hexdigest() == DIGEST
+    assert hashlib.sha256(digest_text(_runs()).encode()).hexdigest() == DIGEST
+
+
+def test_dense_digest_pinned():
+    text = digest_text(_dense_runs())
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_DIGEST

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     MultiplicativeTable, Polynomial, Term,
                     assign_multiplicative, divide, inv_divide, log_expand,
-                    mora, poly_combine, reduce_basis, sugar_value)
+                    mora, parse_polynomial, poly_combine, reduce_basis,
+                    sugar_value)
 from ncpoly.groebner import first_divisor
 from ncpoly.spoly import OverlapSpec
 
@@ -117,8 +118,10 @@ def test_first_divisor_matches_oracle(u, rows, thick):
 _XYZ = Alphabet(["x", "y", "z"])
 _ADMISSIBLE = [MonomialOrdering(kind, _XYZ)
                for kind in ("deglex", "deginvlex", "degrevlex")]
-coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
-                   st.integers(1, 4))
+# multi-word numerators and denominators, so the kernel's running
+# denominator grows past one machine word
+coeffs = st.builds(Fraction, st.integers(-2**70, 2**70).filter(bool),
+                   st.integers(1, 2**70))
 
 
 def polys(ordering, max_degree, min_size):
@@ -144,8 +147,24 @@ def division_problems(draw):
     return o, p, divisors, sets, draw(st.booleans()), active
 
 
+def _division_example(kind, p, divisors, sets=None, thick=False, active=None):
+    o = MonomialOrdering(kind, _XYZ)
+    return (o, parse_polynomial(p, _XYZ, o),
+            [parse_polynomial(d, _XYZ, o) for d in divisors], sets, thick, active)
+
+
 @settings(max_examples=300, deadline=None)
 @given(division_problems())
+# negative lead coefficients, divisors with coprime denominators and a
+# dividend with denominators of its own
+@example(problem=_division_example(
+    "deglex", "5/7*x^2*y^2 + 1/3*x*y*z - y*z*y + 2/15*z^3",
+    ["-3/4*x*y + 2/9*z", "5/11*y*z - 1/13*x"]))
+@example(problem=_division_example(
+    "degrevlex", f"{2**70 + 3}/17*x*y*x*z - 9/{2**66}*z*x*y + 1",
+    [f"-{2**70 + 1}/3*x*y + 7/{2**65}*y", "4/9*z*x - 1/2*z"],
+    [(frozenset({0, 1, 2}), frozenset({0, 1, 2})), (frozenset(), frozenset({1}))],
+    False, [1, 0]))
 def test_reduction_matches_reference(problem):
     o, p, divisors, sets, thick, active = problem
     if sets is None:
