@@ -132,7 +132,7 @@ class Polynomial:
 
     def with_ordering(self, ordering):
         """The same polynomial re-sorted under another ordering."""
-        if ordering == self.ordering:
+        if ordering is self.ordering or ordering == self.ordering:
             return self
         return Polynomial(self.terms, self.alphabet, ordering)
 

@@ -11,9 +11,19 @@ Twelve divisions are supported, keyed 1-12:
      7  SubwordFreeLeftOverlap
 
 Left and Right are global (the multiplicative sets do not depend on the
-basis); the rest are local and recomputed from scratch whenever the
-basis changes.  Every right-handed kind is the exact word-reversal
-mirror of the corresponding left-handed kind.
+basis); the rest are local.  Under LeftOverlap, PrefixOnlyLeftOverlap,
+SubwordFreeLeftOverlap and their mirrors a row is the full letter set
+minus the letters that pairs of lead monomials discard, so when the
+basis changes only the pairs with the changed element are counted
+again; the tables of 4, 5, 9 and 10 are rebuilt whole.  Every
+right-handed kind is the exact word-reversal mirror of the
+corresponding left-handed kind.
+
+Completion restarts after every basis change.  What the change changed
+is recorded once: each element carries the restart at which it last
+became new or its row last changed.  The sorted prolongations and the
+zero-reduction certificates are kept across restarts, and only what
+that record names is rebuilt or checked again.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
@@ -28,7 +38,9 @@ yet involutively irreducible; see the degree-cap tests for a witness.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from itertools import accumulate, count
 
 from .algebra import Term, term_mul_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
@@ -92,7 +104,7 @@ class MultiplicativeTable:
     Rows are aligned with the lead-monomial list the table was built
     from.  ``sets_for`` looks a row up by word (first match)."""
 
-    __slots__ = ("division", "alphabet", "lms", "left", "right")
+    __slots__ = ("division", "alphabet", "lms", "left", "right", "_counts")
 
     def __init__(self, division, alphabet, lms, left, right):
         self.division = division
@@ -100,6 +112,10 @@ class MultiplicativeTable:
         self.lms = list(lms)
         self.left = [frozenset(s) for s in left]
         self.right = [frozenset(s) for s in right]
+        # per row and letter, the number of pairs of lead monomials that
+        # discard the letter (see _count_pairs); assign_multiplicative
+        # keeps it under the divisions it builds row by row
+        self._counts = None
 
     def __eq__(self, other):
         return (isinstance(other, MultiplicativeTable)
@@ -135,22 +151,29 @@ class MultiplicativeTable:
         }
 
 
+# divisions whose rows are not a union of discards by pairs of lead
+# monomials: their tables are built whole
+_WHOLE = (4, 5, 9, 10)
+
+
 def assign_multiplicative(division, lms, alphabet):
     """Build the multiplicative table for the given lead monomials.
 
     Local divisions internally sort the monomials descending by
     DegRevLex (stable), so the result is invariant under permutation of
-    the input; rows come back aligned with the input order.
+    the input; rows come back aligned with the input order.  Under every
+    division but 4, 5 and their mirrors the table is built by appending
+    one row at a time, the way ``autoreduce`` keeps it as the basis
+    changes.
     """
     lms = [tuple(m) for m in lms]
-    n = len(alphabet)
-    everything = set(range(n))
-    m = len(lms)
-
-    if division.key == 1:    # Left: all left multiplicative, no right
-        left = [set(everything) for _ in lms]
-        right = [set() for _ in lms]
-        return MultiplicativeTable(division, alphabet, lms, left, right)
+    if division.key not in _WHOLE:
+        table = MultiplicativeTable(division, alphabet, (), (), ())
+        if not division.is_global:
+            table._counts = []
+        for lm in lms:
+            _edit(table, len(table.lms), lm)
+        return table
 
     if not division.left_handed:
         mirrored = assign_multiplicative(
@@ -159,58 +182,127 @@ def assign_multiplicative(division, lms, alphabet):
         return MultiplicativeTable(division, alphabet, lms,
                                    mirrored.right, mirrored.left)
 
-    order = sorted(range(m), key=lambda t: _degrevlex_key(lms[t]), reverse=True)
+    order = sorted(range(len(lms)), key=lambda t: _degrevlex_key(lms[t]),
+                   reverse=True)
     u = [lms[t] for t in order]
-    left = [set(everything) for _ in u]
-    right = [set(everything) for _ in u]
-
-    if division.key == 3:
-        _left_overlap_rules(u, right)
-    elif division.key == 4:
-        _left_overlap_rules(u, right)
+    left = [set(range(len(alphabet))) for _ in u]
+    if division.key == 4:
+        # LeftOverlap's rows, then the cones made disjoint
+        overlap = assign_multiplicative(InvolutiveDivision(3), lms, alphabet)
+        right = [set(overlap.right[t]) for t in order]
         _disjoint_cones(u, right)
-    elif division.key == 5:
+    else:
+        right = [set(range(len(alphabet))) for _ in u]
         _two_sided_rules(u, left, right)
-    elif division.key == 6:
-        _prefix_rule(u, right)
-        _edge_overlap_rules(u, right)
-    elif division.key == 7:
-        _edge_overlap_rules(u, right)
 
-    out_left = [None] * m
-    out_right = [None] * m
+    out_left = [None] * len(lms)
+    out_right = [None] * len(lms)
     for slot, t in enumerate(order):
         out_left[t] = left[slot]
         out_right[t] = right[slot]
     return MultiplicativeTable(division, alphabet, lms, out_left, out_right)
 
 
-def _edge_overlap_rules(u, right):
-    """Proper prefix-of/suffix-of matches between distinct ends of two
-    monomials (including self overlaps) knock out right-multiplicative
-    letters; shared by all the one-sided left overlap divisions."""
-    for a in range(len(u)):
-        for b in range(a, len(u)):
-            ua, ub = u[a], u[b]
-            alpha, beta = len(ua), len(ub)
-            for k in range(1, beta):
-                if ua[:k] == ub[beta - k:]:         # PRE(ua,k) == SUFF(ub,k)
-                    if k < alpha:
-                        right[b].discard(ua[k])     # letter k+1 of ua
-                if ua[alpha - k:] == ub[:k]:        # SUFF(ua,k) == PRE(ub,k)
-                    right[a].discard(ub[k])         # letter k+1 of ub
+def _edit(table, i, lm=None):
+    """Make row i of ``table`` the row of lead monomial ``lm``, in place:
+    append it when i is the table's length, else replace row i, or delete
+    row i when ``lm`` is None.  Rows of 1 and 2 are constant; under 3, 6,
+    7 and their mirrors only the pairs with row i are counted again; a
+    table without counts (4, 5 and their mirrors, or one built by hand)
+    is rebuilt."""
+    division, lms, counts = table.division, table.lms, table._counts
+    new = [] if lm is None else [lm]
+    n = len(table.alphabet)
+    if division.is_global:
+        every, none = frozenset(range(n)), frozenset()
+        lms[i:i + 1] = new
+        table.left[i:i + 1] = [every if division.key == 1 else none] * len(new)
+        table.right[i:i + 1] = [none if division.key == 1 else every] * len(new)
+        return
+    if counts is None:
+        whole = assign_multiplicative(division, lms[:i] + new + lms[i + 1:],
+                                      table.alphabet)
+        table.lms, table.left, table.right = whole.lms, whole.left, whole.right
+        table._counts = whole._counts
+        return
+    changed = _count_pairs(table, i, -1) if i < len(lms) else []
+    lms[i:i + 1] = new
+    counts[i:i + 1] = [[0] * n for _ in new]
+    table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
+    if lm is None:
+        changed = [j - (j > i) for j in changed if j != i]
+    else:
+        changed += _count_pairs(table, i, 1)
+        changed.append(i)
+    rows = table.right if division.left_handed else table.left
+    for j in set(changed):
+        rows[j] = frozenset(x for x, c in enumerate(counts[j]) if not c)
 
-def _left_overlap_rules(u, right):
-    # subword matches (strict: ub may not be a suffix of ua) ...
-    for a in range(len(u)):
-        for b in range(a + 1, len(u)):
-            ua, ub = u[a], u[b]
-            alpha, beta = len(ua), len(ub)
-            for k in range(1, alpha - beta + 1):    # k < alpha - beta + 1
-                if ua[k - 1:k - 1 + beta] == ub:
-                    right[b].discard(ua[k + beta - 1])
-    # ... plus the shared end-overlap rules
-    _edge_overlap_rules(u, right)
+
+def _count_pairs(table, i, step):
+    """Add ``step`` to the count of each letter that a pair of row i with
+    a row of ``table`` (itself included) discards; return the rows whose
+    letter set that changes, with repeats.
+
+    A pair is taken in descending DegRevLex order of its words, as
+    ``assign_multiplicative`` sorts them (two equal words discard alike
+    in either order); a mirrored division counts on reversed words and
+    left sets."""
+    key = table.division.key
+    words = table.lms
+    if not table.division.left_handed:
+        key = _MIRROR[key]
+        words = [w[::-1] for w in words]
+    counts = table._counts
+    flipped = 1 if step > 0 else 0      # the count at which a letter flips
+    changed = []
+
+    def bump(j, letters):
+        c = counts[j]
+        for x in letters:
+            c[x] += step
+            if c[x] == flipped:
+                changed.append(j)
+
+    ui = words[i]
+    ki = _degrevlex_key(ui)
+    da, db = _discards(key, ui, ui)
+    bump(i, da + db)
+    for j, uj in enumerate(words):
+        if j == i:
+            continue
+        kj = _degrevlex_key(uj)
+        if kj <= ki:
+            da, db = _discards(key, ui, uj)
+            bump(i, da)
+            bump(j, db)
+        else:
+            da, db = _discards(key, uj, ui)
+            bump(j, da)
+            bump(i, db)
+    return changed
+
+
+def _discards(key, ua, ub):
+    """The letters that the pair (ua, ub) discards from the right sets of
+    ua and of ub under LeftOverlap (3), PrefixOnlyLeftOverlap (6) or
+    SubwordFreeLeftOverlap (7), with repeats.  ua comes first in
+    descending DegRevLex order, so it is at least as long as ub; ua is
+    ub for an element's overlaps with itself."""
+    alpha, beta = len(ua), len(ub)
+    da, db = [], []
+    if key == 3:            # ub inside ua, but not as its suffix
+        for k in range(alpha - beta):
+            if ua[k:k + beta] == ub:
+                db.append(ua[k + beta])
+    elif key == 6 and beta < alpha and ua[:beta] == ub:     # a prefix
+        db.append(ua[beta])
+    for k in range(1, beta):    # a proper prefix of one ends the other
+        if ua[:k] == ub[beta - k:]:
+            db.append(ua[k])
+        if ua[alpha - k:] == ub[:k]:
+            da.append(ub[k])
+    return da, db
 
 
 def _disjoint_cones(u, right):
@@ -243,16 +335,6 @@ def _two_sided_rules(u, left, right):
                     xr, xl = ub[k], ua[alpha - k - 1]
                     if xr in right[a] and xl in left[b]:
                         left[b].discard(xl)
-
-
-def _prefix_rule(u, right):
-    for a in range(len(u)):
-        for b in range(len(u)):
-            if a == b:
-                continue
-            ua, ub = u[a], u[b]
-            if len(ub) < len(ua) and ua[:len(ub)] == ub:
-                right[b].discard(ua[len(ub)])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +382,9 @@ def inv_divide(p, P, table, mode="thin", active=None):
 def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
                table=None):
     """Repeatedly replace the first p_i that is involutively reducible by
-    the rest, until stable.  The table is always built from the full
-    current set; the divisors are the set without p_i.  Zero reductions
-    drop the element.  Returns a ``BasisResult`` whose ``table`` is the
+    the rest, until stable.  The table always describes the full current
+    set; the divisors are the set without p_i.  Zero reductions drop the
+    element.  Returns a ``BasisResult`` whose ``table`` is the
     multiplicative table of the result and whose ``logs`` are None
     unless provided, and then aligned with P.  ``stats["inv_reductions"]``,
     when stats is given, counts the reduction steps.
@@ -310,10 +392,13 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
     ``table`` is for a basis that grew by one element: the table this
     function returned for P[:-1], under the same division and mode.  It
     is used only when its division and lead monomials match those of
-    P[:-1] (zero polynomials dropped).  Then the elements of P[:-1] are
+    P[:-1] (zero polynomials dropped).  Then the table is extended by the
+    last element's row, not built again, and the elements of P[:-1] are
     checked only against the last element and against the elements that
     replace them, until the row of one of them grows; the result is the
-    same as without ``table``."""
+    same as without ``table``, which is left as it was.  Each
+    replacement or deletion updates the table the same way (see
+    ``_edit``)."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     thick = _thick(mode)    # rejects an unknown mode even when nothing is divided
@@ -326,12 +411,18 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
     # elements need checking only against the fresh ones.
     fresh = [True] * len(basis)
     rows = [None] * len(basis)
-    if (table is not None and table.division == division
+    if (basis and table is not None and table.division == division
             and table.lms == [p.lm() for p in basis[:-1]]):
         fresh[:-1] = [False] * len(table.lms)
         rows[:-1] = zip(table.left, table.right)
-    while True:
+        counts = table._counts
+        table = MultiplicativeTable(division, alphabet, table.lms, table.left,
+                                    table.right)
+        table._counts = None if counts is None else [c[:] for c in counts]
+        _edit(table, len(table.lms), basis[-1].lm())
+    else:
         table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
+    while True:
         now = list(zip(table.left, table.right))
         if not all(fresh[i] or (left <= rows[i][0] and right <= rows[i][1])
                    for i, (left, right) in enumerate(now)):
@@ -354,11 +445,13 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
                 continue
             if rem.is_zero():
                 del basis[i], fresh[i], rows[i]
+                _edit(table, i)
                 if logs is not None:
                     del logs[i]
             else:
                 basis[i] = rem
                 fresh[i] = True
+                _edit(table, i, rem.lm())
                 if logs is not None:
                     logs[i] = log_reduced(logs[i], dlog, logs)
             break
@@ -377,15 +470,31 @@ def _certificate(P, table, dlog):
                  for l, j, r in dlog)
 
 
-def _certificate_holds(steps, P, table, mode):
+def _certificate_holds(steps, made, where, epochs, newest, table, thick):
     """Whether ``inv_divide`` would make every recorded choice again: at
     each recorded word, the same divisor object at the same placement.
     Reduction is deterministic, so it would then reach zero again through
-    the same arithmetic."""
-    thick = _thick(mode)
+    the same arithmetic.
+
+    The choices were last known to be made at restart ``made``.
+    ``where`` maps each element of the basis (by ``id``) to its index;
+    ``epochs[k]`` is the restart at which element k last became new or
+    its row last changed, and ``newest[k]`` the largest epoch before k.
+    An element no newer than ``made`` had the same row and came before
+    the same elements then, so it chooses as it chose then: a step scans
+    only the newer elements before its divisor, and rechecks the divisor
+    alone when it is newer."""
+    lms, lefts, rights = table.lms, table.left, table.right
     for divisor, word, left in steps:
-        hit = first_divisor(word, table.lms, table.left, table.right, thick)
-        if hit is None or P[hit[0]] is not divisor or hit[1] != left:
+        k = where.get(id(divisor))
+        if k is None:
+            return False
+        if newest[k] > made and first_divisor(
+                word, lms, lefts, rights, thick,
+                [j for j in range(k) if epochs[j] > made]) is not None:
+            return False
+        if epochs[k] > made and first_divisor(
+                word, lms, lefts, rights, thick, (k,)) != (k, left):
             return False
     return True
 
@@ -397,23 +506,30 @@ def involutive_basis(F, division, ordering, mode="thin",
 
     Autoreduce; then repeatedly reduce the prolongation with minimal lead
     monomial (ties: element index, then left before right).  A nonzero
-    remainder joins the basis, which is autoreduced again and all
-    prolongations recomputed; the run completes when every prolongation
-    reduces to zero.  All twelve divisions are continuous and Gröbner, so
-    a complete result is an Involutive Basis and a Gröbner Basis.
+    remainder joins the basis, which is autoreduced again, and the scan
+    of the prolongations restarts; the run completes when every
+    prolongation reduces to zero.  All twelve divisions are continuous
+    and Gröbner, so a complete result is an Involutive Basis and a
+    Gröbner Basis.
+
+    The sorted prolongations are kept across restarts: only those of the
+    elements that are new, or whose row changed, are built and inserted,
+    and those of the elements that left or changed are dropped.
 
     A prolongation that reduced to zero leaves a certificate: the divisor
     and placement chosen at each step.  While its element is still in the
     basis and every recorded choice is still the one ``inv_divide`` would
     make, the prolongation is known to reduce to zero again and is not
-    rebuilt.  Stats: ``prolongations`` counts prolongations examined,
-    reused or reduced (``max_iterations`` caps this count); ``reused``
-    counts those settled by a certificate; ``inv_reductions`` counts the
-    reduction steps actually performed; ``basis_changes`` counts
-    remainders added to the basis."""
+    rebuilt.  A choice is checked again only against the elements that
+    are new, or whose row changed, since it was last known to hold.
+    Stats: ``prolongations`` counts prolongations examined, reused or
+    reduced (``max_iterations`` caps this count); ``reused`` counts those
+    settled by a certificate; ``inv_reductions`` counts the reduction
+    steps actually performed; ``basis_changes`` counts remainders added
+    to the basis."""
     basis, logs = _basis_in(F, ordering, [log_identity(k) for k in range(len(F))]
                             if logged else None)
-    _thick(mode)
+    thick = _thick(mode)
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     if not basis:
@@ -421,34 +537,71 @@ def involutive_basis(F, division, ordering, mode="thin",
     stats = {"prolongations": 0, "reused": 0, "inv_reductions": 0,
              "basis_changes": 0}
     status = "complete"
-    certificates = {}   # (element, side, letter) -> certificate
+    letters = range(len(ordering.alphabet))
+    certificates = {}   # (element, side, letter) -> [certificate, restart]
     table = None
+    # aligned with the basis: the rank, which rises with the index and
+    # breaks ties between equal prolongation words; the restart at which
+    # the element last became new or its row last changed; and its row
+    ranks = list(range(len(basis)))
+    epochs, rows = [], []
+    queue = []          # (word key, rank, side, letter, element), ascending
 
-    while True:
+    for restart in count():
+        previous = basis
         # after a basis change, table describes all but the appended
         # remainder, so autoreduce need only check what that touches
         result = autoreduce(basis, division, ordering, mode, logs, stats, table)
         basis, logs, table = result.basis, result.logs, result.table
-        live = {id(p) for p in basis}
-        certificates = {
-            key: known for key, known in certificates.items()
-            if id(key[0]) in live and all(id(d) in live for d, _, _ in known)}
-        queue = []
-        for idx in range(len(basis)):
-            lm = basis[idx].lm()
-            for x in sorted(table.nonmult_left(idx)):
-                queue.append((ordering.key((x,) + lm), idx, 0, x))
-            for x in sorted(table.nonmult_right(idx)):
-                queue.append((ordering.key(lm + (x,)), idx, 1, x))
-        queue.sort()
-        for _, idx, side, x in queue:
+        # the change record.  autoreduce appends, deletes and replaces in
+        # place, so the survivors keep their order, and a new element
+        # lies between the same survivors as a removed one, whose rank
+        # it takes
+        now = list(zip(table.left, table.right))
+        alive = {id(p) for p in basis}
+        before = {id(p) for p in previous}
+        ranks_now, epochs_now, stale, changed = [], [], set(), []
+        j = 0
+        for o, p in enumerate(previous):
+            if id(p) in alive:
+                if o < len(rows) and rows[o] == now[j]:
+                    epochs_now.append(epochs[o])
+                else:
+                    epochs_now.append(restart)
+                    stale.add(id(p))
+                    changed.append(j)
+            else:
+                stale.add(id(p))
+                for side in (0, 1):
+                    for x in letters:
+                        certificates.pop((p, side, x), None)
+                if j == len(basis) or id(basis[j]) in before:
+                    continue
+                epochs_now.append(restart)
+                changed.append(j)
+            ranks_now.append(ranks[o])
+            j += 1
+        ranks, epochs, rows = ranks_now, epochs_now, now
+        if stale:
+            queue = [entry for entry in queue if id(entry[4]) not in stale]
+        for idx in changed:
+            g, rank = basis[idx], ranks[idx]
+            lm = g.lm()
+            for x in table.nonmult_left(idx):
+                insort(queue, (ordering.key((x,) + lm), rank, 0, x, g))
+            for x in table.nonmult_right(idx):
+                insort(queue, (ordering.key(lm + (x,)), rank, 1, x, g))
+        where = {id(p): idx for idx, p in enumerate(basis)}
+        newest = list(accumulate(epochs, max, initial=-1))
+        for _, _, side, x, g in queue:
             if stats["prolongations"] >= max_iterations:
                 status = "iteration_cap_hit"
                 break
             stats["prolongations"] += 1
-            g = basis[idx]
             known = certificates.get((g, side, x))
-            if known is not None and _certificate_holds(known, basis, table, mode):
+            if known is not None and _certificate_holds(
+                    known[0], known[1], where, epochs, newest, table, thick):
+                known[1] = restart
                 stats["reused"] += 1
                 continue
             letter, unit = Term(Fraction(1), (x,)), Term(Fraction(1), ())
@@ -457,15 +610,17 @@ def involutive_basis(F, division, ordering, mode="thin",
             rem, dlog = inv_divide(s, basis, table, mode)
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
-                certificates[g, side, x] = _certificate(basis, table, dlog)
+                certificates[g, side, x] = [_certificate(basis, table, dlog),
+                                            restart]
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"
                 break
             if logged:
-                logs.append(log_reduced(log_conjugate(lterm, logs[idx], rterm),
-                                        dlog, logs))
+                logs.append(log_reduced(
+                    log_conjugate(lterm, logs[where[id(g)]], rterm), dlog, logs))
             basis.append(rem)
+            ranks.append(ranks[-1] + 1)
             stats["basis_changes"] += 1
             break
         else:
