@@ -19,11 +19,11 @@ again; the tables of 4, 5, 9 and 10 are rebuilt whole.  Every
 right-handed kind is the exact word-reversal mirror of the
 corresponding left-handed kind.
 
-Completion restarts after every basis change.  What the change changed
-is recorded once: each element carries the restart at which it last
-became new or its row last changed.  The sorted prolongations and the
-zero-reduction certificates are kept across restarts, and only what
-that record names is rebuilt or checked again.
+Completion restarts after every basis change.  ``_edit``, the one
+function that changes a row, stamps the row it makes and every row whose
+letter sets it changes from one clock.  The sorted prolongations and the
+zero-reduction certificates are kept across restarts; only the rows
+stamped since the last restart are rebuilt or checked again.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
@@ -66,6 +66,8 @@ DIVISION_NAMES = {
 # right-handed local kinds and the left-handed kind they mirror
 _MIRROR = {2: 1, 8: 3, 9: 4, 10: 5, 11: 6, 12: 7}
 
+_clock = count()    # the source of every row stamp (see _edit)
+
 
 class InvolutiveDivision:
     __slots__ = ("key",)
@@ -104,7 +106,8 @@ class MultiplicativeTable:
     Rows are aligned with the lead-monomial list the table was built
     from.  ``sets_for`` looks a row up by word (first match)."""
 
-    __slots__ = ("division", "alphabet", "lms", "left", "right", "_counts")
+    __slots__ = ("division", "alphabet", "lms", "left", "right", "_counts",
+                 "_stamps")
 
     def __init__(self, division, alphabet, lms, left, right):
         self.division = division
@@ -116,6 +119,9 @@ class MultiplicativeTable:
         # discard the letter (see _count_pairs); assign_multiplicative
         # keeps it under the divisions it builds row by row
         self._counts = None
+        # per row, the clock when it was made or its sets last changed: a
+        # new table is newer than anything recorded before it
+        self._stamps = [next(_clock)] * len(self.lms)
 
     def __eq__(self, other):
         return (isinstance(other, MultiplicativeTable)
@@ -209,22 +215,40 @@ def _edit(table, i, lm=None):
     row i when ``lm`` is None.  Rows of 1 and 2 are constant; under 3, 6,
     7 and their mirrors only the pairs with row i are counted again; a
     table without counts (4, 5 and their mirrors, or one built by hand)
-    is rebuilt."""
+    is rebuilt.  The row made and every other row whose letter sets change
+    get one fresh stamp from ``_clock``; returns the other rows (new
+    indices, with repeats) whose left or right set grew."""
     division, lms, counts = table.division, table.lms, table._counts
     new = [] if lm is None else [lm]
     n = len(table.alphabet)
+    stamp = next(_clock)
+    table._stamps[i:i + 1] = [stamp] * len(new)
     if division.is_global:
         every, none = frozenset(range(n)), frozenset()
         lms[i:i + 1] = new
         table.left[i:i + 1] = [every if division.key == 1 else none] * len(new)
         table.right[i:i + 1] = [none if division.key == 1 else every] * len(new)
-        return
+        return []
+    grown = []
+
+    def put(rows, j, row):
+        # a new row starts as every letter, so it never counts as grown
+        if row != rows[j]:
+            table._stamps[j] = stamp
+            if not row <= rows[j]:
+                grown.append(j)
+            rows[j] = row
+
     if counts is None:
         whole = assign_multiplicative(division, lms[:i] + new + lms[i + 1:],
                                       table.alphabet)
-        table.lms, table.left, table.right = whole.lms, whole.left, whole.right
+        lms[i:i + 1] = new
         table._counts = whole._counts
-        return
+        for rows, fresh in ((table.left, whole.left), (table.right, whole.right)):
+            rows[i:i + 1] = [frozenset(range(n))] * len(new)
+            for j, row in enumerate(fresh):
+                put(rows, j, row)
+        return grown
     changed = _count_pairs(table, i, -1) if i < len(lms) else []
     lms[i:i + 1] = new
     counts[i:i + 1] = [[0] * n for _ in new]
@@ -236,7 +260,8 @@ def _edit(table, i, lm=None):
         changed.append(i)
     rows = table.right if division.left_handed else table.left
     for j in set(changed):
-        rows[j] = frozenset(x for x, c in enumerate(counts[j]) if not c)
+        put(rows, j, frozenset(x for x, c in enumerate(counts[j]) if not c))
+    return grown
 
 
 def _count_pairs(table, i, step):
@@ -307,10 +332,11 @@ def _discards(key, ua, ub):
 
 def _disjoint_cones(u, right):
     """Ensure every monomial contains a right-nonmultiplicative letter of
-    every other; runs back-to-front and reads the table as it mutates."""
+    every other; runs back-to-front and reads the table as it mutates.
+    The empty word has no letter to withdraw, so it is skipped."""
     for a in range(len(u) - 1, -1, -1):
         for b in range(len(u) - 1, -1, -1):
-            if all(letter in right[a] for letter in u[b]):
+            if u[b] and all(letter in right[a] for letter in u[b]):
                 right[a].discard(u[b][0])
 
 
@@ -406,28 +432,25 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
     alphabet = ordering.alphabet
     # fresh[i]: basis[i] may reduce, or be reduced by, the other elements.
     # No term of an element that is not fresh is divisible by another such
-    # element j under j's recorded row rows[j], nor under any smaller row:
-    # smaller letter sets admit fewer placements, thin or thick.  So those
-    # elements need checking only against the fresh ones.
+    # element j under j's row, nor under any smaller row: smaller letter
+    # sets admit fewer placements, thin or thick.  Until _edit grows the
+    # row of one of them, they need checking only against the fresh ones.
     fresh = [True] * len(basis)
-    rows = [None] * len(basis)
+    grown = []
     if (basis and table is not None and table.division == division
             and table.lms == [p.lm() for p in basis[:-1]]):
         fresh[:-1] = [False] * len(table.lms)
-        rows[:-1] = zip(table.left, table.right)
-        counts = table._counts
+        counts, stamps = table._counts, table._stamps
         table = MultiplicativeTable(division, alphabet, table.lms, table.left,
                                     table.right)
         table._counts = None if counts is None else [c[:] for c in counts]
-        _edit(table, len(table.lms), basis[-1].lm())
+        table._stamps = stamps[:]
+        grown = _edit(table, len(table.lms), basis[-1].lm())
     else:
         table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
     while True:
-        now = list(zip(table.left, table.right))
-        if not all(fresh[i] or (left <= rows[i][0] and right <= rows[i][1])
-                   for i, (left, right) in enumerate(now)):
+        if not all(fresh[j] for j in grown):
             fresh = [True] * len(basis)
-        rows = now
         active = [j for j in range(len(basis)) if fresh[j]]
         for i in range(len(basis)):
             if not fresh[i] and all(
@@ -444,14 +467,14 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
             if not dlog:
                 continue
             if rem.is_zero():
-                del basis[i], fresh[i], rows[i]
-                _edit(table, i)
+                del basis[i], fresh[i]
+                grown = _edit(table, i)
                 if logs is not None:
                     del logs[i]
             else:
                 basis[i] = rem
                 fresh[i] = True
-                _edit(table, i, rem.lm())
+                grown = _edit(table, i, rem.lm())
                 if logs is not None:
                     logs[i] = log_reduced(logs[i], dlog, logs)
             break
@@ -470,20 +493,20 @@ def _certificate(P, table, dlog):
                  for l, j, r in dlog)
 
 
-def _certificate_holds(steps, made, where, epochs, newest, table, thick):
+def _certificate_holds(steps, made, where, stamps, newest, table, thick):
     """Whether ``inv_divide`` would make every recorded choice again: at
     each recorded word, the same divisor object at the same placement.
     Reduction is deterministic, so it would then reach zero again through
     the same arithmetic.
 
-    The choices were last known to be made at restart ``made``.
+    The choices were last known to be made at clock value ``made``.
     ``where`` maps each element of the basis (by ``id``) to its index;
-    ``epochs[k]`` is the restart at which element k last became new or
-    its row last changed, and ``newest[k]`` the largest epoch before k.
-    An element no newer than ``made`` had the same row and came before
-    the same elements then, so it chooses as it chose then: a step scans
-    only the newer elements before its divisor, and rechecks the divisor
-    alone when it is newer."""
+    ``stamps[k]`` is the stamp of row k (``table._stamps``), and
+    ``newest[k]`` the largest stamp before k.  An element whose stamp is
+    no newer than ``made`` had the same row and came before the same
+    elements then, so it chooses as it chose then: a step scans only the
+    newer elements before its divisor, and rechecks the divisor alone
+    when it is newer."""
     lms, lefts, rights = table.lms, table.left, table.right
     for divisor, word, left in steps:
         k = where.get(id(divisor))
@@ -491,9 +514,9 @@ def _certificate_holds(steps, made, where, epochs, newest, table, thick):
             return False
         if newest[k] > made and first_divisor(
                 word, lms, lefts, rights, thick,
-                [j for j in range(k) if epochs[j] > made]) is not None:
+                [j for j in range(k) if stamps[j] > made]) is not None:
             return False
-        if epochs[k] > made and first_divisor(
+        if stamps[k] > made and first_divisor(
                 word, lms, lefts, rights, thick, (k,)) != (k, left):
             return False
     return True
@@ -513,15 +536,15 @@ def involutive_basis(F, division, ordering, mode="thin",
     Gröbner Basis.
 
     The sorted prolongations are kept across restarts: only those of the
-    elements that are new, or whose row changed, are built and inserted,
-    and those of the elements that left or changed are dropped.
+    rows ``_edit`` stamped since the last restart are built and inserted,
+    and those of the elements that left or were stamped are dropped.
 
     A prolongation that reduced to zero leaves a certificate: the divisor
     and placement chosen at each step.  While its element is still in the
     basis and every recorded choice is still the one ``inv_divide`` would
     make, the prolongation is known to reduce to zero again and is not
-    rebuilt.  A choice is checked again only against the elements that
-    are new, or whose row changed, since it was last known to hold.
+    rebuilt.  A choice is checked again only against the elements
+    stamped since it was last known to hold.
     Stats: ``prolongations`` counts prolongations examined, reused or
     reduced (``max_iterations`` caps this count); ``reused`` counts those
     settled by a certificate; ``inv_reductions`` counts the reduction
@@ -538,70 +561,48 @@ def involutive_basis(F, division, ordering, mode="thin",
              "basis_changes": 0}
     status = "complete"
     letters = range(len(ordering.alphabet))
-    certificates = {}   # (element, side, letter) -> [certificate, restart]
+    certificates = {}   # (element, side, letter) -> [certificate, clock]
     table = None
-    # aligned with the basis: the rank, which rises with the index and
-    # breaks ties between equal prolongation words; the restart at which
-    # the element last became new or its row last changed; and its row
-    ranks = list(range(len(basis)))
-    epochs, rows = [], []
-    queue = []          # (word key, rank, side, letter, element), ascending
+    since = -1          # the clock at the last restart
+    queue = []          # (word key, side, letter, element), ascending by rank
 
-    for restart in count():
+    def rank(entry):
+        # survivors keep their order, so the queue stays sorted by this
+        return entry[0], where[id(entry[3])], entry[1], entry[2]
+
+    while True:
         previous = basis
         # after a basis change, table describes all but the appended
         # remainder, so autoreduce need only check what that touches
         result = autoreduce(basis, division, ordering, mode, logs, stats, table)
         basis, logs, table = result.basis, result.logs, result.table
-        # the change record.  autoreduce appends, deletes and replaces in
-        # place, so the survivors keep their order, and a new element
-        # lies between the same survivors as a removed one, whose rank
-        # it takes
-        now = list(zip(table.left, table.right))
-        alive = {id(p) for p in basis}
-        before = {id(p) for p in previous}
-        ranks_now, epochs_now, stale, changed = [], [], set(), []
-        j = 0
-        for o, p in enumerate(previous):
-            if id(p) in alive:
-                if o < len(rows) and rows[o] == now[j]:
-                    epochs_now.append(epochs[o])
-                else:
-                    epochs_now.append(restart)
-                    stale.add(id(p))
-                    changed.append(j)
-            else:
-                stale.add(id(p))
+        stamps = table._stamps
+        where = {id(p): idx for idx, p in enumerate(basis)}
+        for p in previous:
+            if id(p) not in where:
                 for side in (0, 1):
                     for x in letters:
                         certificates.pop((p, side, x), None)
-                if j == len(basis) or id(basis[j]) in before:
-                    continue
-                epochs_now.append(restart)
-                changed.append(j)
-            ranks_now.append(ranks[o])
-            j += 1
-        ranks, epochs, rows = ranks_now, epochs_now, now
-        if stale:
-            queue = [entry for entry in queue if id(entry[4]) not in stale]
-        for idx in changed:
-            g, rank = basis[idx], ranks[idx]
-            lm = g.lm()
-            for x in table.nonmult_left(idx):
-                insort(queue, (ordering.key((x,) + lm), rank, 0, x, g))
-            for x in table.nonmult_right(idx):
-                insort(queue, (ordering.key(lm + (x,)), rank, 1, x, g))
-        where = {id(p): idx for idx, p in enumerate(basis)}
-        newest = list(accumulate(epochs, max, initial=-1))
-        for _, _, side, x, g in queue:
+        kept = {id(g) for g, stamp in zip(basis, stamps) if stamp <= since}
+        queue = [entry for entry in queue if id(entry[3]) in kept]
+        for idx, g in enumerate(basis):
+            if stamps[idx] > since:
+                lm = g.lm()
+                for x in table.nonmult_left(idx):
+                    insort(queue, (ordering.key((x,) + lm), 0, x, g), key=rank)
+                for x in table.nonmult_right(idx):
+                    insort(queue, (ordering.key(lm + (x,)), 1, x, g), key=rank)
+        since = next(_clock)
+        newest = list(accumulate(stamps, max, initial=-1))
+        for _, side, x, g in queue:
             if stats["prolongations"] >= max_iterations:
                 status = "iteration_cap_hit"
                 break
             stats["prolongations"] += 1
             known = certificates.get((g, side, x))
             if known is not None and _certificate_holds(
-                    known[0], known[1], where, epochs, newest, table, thick):
-                known[1] = restart
+                    known[0], known[1], where, stamps, newest, table, thick):
+                known[1] = since
                 stats["reused"] += 1
                 continue
             letter, unit = Term(Fraction(1), (x,)), Term(Fraction(1), ())
@@ -611,7 +612,7 @@ def involutive_basis(F, division, ordering, mode="thin",
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
                 certificates[g, side, x] = [_certificate(basis, table, dlog),
-                                            restart]
+                                            since]
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"
@@ -620,7 +621,6 @@ def involutive_basis(F, division, ordering, mode="thin",
                 logs.append(log_reduced(
                     log_conjugate(lterm, logs[where[id(g)]], rterm), dlog, logs))
             basis.append(rem)
-            ranks.append(ranks[-1] + 1)
             stats["basis_changes"] += 1
             break
         else:

@@ -13,7 +13,10 @@ The group presentations have coefficients +-1 only.  ``DENSE_DIGEST``
 pins runs on two dense cubics whose intermediate coefficients grow to
 hundreds of bits: logged Mora (normal and sugar), the reduced basis,
 and the division of a fixed non-member by the raw and the reduced
-basis, all under deglex.
+basis, all under deglex.  ``GRID_DIGEST`` pins unlogged involutive
+completion on S3 under all twelve divisions, deglex and degrevlex, thin
+and thick, capped at 500 prolongations: its stats, basis and table,
+which reach the whole-table rebuild of divisions 4, 5, 9 and 10.
 """
 
 import hashlib
@@ -27,6 +30,8 @@ from conftest import group_presentation
 
 DIGEST = "474c6fd4b8358372805feb66a5b06dc01a3dd220889a46177ba8ba2f8fcf6628"
 DENSE_DIGEST = "d49eb802722d751c777d39154bc728f7806e28b40296144edf2fa36b82f24e96"
+
+GRID_DIGEST = "db55adc49a7b71b2e140c717db9141fec31bb34ac79467a290dafd3037ed9f37"
 
 DENSE_CUBICS = (
     "-x^3 - 9*x^2*y - 9*x*y*x - 4*x*y^2 + 3*y*x^2 - 8*y*x*y - 3*y^2*x - 8*y^3",
@@ -82,6 +87,19 @@ def _dense_runs():
                    [log], None)
 
 
+def _grid_runs():
+    A = Alphabet(["Y", "X", "y", "x"])
+    for kind in ("deglex", "degrevlex"):
+        o = MonomialOrdering(kind, A)
+        F = group_presentation(A, o, "S3")
+        for key in range(1, 13):
+            for mode in ("thin", "thick"):
+                res = involutive_basis(F, InvolutiveDivision(key), o, mode=mode,
+                                       max_iterations=500)
+                yield (f"involutive S3 {kind} {key} {mode}", res.status,
+                       res.stats, res.basis, None, res.table)
+
+
 def digest_text(runs):
     lines = []
     for label, status, stats, basis, logs, table in runs:
@@ -103,3 +121,8 @@ def test_output_digest_pinned():
 def test_dense_digest_pinned():
     text = digest_text(_dense_runs())
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_DIGEST
+
+
+def test_grid_digest_pinned():
+    text = digest_text(_grid_runs())
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST

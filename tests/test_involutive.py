@@ -130,8 +130,9 @@ def test_mirror_duality(xyz):
 
 
 # a few words for many lead monomials, so that equal words meet, and
-# over two of the three letters, so that they overlap often
-edit_words = st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=5)
+# over two of the three letters, so that they overlap often; the empty
+# word is the lead monomial of a constant
+edit_words = st.lists(st.lists(st.integers(0, 1), max_size=5)
                       .map(tuple), min_size=1, max_size=4)
 edits = st.lists(st.tuples(st.sampled_from(("append", "delete", "replace")),
                            st.integers(0, 20), st.integers(0, 3)), max_size=14)
@@ -144,23 +145,42 @@ edits = st.lists(st.tuples(st.sampled_from(("append", "delete", "replace")),
                              ("delete", 1, 0)])
 def test_edited_rows_match_a_fresh_table(key, words, steps):
     # the rows autoreduce keeps as lead monomials are appended, deleted
-    # and replaced in place are the rows of a table built afresh
+    # and replaced in place are the rows of a table built afresh.  The
+    # edited row and exactly the rows whose sets change get a stamp newer
+    # than any before; the other rows whose sets grew are returned.
     alphabet = Alphabet(["x", "y", "z"])
     division = InvolutiveDivision(key)
     table = assign_multiplicative(division, [], alphabet)
     lms = []
+    latest = -1
     for op, at, pick in steps:
         word, i = words[pick % len(words)], at % (len(lms) or 1)
+        # each row before the edit, at its index after; None for the new row
+        before = list(zip(table.left, table.right, table._stamps))
         if op == "append" or not lms:
             lms.append(word)
-            _edit(table, len(lms) - 1, word)
+            before.append(None)
+            grown = _edit(table, len(lms) - 1, word)
         elif op == "delete":
             del lms[i]
-            _edit(table, i)
+            del before[i]
+            grown = _edit(table, i)
         else:
             lms[i] = word
-            _edit(table, i, word)
+            before[i] = None
+            grown = _edit(table, i, word)
         assert table == assign_multiplicative(division, lms, alphabet)
+        after = list(zip(table.left, table.right, table._stamps))
+        assert len(after) == len(before)
+        for old, (left, right, stamp) in zip(before, after):
+            if old is None or old[:2] != (left, right):
+                assert stamp > latest
+            else:
+                assert stamp == old[2]
+        assert set(grown) == {
+            j for j, (old, (left, right, _)) in enumerate(zip(before, after))
+            if old is not None and not (left <= old[0] and right <= old[1])}
+        latest = max([latest, *table._stamps])
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +545,20 @@ def test_certificate_replay_checks_every_choice(xyz, o):
 
 
 def test_certificate_replay_checks_what_changed(xyz, o):
-    # a certificate made at restart 0, replayed at restart 1: a step is
-    # checked again against the elements before its divisor that are
+    # a certificate made at clock 0, replayed later: a step is checked
+    # again against the elements before its divisor whose stamps are
     # newer than the certificate, and against the divisor when it is
     # newer itself
     Pset = P(xyz, o, "x*y - z", "y - z")
     where = {id(p): k for k, p in enumerate(Pset)}
     every = {0, 1, 2}
 
-    def holds(steps, epochs, right_of_y):
+    def holds(steps, stamps, right_of_y):
         table = MultiplicativeTable(InvolutiveDivision(3), xyz,
                                     [p.lm() for p in Pset],
                                     [every, every], [every, right_of_y])
-        newest = [-1, epochs[0]]
-        return _certificate_holds(steps, 0, where, epochs, newest, table,
+        newest = [-1, stamps[0]]
+        return _certificate_holds(steps, 0, where, stamps, newest, table,
                                   False)
 
     # y - z divided xy at offset 1 while x*y - z was not there yet; the
@@ -633,6 +653,23 @@ def test_completion_after_row_change_pinned(group_alphabet):
     assert tuple(res.stats[name] for name in (
         "prolongations", "reused", "inv_reductions", "basis_changes",
         "basis_size")) == (280, 202, 175, 19, 16)
+
+
+def test_strong_overlap_with_a_constant(xy):
+    # StrongLeftOverlap and its mirror withdraw a letter of every other
+    # lead monomial; a constant's empty word has none to withdraw
+    for key in (4, 9):
+        division = InvolutiveDivision(key)
+        assign_multiplicative(division, [(), (0,)], xy)
+        for kind in ("deglex", "degrevlex"):
+            o = MonomialOrdering(kind, xy)
+            F = P(xy, o, "x*y - 1", "2")
+            for mode in ("thin", "thick"):
+                res = involutive_basis(F, division, o, mode=mode, logged=True)
+                assert res.status == "complete"
+                assert reduce_basis(res.basis, o) == [P(xy, o, "1")]
+                for g, log in zip(res.basis, res.logs, strict=True):
+                    assert log_expand(log, F) == g
 
 
 def test_disjoint_cones_for_global_divisions(xy):
