@@ -17,6 +17,7 @@ footer lines, and the exit code reports how the run ended: 0 complete,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -195,8 +196,7 @@ def _dispatch(args, generators, ordering, caps):
 
 
 def _output_path(problem_path, ordering_kind, algorithm):
-    stem = problem_path.rsplit(".", 1)[0] if "." in problem_path.rsplit("/", 1)[-1] \
-        else problem_path
+    stem = os.path.splitext(problem_path)[0]
     return f"{stem}.{ORDERING_ABBREV[ordering_kind]}.{ALGORITHM_ABBREV[algorithm]}"
 
 

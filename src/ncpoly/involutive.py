@@ -19,11 +19,13 @@ again; the tables of 4, 5, 9 and 10 are rebuilt whole.  Every
 right-handed kind is the exact word-reversal mirror of the
 corresponding left-handed kind.
 
-Completion restarts after every basis change.  ``_edit``, the one
-function that changes a row, stamps the row it makes and every row whose
-letter sets it changes from one clock.  The sorted prolongations and the
-zero-reduction certificates are kept across restarts; only the rows
-stamped since the last restart are rebuilt or checked again.
+Completion autoreduces and restarts after every basis change.
+``_edit``, the one function that changes a row, stamps the row it makes
+and every row whose letter sets it changes from one clock, and a fact
+recorded at a clock value is checked again only against the rows
+stamped since: an element found irreducible is divided again only when
+one of its terms has a divisor among them, and the sorted prolongations
+and the zero-reduction certificates are kept across restarts.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
@@ -216,8 +218,7 @@ def _edit(table, i, lm=None):
     7 and their mirrors only the pairs with row i are counted again; a
     table without counts (4, 5 and their mirrors, or one built by hand)
     is rebuilt.  The row made and every other row whose letter sets change
-    get one fresh stamp from ``_clock``; returns the other rows (new
-    indices, with repeats) whose left or right set grew."""
+    get one fresh stamp from ``_clock``."""
     division, lms, counts = table.division, table.lms, table._counts
     new = [] if lm is None else [lm]
     n = len(table.alphabet)
@@ -228,15 +229,11 @@ def _edit(table, i, lm=None):
         lms[i:i + 1] = new
         table.left[i:i + 1] = [every if division.key == 1 else none] * len(new)
         table.right[i:i + 1] = [none if division.key == 1 else every] * len(new)
-        return []
-    grown = []
+        return
 
     def put(rows, j, row):
-        # a new row starts as every letter, so it never counts as grown
         if row != rows[j]:
             table._stamps[j] = stamp
-            if not row <= rows[j]:
-                grown.append(j)
             rows[j] = row
 
     if counts is None:
@@ -248,7 +245,7 @@ def _edit(table, i, lm=None):
             rows[i:i + 1] = [frozenset(range(n))] * len(new)
             for j, row in enumerate(fresh):
                 put(rows, j, row)
-        return grown
+        return
     changed = _count_pairs(table, i, -1) if i < len(lms) else []
     lms[i:i + 1] = new
     counts[i:i + 1] = [[0] * n for _ in new]
@@ -261,7 +258,6 @@ def _edit(table, i, lm=None):
     rows = table.right if division.left_handed else table.left
     for j in set(changed):
         put(rows, j, frozenset(x for x, c in enumerate(counts[j]) if not c))
-    return grown
 
 
 def _count_pairs(table, i, step):
@@ -405,81 +401,80 @@ def inv_divide(p, P, table, mode="thin", active=None):
 # Autoreduction
 # ---------------------------------------------------------------------------
 
-def autoreduce(P, division, ordering, mode="thin", logs=None, stats=None,
-               table=None):
+def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     """Repeatedly replace the first p_i that is involutively reducible by
     the rest, until stable.  The table always describes the full current
     set; the divisors are the set without p_i.  Zero reductions drop the
     element.  Returns a ``BasisResult`` whose ``table`` is the
-    multiplicative table of the result and whose ``logs`` are None
-    unless provided, and then aligned with P.  ``stats["inv_reductions"]``,
-    when stats is given, counts the reduction steps.
+    multiplicative table of the result, whose ``logs`` are None unless
+    provided, and then aligned with P, and whose
+    ``stats["inv_reductions"]`` counts the reduction steps.
 
-    ``table`` is for a basis that grew by one element: the table this
-    function returned for P[:-1], under the same division and mode.  It
-    is used only when its division and lead monomials match those of
-    P[:-1] (zero polynomials dropped).  Then the table is extended by the
-    last element's row, not built again, and the elements of P[:-1] are
-    checked only against the last element and against the elements that
-    replace them, until the row of one of them grows; the result is the
-    same as without ``table``, which is left as it was.  Each
-    replacement or deletion updates the table the same way (see
-    ``_edit``)."""
+    Each element keeps the clock value at which it was last known to be
+    irreducible by the others, and is checked again only against the
+    rows ``_edit`` has stamped since.  ``table`` is for a basis that grew
+    by one element: the table this function returned for P[:-1], under
+    the same division and mode.  It is used only when its division and
+    lead monomials match those of P[:-1] (zero polynomials dropped).
+    Then the table is extended by the last element's row, not built
+    again, and the elements of P[:-1] count as irreducible as of its
+    stamps; the result is the same as without ``table``, which is left
+    as it was."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     thick = _thick(mode)    # rejects an unknown mode even when nothing is divided
     basis, logs = _basis_in(P, ordering, logs)
     alphabet = ordering.alphabet
-    # fresh[i]: basis[i] may reduce, or be reduced by, the other elements.
-    # No term of an element that is not fresh is divisible by another such
-    # element j under j's row, nor under any smaller row: smaller letter
-    # sets admit fewer placements, thin or thick.  Until _edit grows the
-    # row of one of them, they need checking only against the fresh ones.
-    fresh = [True] * len(basis)
-    grown = []
+    # checked[i]: a clock value when no term of basis[i] was divisible by
+    # another element.  A row stamped no later than that is the row it was
+    # then, and a deleted row divides nothing, so only the rows stamped
+    # since can divide it now.
+    checked = [-1] * len(basis)
     if (basis and table is not None and table.division == division
             and table.lms == [p.lm() for p in basis[:-1]]):
-        fresh[:-1] = [False] * len(table.lms)
+        checked[:-1] = [next(_clock)] * len(table.lms)
         counts, stamps = table._counts, table._stamps
         table = MultiplicativeTable(division, alphabet, table.lms, table.left,
                                     table.right)
         table._counts = None if counts is None else [c[:] for c in counts]
         table._stamps = stamps[:]
-        grown = _edit(table, len(table.lms), basis[-1].lm())
+        _edit(table, len(table.lms), basis[-1].lm())
     else:
         table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
+    reductions = 0
     while True:
-        if not all(fresh[j] for j in grown):
-            fresh = [True] * len(basis)
-        active = [j for j in range(len(basis)) if fresh[j]]
+        now = next(_clock)
+        newer = {}      # checked value -> the rows stamped after it
         for i in range(len(basis)):
-            if not fresh[i] and all(
-                    first_divisor(u, table.lms, table.left, table.right,
-                                  thick, active) is None
-                    for _, u in basis[i].terms):
+            since = checked[i]
+            if since not in newer:
+                newer[since] = [j for j, stamp in enumerate(table._stamps)
+                                if stamp > since]
+            rows = [j for j in newer[since] if j != i]
+            if all(first_divisor(u, table.lms, table.left, table.right,
+                                 thick, rows) is None
+                   for _, u in basis[i].terms):
+                checked[i] = now
                 continue
-            others = [j for j in range(len(basis)) if j != i]
-            if not others:
-                continue
-            rem, dlog = inv_divide(basis[i], basis, table, mode, others)
-            if stats is not None:
-                stats["inv_reductions"] = stats.get("inv_reductions", 0) + len(dlog)
-            if not dlog:
-                continue
+            rem, dlog = inv_divide(basis[i], basis, table, mode,
+                                   [j for j in range(len(basis)) if j != i])
+            reductions += len(dlog)
             if rem.is_zero():
-                del basis[i], fresh[i]
-                grown = _edit(table, i)
+                del basis[i], checked[i]
+                _edit(table, i)
                 if logs is not None:
                     del logs[i]
             else:
-                basis[i] = rem
-                fresh[i] = True
-                grown = _edit(table, i, rem.lm())
+                # fully reduced by the rows as they stand at now; _edit
+                # stamps every row it changes later
+                basis[i], checked[i] = rem, now
+                _edit(table, i, rem.lm())
                 if logs is not None:
                     logs[i] = log_reduced(logs[i], dlog, logs)
             break
         else:
-            return BasisResult(basis, logs=logs, table=table)
+            return BasisResult(basis, stats={"inv_reductions": reductions},
+                               logs=logs, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +569,9 @@ def involutive_basis(F, division, ordering, mode="thin",
         previous = basis
         # after a basis change, table describes all but the appended
         # remainder, so autoreduce need only check what that touches
-        result = autoreduce(basis, division, ordering, mode, logs, stats, table)
+        result = autoreduce(basis, division, ordering, mode, logs, table)
         basis, logs, table = result.basis, result.logs, result.table
+        stats["inv_reductions"] += result.stats["inv_reductions"]
         stamps = table._stamps
         where = {id(p): idx for idx, p in enumerate(basis)}
         for p in previous:

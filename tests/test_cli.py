@@ -97,6 +97,12 @@ def test_groebner_run_writes_output(tmp_path):
     assert any("status=complete" in l for l in stats)
     assert any("basis_size=6" in l for l in stats)
     assert any("wall_time=" in l for l in stats)
+    # a dot-file keeps its whole name: two of them would otherwise both
+    # write .deg.gb
+    hidden = write(tmp_path, ".mora", MORA_FILE)
+    assert main([str(hidden), "--algorithm", "groebner"]) == EXIT_OK
+    assert read_output(tmp_path / ".mora.deg.gb")[0] == polys
+    assert not (tmp_path / ".deg.gb").exists()
 
 
 def test_s3_involutive_run(tmp_path):
