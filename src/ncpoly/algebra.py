@@ -134,7 +134,8 @@ class Polynomial:
         """The same polynomial re-sorted under another ordering."""
         if ordering is self.ordering or ordering == self.ordering:
             return self
-        return Polynomial(self.terms, self.alphabet, ordering)
+        return Polynomial(_sum_terms(self.terms, ordering), self.alphabet,
+                          ordering, _trusted=True)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -327,8 +328,9 @@ def parse_polynomial(text, alphabet, ordering):
     if not tokens:
         raise ParseError("empty polynomial", 0)
     parser = _Parser(tokens, len(text))
-    terms = parser.parse_poly()
-    return Polynomial(terms, alphabet, ordering)
+    # the tokenizer yields alphabet indices and the parser Fractions
+    return Polynomial(_sum_terms(parser.parse_poly(), ordering), alphabet,
+                      ordering, _trusted=True)
 
 
 def format_word(mon, alphabet):

@@ -115,23 +115,16 @@ def build_arg_parser():
     return parser
 
 
-def _resolve_ordering(args, file_override, alphabet):
-    kind = args.ordering or file_override or "degrevlex"
-    try:
-        return MonomialOrdering(kind, alphabet)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from exc
-
-
 def run(args, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         alphabet, gen_lines, file_ordering = parse_problem_file(args.problem)
-        ordering = _resolve_ordering(args, file_ordering, alphabet)
+        ordering = MonomialOrdering(args.ordering or file_ordering
+                                    or "degrevlex", alphabet)
         generators = _parse_generators(args.problem, alphabet, ordering,
                                        gen_lines)
-    except (ProblemFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

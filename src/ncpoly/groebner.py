@@ -38,9 +38,6 @@ def log_identity(k):
 
 
 def log_scale(log, scalar):
-    scalar = Fraction(scalar)
-    if scalar == 0:
-        return ()
     return tuple((Term(l.coeff * scalar, l.mon), k, r) for l, k, r in log)
 
 
@@ -380,14 +377,11 @@ def reduce_basis(G, ordering):
             i += 1
     done = []
     rest = list(work)
+    # no lead monomial divides another's, so a remainder keeps its monic
+    # lead term
     while rest:
         g = rest.pop(0)
         others = rest + done
-        if others:
-            rem, _ = divide(g, others)
-        else:
-            rem = g
-        if not rem.is_zero():
-            done.append(rem.monic())
+        done.append(divide(g, others)[0] if others else g)
     done.sort(key=lambda g: ordering.key(g.lm()), reverse=True)
     return done

@@ -109,7 +109,7 @@ class MultiplicativeTable:
     from.  ``sets_for`` looks a row up by word (first match)."""
 
     __slots__ = ("division", "alphabet", "lms", "left", "right", "_counts",
-                 "_stamps")
+                 "_stamps", "_reduced")
 
     def __init__(self, division, alphabet, lms, left, right):
         self.division = division
@@ -124,6 +124,9 @@ class MultiplicativeTable:
         # per row, the clock when it was made or its sets last changed: a
         # new table is newer than anything recorded before it
         self._stamps = [next(_clock)] * len(self.lms)
+        # (thick, *basis) while this is the table autoreduce returned for
+        # that basis in that mode, and no later call has taken it over
+        self._reduced = None
 
     def __eq__(self, other):
         return (isinstance(other, MultiplicativeTable)
@@ -214,11 +217,12 @@ def assign_multiplicative(division, lms, alphabet):
 def _edit(table, i, lm=None):
     """Make row i of ``table`` the row of lead monomial ``lm``, in place:
     append it when i is the table's length, else replace row i, or delete
-    row i when ``lm`` is None.  Rows of 1 and 2 are constant; under 3, 6,
-    7 and their mirrors only the pairs with row i are counted again; a
-    table without counts (4, 5 and their mirrors, or one built by hand)
-    is rebuilt.  The row made and every other row whose letter sets change
-    get one fresh stamp from ``_clock``."""
+    row i when ``lm`` is None.  ``table`` is one ``assign_multiplicative``
+    built.  Rows of 1 and 2 are constant; under 3, 6, 7 and their mirrors
+    only the pairs with row i are counted again; the tables of 4, 5 and
+    their mirrors, which keep no counts, are rebuilt.  The row made and
+    every other row whose letter sets change get one fresh stamp from
+    ``_clock``."""
     division, lms, counts = table.division, table.lms, table._counts
     new = [] if lm is None else [lm]
     n = len(table.alphabet)
@@ -240,7 +244,6 @@ def _edit(table, i, lm=None):
         whole = assign_multiplicative(division, lms[:i] + new + lms[i + 1:],
                                       table.alphabet)
         lms[i:i + 1] = new
-        table._counts = whole._counts
         for rows, fresh in ((table.left, whole.left), (table.right, whole.right)):
             rows[i:i + 1] = [frozenset(range(n))] * len(new)
             for j, row in enumerate(fresh):
@@ -265,10 +268,9 @@ def _count_pairs(table, i, step):
     a row of ``table`` (itself included) discards; return the rows whose
     letter set that changes, with repeats.
 
-    A pair is taken in descending DegRevLex order of its words, as
-    ``assign_multiplicative`` sorts them (two equal words discard alike
-    in either order); a mirrored division counts on reversed words and
-    left sets."""
+    A pair is taken longer word first, as ``_discards`` needs it (two
+    words of one length discard alike in either order); a mirrored
+    division counts on reversed words and left sets."""
     key = table.division.key
     words = table.lms
     if not table.division.left_handed:
@@ -286,14 +288,12 @@ def _count_pairs(table, i, step):
                 changed.append(j)
 
     ui = words[i]
-    ki = _degrevlex_key(ui)
     da, db = _discards(key, ui, ui)
     bump(i, da + db)
     for j, uj in enumerate(words):
         if j == i:
             continue
-        kj = _degrevlex_key(uj)
-        if kj <= ki:
+        if len(uj) <= len(ui):
             da, db = _discards(key, ui, uj)
             bump(i, da)
             bump(j, db)
@@ -307,9 +307,8 @@ def _count_pairs(table, i, step):
 def _discards(key, ua, ub):
     """The letters that the pair (ua, ub) discards from the right sets of
     ua and of ub under LeftOverlap (3), PrefixOnlyLeftOverlap (6) or
-    SubwordFreeLeftOverlap (7), with repeats.  ua comes first in
-    descending DegRevLex order, so it is at least as long as ub; ua is
-    ub for an element's overlaps with itself."""
+    SubwordFreeLeftOverlap (7), with repeats.  ua is at least as long as
+    ub; ua is ub for an element's overlaps with itself."""
     alpha, beta = len(ua), len(ub)
     da, db = [], []
     if key == 3:            # ub inside ua, but not as its suffix
@@ -413,34 +412,32 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     Each element keeps the clock value at which it was last known to be
     irreducible by the others, and is checked again only against the
     rows ``_edit`` has stamped since.  ``table`` is for a basis that grew
-    by one element: the table this function returned for P[:-1], under
-    the same division and mode.  It is used only when its division and
-    lead monomials match those of P[:-1] (zero polynomials dropped).
-    Then the table is extended by the last element's row, not built
-    again, and the elements of P[:-1] count as irreducible as of its
-    stamps; the result is the same as without ``table``, which is left
-    as it was."""
+    by one element: the table this function returned, under the same
+    division and mode, for a basis whose element objects P[:-1] (zero
+    polynomials dropped) are, in order.  Such a table is taken over: it
+    is extended in place by the last element's row, not built again, and
+    the elements of P[:-1] count as irreducible as of its stamps.  Any
+    other table is ignored.  Either way the result is the same as
+    without ``table``."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     thick = _thick(mode)    # rejects an unknown mode even when nothing is divided
     basis, logs = _basis_in(P, ordering, logs)
-    alphabet = ordering.alphabet
     # checked[i]: a clock value when no term of basis[i] was divisible by
     # another element.  A row stamped no later than that is the row it was
     # then, and a deleted row divides nothing, so only the rows stamped
     # since can divide it now.
     checked = [-1] * len(basis)
-    if (basis and table is not None and table.division == division
-            and table.lms == [p.lm() for p in basis[:-1]]):
+    reduced = None if table is None else table._reduced
+    if (reduced is not None and table.division == division
+            and reduced[0] == thick and len(reduced) == len(basis)
+            and all(p is q for p, q in zip(reduced[1:], basis))):
+        table._reduced = None
         checked[:-1] = [next(_clock)] * len(table.lms)
-        counts, stamps = table._counts, table._stamps
-        table = MultiplicativeTable(division, alphabet, table.lms, table.left,
-                                    table.right)
-        table._counts = None if counts is None else [c[:] for c in counts]
-        table._stamps = stamps[:]
         _edit(table, len(table.lms), basis[-1].lm())
     else:
-        table = assign_multiplicative(division, [p.lm() for p in basis], alphabet)
+        table = assign_multiplicative(division, [p.lm() for p in basis],
+                                      ordering.alphabet)
     reductions = 0
     while True:
         now = next(_clock)
@@ -473,6 +470,7 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
                     logs[i] = log_reduced(logs[i], dlog, logs)
             break
         else:
+            table._reduced = (thick, *basis)
             return BasisResult(basis, stats={"inv_reductions": reductions},
                                logs=logs, table=table)
 

@@ -59,7 +59,7 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
         for h in reduce_basis(inner.basis, job.target):
             rem, log = divide(h.with_ordering(job.source), G_init)
             if not rem.is_zero():
-                raise AssertionError(
+                raise ValueError(
                     "initials basis failed to divide an initial-ideal "
                     "element to zero; the input was not a Gröbner Basis "
                     "for the source ordering")

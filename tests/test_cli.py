@@ -216,6 +216,20 @@ def test_default_ordering_is_degrevlex(tmp_path):
     assert (tmp_path / "plain.drl.gb").exists()
 
 
+def test_bad_file_ordering_exits_usage(tmp_path, capsys):
+    cases = {
+        "lex": "error: lex is not admissible and is refused by default; "
+               "pass unsafe=True to experiment with it",
+        "foo": "error: unknown ordering 'foo'; choose from ('deglex', "
+               "'deginvlex', 'degrevlex', 'lex', 'invlex')",
+    }
+    for kind, line in cases.items():
+        path = write(tmp_path, f"{kind}.txt",
+                     f"vars: x > y\nordering: {kind}\nx*y - 1\n")
+        assert main([str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == line + "\n"
+
+
 def test_bad_flags_exit_usage(tmp_path):
     path = write(tmp_path, "plain.txt", "vars: x > y\nx*y - 1\n")
     assert main([str(path), "--algorithm", "nonsense"]) == EXIT_USAGE

@@ -367,11 +367,13 @@ def test_autoreduce_keeps_logs_aligned(xy):
         assert log_expand(log, F) == g
 
 
-def test_autoreduce_table_of_all_but_the_last(group_alphabet, monkeypatch):
+def test_autoreduce_table_of_all_but_the_last(group_alphabet, xyz,
+                                              monkeypatch):
     # with the table autoreduce returned for P[:-1], only the appended
-    # element and what it touches are checked, to the same result.  With
-    # or without it, an element is divided only when a term of it has a
-    # divisor, so no division comes back with an empty log.
+    # element and what it touches are checked, to the same result, and
+    # the table is taken over.  With or without it, an element is
+    # divided only when a term of it has a divisor, so no division comes
+    # back with an empty log.
     o = MonomialOrdering("deglex", group_alphabet)
     F = group_presentation(group_alphabet, o, "S3")
     every = set(range(len(group_alphabet)))
@@ -400,9 +402,10 @@ def test_autoreduce_table_of_all_but_the_last(group_alphabet, monkeypatch):
                 runs.append(run)
             assert runs[0].logs is not None
             assert runs[1] == runs[0], (key, mode)
+            assert runs[1].table is r.table
             # R[:-1] holds a multiple of R[0], so it is not autoreduced: a
-            # table claiming it is, with rows too large to grow, is ignored
-            # unless its division and lead monomials match R[:-1]
+            # table claiming it is, with rows too large to grow, is ignored,
+            # as autoreduce did not return it
             R = r.basis + [r.basis[0].scaled(2), h]
             lms = [p.lm() for p in R[:-1]]
             full = [every] * len(lms)
@@ -414,6 +417,20 @@ def test_autoreduce_table_of_all_but_the_last(group_alphabet, monkeypatch):
                     MultiplicativeTable(division, group_alphabet, lms[::-1],
                                         full, full)):
                 assert autoreduce(R, division, o, mode, table=table) == plain
+    # a table autoreduce returned in the other mode, or for a basis with
+    # the same lead monomials but other tails, is ignored too
+    o = MonomialOrdering("deglex", xyz)
+    R = autoreduce(P(xyz, o, "z", "-y^3*z + 2*y*x*z", "-y*z*x^2 - x^3"), 11,
+                   o, "thick")
+    Q = R.basis + [P(xyz, o, "2*x^3*y")]
+    plain = autoreduce(Q, 11, o, "thin")
+    assert plain.basis[1] == P(xyz, o, "-y^3*z")
+    assert autoreduce(Q, 11, o, "thin", table=R.table) == plain
+    T = autoreduce(P(xyz, o, "y", "x*z"), 1, o).table
+    Q = P(xyz, o, "y", "x*z + y", "z^2")
+    plain = autoreduce(Q, 1, o)
+    assert plain.basis == P(xyz, o, "y", "x*z", "z^2")
+    assert autoreduce(Q, 1, o, table=T) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 import pytest
 
 from ncpoly import (InvolutiveDivision, MonomialOrdering, Polynomial, WalkJob,
-                    divide, degree_function, initial, involutive_basis, mora,
-                    groebner_walk, involutive_walk, reduce_basis)
+                    divide, degree_function, initial, involutive_basis,
+                    log_expand, mora, groebner_walk, involutive_walk,
+                    reduce_basis)
 
-from conftest import P, all_spolys_reduce_to_zero
+from conftest import P, all_spolys_reduce_to_zero, group_presentation
 
 
 @pytest.fixture
@@ -76,6 +77,36 @@ def test_walk_refuses_non_harmonious(xy, drl):
         groebner_walk(job)
     with pytest.raises(ValueError):
         groebner_walk(WalkJob(source=drl, target=drl, basis=[]))
+
+
+def test_groebner_walk_refuses_a_source_that_is_not_groebner(xy, drl, dl):
+    # both elements lead with y*x, so x^2, which is in the ideal, is
+    # reducible by neither: the source basis is not Gröbner
+    job = WalkJob(drl, dl, P(xy, drl, "y*x", "y*x - x^2"))
+    with pytest.raises(ValueError, match="not a Gröbner Basis"):
+        groebner_walk(job)
+
+
+def test_capped_walks_return_the_inner_run(group_alphabet):
+    # a cap stops the inner completion of the initials, whose basis (and
+    # logs, over the initials) come back as they stand
+    drl = MonomialOrdering("degrevlex", group_alphabet)
+    dl = MonomialOrdering("deglex", group_alphabet)
+    s3 = group_presentation(group_alphabet, drl, "S3")
+    gb = reduce_basis(mora(s3, drl).basis, drl)
+    walked = groebner_walk(WalkJob(drl, dl, gb), max_iterations=2)
+    initials = [initial(g, degree_function()).with_ordering(dl) for g in gb]
+    assert walked.status == "iteration_cap_hit"
+    assert len(walked.basis) == 10
+    assert walked.basis[:len(initials)] == initials
+    assert walked.basis != reduce_basis(walked.basis, dl)
+    ib = involutive_basis(s3, 1, drl).basis
+    walked = involutive_walk(WalkJob(drl, dl, ib, InvolutiveDivision(1)),
+                             max_iterations=2)
+    initials = [initial(g, degree_function()).with_ordering(dl) for g in ib]
+    assert walked.status == "iteration_cap_hit"
+    assert len(walked.basis) == 19
+    assert [log_expand(log, initials) for log in walked.logs] == walked.basis
 
 
 def test_groebner_walk_output_is_groebner(xy, drl, dl):
