@@ -21,11 +21,12 @@ import os
 import sys
 import time
 
-from .algebra import Alphabet, ParseError, format_polynomial, parse_polynomial
+from .algebra import (Alphabet, ParseError, _Divisors, format_polynomial,
+                      parse_polynomial)
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
                        mora, reduce_basis)
 from .involutive import involutive_basis
-from .orderings import MonomialOrdering
+from .orderings import ALL_KINDS, MonomialOrdering
 from .walk import WalkJob, groebner_walk, involutive_walk
 
 ORDERING_ABBREV = {"deglex": "deg", "deginvlex": "dil", "degrevlex": "drl"}
@@ -120,8 +121,12 @@ def run(args, out=None, err=None):
     err = err if err is not None else sys.stderr
     try:
         alphabet, gen_lines, file_ordering = parse_problem_file(args.problem)
-        ordering = MonomialOrdering(args.ordering or file_ordering
-                                    or "degrevlex", alphabet)
+        kind = (args.ordering or file_ordering or "degrevlex").lower()
+        if kind not in ORDERING_ABBREV:
+            problem = (f"{kind} is not admissible" if kind in ALL_KINDS
+                       else f"unknown ordering {kind!r}")
+            raise ValueError(f"{problem}; choose deglex, deginvlex or degrevlex")
+        ordering = MonomialOrdering(kind, alphabet)
         generators = _parse_generators(args.problem, alphabet, ordering,
                                        gen_lines)
     except (OSError, ValueError) as exc:
@@ -217,6 +222,7 @@ def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     alphabet = ordering.alphabet
+    divisors = _Divisors(reduced_gb, ordering)
     for raw in inp:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -228,7 +234,7 @@ def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
         except ParseError as exc:
             print(f"error: {exc}", file=err)
             continue
-        rem, _ = divide(p, reduced_gb)
+        rem, _ = divide(p, divisors)
         if rem.is_zero():
             print("member", file=out)
         else:

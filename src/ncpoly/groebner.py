@@ -20,7 +20,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import Polynomial, Term, _sum_terms, term_mul_poly
+from .algebra import (Polynomial, Term, _Divisors, _encode, _first_in,
+                      _sum_terms, term_mul_poly)
 from .spoly import enumerate_overlaps, s_polynomial, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
@@ -93,74 +94,71 @@ def first_divisor(u, lms, lefts=None, rights=None, thick=False, active=None):
     lefts[j] and rights[j] hold the letters u3 and u4 may carry: thin
     divisors test only the letters next to lms[j], thick ones every
     cofactor letter.  ``lefts=None`` admits every letter: conventional
-    division.
+    division, which encodes the words and searches them as strings, the
+    search ``divide`` runs over its prepared divisor set.
     """
+    if lefts is None:
+        return _first_in(_encode(u), [_encode(v) for v in lms], active)
     n = len(u)
-    thin = lefts is not None and not thick
     for j in range(len(lms)) if active is None else active:
         v = lms[j]
         d = len(v)
         if d > n:
             continue
         lo, hi = 0, n - d
-        if lefts is not None:
-            right = rights[j]
-            if not right:       # u4 must be empty: only the suffix placement
-                if u[hi:] == v:
-                    left = lefts[j]
-                    if not hi or (left.issuperset(u[:hi]) if thick
-                                  else u[hi - 1] in left):
-                        return j, hi
-                continue
-            left = lefts[j]
-            if not left:        # u3 must be empty: only the prefix placement
-                if u[:d] == v and (not hi or (right.issuperset(u[d:]) if thick
-                                              else u[d] in right)):
-                    return j, 0
-                continue
-            if thick:
-                # u3 must lie inside the longest left-multiplicative prefix
-                # of u, u4 inside the longest right-multiplicative suffix;
-                # every placement in between is admitted
-                lo = n
-                while lo and u[lo - 1] in right:
-                    lo -= 1
-                lo = max(0, lo - d)
-                hi = 0
-                while hi < n - d and u[hi] in left:
-                    hi += 1
+        right = rights[j]
+        if not right:       # u4 must be empty: only the suffix placement
+            if u[hi:] == v:
+                left = lefts[j]
+                if not hi or (left.issuperset(u[:hi]) if thick
+                              else u[hi - 1] in left):
+                    return j, hi
+            continue
+        left = lefts[j]
+        if not left:        # u3 must be empty: only the prefix placement
+            if u[:d] == v and (not hi or (right.issuperset(u[d:]) if thick
+                                          else u[d] in right)):
+                return j, 0
+            continue
+        if thick:
+            # u3 must lie inside the longest left-multiplicative prefix
+            # of u, u4 inside the longest right-multiplicative suffix;
+            # every placement in between is admitted
+            lo = n
+            while lo and u[lo - 1] in right:
+                lo -= 1
+            lo = max(0, lo - d)
+            hi = 0
+            while hi < n - d and u[hi] in left:
+                hi += 1
         for s in range(lo, hi + 1):
-            if u[s:s + d] == v and (not thin or (
+            if u[s:s + d] == v and (thick or (
                     (not s or u[s - 1] in left)
                     and (s + d == n or u[s + d] in right))):
                 return j, s
     return None
 
 
-def reduce_by(p, P, lms, lefts=None, rights=None, thick=False, active=None):
+def reduce_by(p, P, find):
     """Reduce p by P term by term, returning (remainder, log).
 
     The running polynomial is ``work / scale``: a dict from word to
     integer coefficient over one positive integer denominator, with a
     heap of its words, greatest first under p's ordering, which must be
-    admissible and shared by every element of P.  While the greatest
-    word u has a divisor, ``first_divisor(u, lms, lefts, rights, thick,
-    active)`` gives (j, s): P[j] is cancelled in place at the placement
-    whose left cofactor is u[:s], in integers.  ``scale`` grows only as
-    far as that step needs, and scaling by a nonzero integer keeps every
-    zero test, so each step is the one exact rational division takes.
-    A word whose coefficient cancels stays in the dict as a zero until
-    it is popped, so each word is pushed once.  Irreducible words go to
-    the remainder, which comes out descending.  The remainder and the
-    log hold ``Fraction``s.  The log's triples reference indices into P
-    and satisfy p = remainder + expansion(log).
+    admissible; the caller checks that P shares it.  While the greatest
+    word u has a divisor, ``find(u)`` gives (j, s): P[j] is cancelled in
+    place at the placement whose left cofactor is u[:s], in integers.
+    ``scale`` grows only as far as that step needs, and scaling by a
+    nonzero integer keeps every zero test, so each step is the one exact
+    rational division takes.  A word whose coefficient cancels stays in
+    the dict as a zero until it is popped, so each word is pushed once.
+    Irreducible words go to the remainder, which comes out descending.
+    The remainder and the log hold ``Fraction``s.  The log's triples
+    reference indices into P and satisfy p = remainder + expansion(log).
     """
     ordering = p.ordering
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
-    for q in P:
-        if q.ordering is not ordering and q.ordering != ordering:
-            raise ValueError("polynomials live in different algebras or orderings")
     desc = ordering.desc_key
     scale = 1
     for c, _ in p.terms:
@@ -175,7 +173,7 @@ def reduce_by(p, P, lms, lefts=None, rights=None, thick=False, active=None):
         a = work.pop(u)
         if not a:
             continue
-        hit = first_divisor(u, lms, lefts, rights, thick, active)
+        hit = find(u)
         if hit is None:
             rem_terms.append(Term(Fraction(a, scale), u))
             continue
@@ -221,17 +219,23 @@ def reduce_by(p, P, lms, lefts=None, rights=None, thick=False, active=None):
 
 
 def divide(p, P):
-    """Divide p by the set P, returning (remainder, log).
+    """Divide p by P, returning (remainder, log).
 
     Conventional division under p's ordering, which every element of P
     must share: every placement of a basis lead monomial is admitted,
     and each term is divided by the first element of P whose lead
-    monomial it contains, at the leftmost placement.  See ``reduce_by``
-    for the loop and the log.
+    monomial it contains, at the leftmost placement.  P is a list of
+    nonzero polynomials, or a prepared divisor set
+    (``algebra._Divisors``) that a caller dividing by one basis many
+    times builds once: a list is prepared on every call.  Each term's
+    lookup is one ``str.find`` per lead word.  See ``reduce_by`` for the
+    loop and the log.
     """
-    if any(q.is_zero() for q in P):
-        raise ValueError("divisors must be nonzero")
-    return reduce_by(p, P, [q.lm() for q in P])
+    if not isinstance(P, _Divisors):
+        P = _Divisors(P, p.ordering)
+    elif p.ordering is not P.ordering and p.ordering != P.ordering:
+        raise ValueError("polynomials live in different algebras or orderings")
+    return reduce_by(p, P.polys, P.first)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +296,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     if not G:
         raise ValueError("input basis has no nonzero polynomials")
     sugars = [g.degree() for g in G]
+    divisors = _Divisors(G, ordering)   # grows with G
     pending = []   # (key, spec, sugar), ascending by key
 
     def add_overlaps(i, j):
@@ -324,7 +329,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         _, spec, sug = pending.pop(0)
         # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))
-        if use_criterion2 and criterion2_applies(spec, G, settled):
+        if use_criterion2 and criterion2_applies(spec, divisors, settled):
             stats["criterion2_skips"] += 1
             continue
         stats["spolys_considered"] += 1
@@ -332,7 +337,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         if s.is_zero():
             stats["zero_reductions"] += 1
             continue
-        rem, dlog = divide(s, G)
+        rem, dlog = divide(s, divisors)
         if rem.is_zero():
             stats["zero_reductions"] += 1
             continue
@@ -347,6 +352,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 logs)
             logs.append(log_reduced(s_log, dlog, logs))
         G.append(rem)
+        divisors.add(rem)
         sugars.append(sug)
         if not rem.lm():
             break    # a nonzero constant: see above
@@ -367,21 +373,21 @@ def reduce_basis(G, ordering):
     monomial a multiple of another's, every element fully reduced against
     the rest.  Output sorted descending by lead monomial."""
     work = [g.monic() for g in _basis_in(G, ordering)[0]]
-    lms = [g.lm() for g in work]
+    words = [_encode(g.lm()) for g in work]
     i = 0
     while i < len(work):
-        others = [jj for jj in range(len(work)) if jj != i]
-        if first_divisor(lms[i], lms, active=others) is not None:
-            del work[i], lms[i]
+        if any(v in words[i] for jj, v in enumerate(words) if jj != i):
+            del work[i], words[i]
         else:
             i += 1
-    done = []
-    rest = list(work)
+    done, done_words = [], []
     # no lead monomial divides another's, so a remainder keeps its monic
-    # lead term
-    while rest:
-        g = rest.pop(0)
-        others = rest + done
-        done.append(divide(g, others)[0] if others else g)
+    # lead term, and with it its lead word
+    while work:
+        g = work.pop(0)
+        word = words.pop(0)
+        others = _Divisors(work + done, ordering, words + done_words)
+        done.append(divide(g, others)[0] if others.polys else g)
+        done_words.append(word)
     done.sort(key=lambda g: ordering.key(g.lm()), reverse=True)
     return done

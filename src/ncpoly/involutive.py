@@ -392,8 +392,13 @@ def inv_divide(p, P, table, mode="thin", active=None):
     left cofactor.  The table always describes all of P, and its lead
     monomials are the ones read.  The log has one triple per reduction
     step."""
-    return reduce_by(p, P, table.lms, table.left, table.right, _thick(mode),
-                     active)
+    ordering = p.ordering
+    for q in P:
+        if q.ordering is not ordering and q.ordering != ordering:
+            raise ValueError("polynomials live in different algebras or orderings")
+    lms, lefts, rights, thick = table.lms, table.left, table.right, _thick(mode)
+    return reduce_by(p, P, lambda u: first_divisor(u, lms, lefts, rights,
+                                                   thick, active))
 
 
 # ---------------------------------------------------------------------------

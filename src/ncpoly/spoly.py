@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Term, poly_combine, term_mul_poly
+from .algebra import Term, _Divisors, poly_combine, term_mul_poly
 
 
 @dataclass(frozen=True)
@@ -109,38 +109,34 @@ def criterion2_applies(spec, basis, settled):
     overlap S-polynomial is already settled (processed or known to
     reduce to zero).  Placements where the third monomial does not
     overlap a participant need no check at all: a non-overlapping pair
-    of placements always reduces to zero.
+    of placements always reduces to zero.  ``basis`` is a list of
+    nonzero polynomials, or the prepared divisor set
+    (``algebra._Divisors``) that ``mora`` keeps beside its basis; the
+    placements come from its string search.
     """
+    if not isinstance(basis, _Divisors):
+        basis = _Divisors(basis, basis[0].ordering)
     w = spec.overlap_word
     own_key = settled_key(spec)
-    participants = ((spec.i, spec.l1), (spec.j, spec.l2))
-    for h_idx, h in enumerate(basis):
-        uh = h.lm()
-        dh = len(uh)
-        for s in range(len(w) - dh + 1):
-            if w[s:s + dh] != uh:
-                continue
-            l3 = w[:s]
-            if any(h_idx == p_idx and l3 == lp for p_idx, lp in participants):
-                continue  # this is one of the participants' own placements
-            if _admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
-                return True
+    # the participants' placements, as (element, offset in w)
+    own = ((spec.i, len(spec.l1)), (spec.j, len(spec.l2)))
+    for h_idx, s in basis.occurrences(w):
+        if (h_idx, s) not in own and _admits_skip(w, basis.words, own, h_idx,
+                                                  s, settled, own_key):
+            return True
     return False
 
 
-def _admits_skip(spec, basis, h_idx, s, dh, settled, own_key):
-    w = spec.overlap_word
-    for p_idx, lp, up in ((spec.i, spec.l1, basis[spec.i].lm()),
-                          (spec.j, spec.l2, basis[spec.j].lm())):
-        a0, a1 = len(lp), len(lp) + len(up)
-        b0, b1 = s, s + dh
+def _admits_skip(w, words, own, h_idx, b0, settled, own_key):
+    b1 = b0 + len(words[h_idx])
+    for p_idx, a0 in own:
+        a1 = a0 + len(words[p_idx])
         if a1 <= b0 or b1 <= a0:
             continue  # disjoint as placed: reduces to zero regardless
         # l's are prefixes of w, so the maximal common prefix is simply
         # the shorter one
         cut_l = min(a0, b0)
-        lp_red, l3_red = w[cut_l:a0], w[cut_l:b0]
-        induced = _overlap_key(p_idx, lp_red, h_idx, l3_red)
+        induced = _overlap_key(p_idx, w[cut_l:a0], h_idx, w[cut_l:b0])
         if induced == own_key or induced not in settled:
             return False
     return True

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .algebra import _Divisors
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, divide, log_expand, mora, reduce_basis)
 from .involutive import involutive_basis
@@ -56,8 +57,9 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
     """Convert a source-ordering Gröbner Basis to the reduced basis of
     the target ordering."""
     def division_logs(inner, G_init):
+        divisors = _Divisors(G_init, job.source)
         for h in reduce_basis(inner.basis, job.target):
-            rem, log = divide(h.with_ordering(job.source), G_init)
+            rem, log = divide(h.with_ordering(job.source), divisors)
             if not rem.is_zero():
                 raise ValueError(
                     "initials basis failed to divide an initial-ideal "

@@ -218,10 +218,10 @@ def test_default_ordering_is_degrevlex(tmp_path):
 
 def test_bad_file_ordering_exits_usage(tmp_path, capsys):
     cases = {
-        "lex": "error: lex is not admissible and is refused by default; "
-               "pass unsafe=True to experiment with it",
-        "foo": "error: unknown ordering 'foo'; choose from ('deglex', "
-               "'deginvlex', 'degrevlex', 'lex', 'invlex')",
+        "lex": "error: lex is not admissible; "
+               "choose deglex, deginvlex or degrevlex",
+        "foo": "error: unknown ordering 'foo'; "
+               "choose deglex, deginvlex or degrevlex",
     }
     for kind, line in cases.items():
         path = write(tmp_path, f"{kind}.txt",

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     MultiplicativeTable, Polynomial, Term,
-                    assign_multiplicative, divide, inv_divide, log_expand,
-                    mora, parse_polynomial, poly_combine, reduce_basis,
-                    sugar_value)
+                    assign_multiplicative, criterion2_applies, divide,
+                    enumerate_overlaps, inv_divide, log_expand, mora,
+                    parse_polynomial, poly_combine, reduce_basis, sugar_value)
+from ncpoly.algebra import _Divisors
 from ncpoly.groebner import first_divisor
-from ncpoly.spoly import OverlapSpec
+from ncpoly.spoly import OverlapSpec, settled_key
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
                       random_poly, reference_reduce, seeded_rng, w)
@@ -179,6 +180,71 @@ def test_reduction_matches_reference(problem):
                                 None if sets is None else active)
     assert (rem.terms, log) == expected
     assert poly_combine(rem, log_expand(log, divisors), 1) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems(), st.data())
+# a constant divisor: its empty lead word occurs at every offset
+@example(problem=_division_example("deglex", "x*y*x + y + 2",
+                                   ["y*x - z", "3", "x*y + 1"]),
+         data=None)
+def test_prepared_divisor_set_gives_the_list_answer(problem, data):
+    o, p, divisors, _, _, _ = problem
+    prepared = _Divisors(divisors, o)
+    rem, log = divide(p, divisors)
+    rem_set, log_set = divide(p, prepared)
+    assert (rem.terms, log) == (rem_set.terms, log_set)
+    specs = [spec for i, j in itertools.combinations_with_replacement(
+                 range(len(divisors)), 2)
+             if divisors[i].lm() and divisors[j].lm()
+             for spec in enumerate_overlaps(divisors[i].lm(), divisors[j].lm(),
+                                            i == j, i, j)]
+    keys = sorted({settled_key(spec) for spec in specs})
+    settled = set()
+    if keys and data is not None:
+        settled = set(data.draw(st.lists(st.sampled_from(keys))))
+    for spec in specs:
+        assert (criterion2_applies(spec, divisors, settled)
+                == criterion2_applies(spec, prepared, settled))
+
+
+def _relabelled(polys, alphabet, ordering, letter_map):
+    return [Polynomial([Term(t.coeff, tuple(letter_map[x] for x in t.mon))
+                        for t in q.terms], alphabet, ordering) for q in polys]
+
+
+@pytest.mark.parametrize("kind", ["deglex", "deginvlex", "degrevlex"])
+def test_no_alphabet_cap(kind):
+    # the letters 0, 255, 256 and 299 of g0 > ... > g299, and the same
+    # system on a > b > c > d: the relabelling keeps the order of the
+    # letters, so every result must map back letter for letter
+    wide = Alphabet([f"g{k}" for k in range(300)])
+    small = Alphabet(["a", "b", "c", "d"])
+    o_wide, o_small = MonomialOrdering(kind, wide), MonomialOrdering(kind, small)
+    down = {0: 0, 255: 1, 256: 2, 299: 3}
+    up = {v: k for k, v in down.items()}
+    F = P(wide, o_wide, "g0*g299 - g299*g256", "g255*g256 - g0", "g299^2 - 1")
+    assert _relabelled(F, small, o_small, down) == P(
+        small, o_small, "a*d - d*c", "b*c - a", "d^2 - 1")
+    runs = []
+    for o, G in ((o_wide, F), (o_small, _relabelled(F, small, o_small, down))):
+        result = mora(G, o)
+        assert result.status == "complete" and result.stats["criterion2_skips"]
+        runs.append((result.basis, reduce_basis(result.basis, o)))
+    (basis_w, reduced_w), (basis_s, reduced_s) = runs
+    assert basis_w == _relabelled(basis_s, wide, o_wide, up)
+    assert reduced_w == _relabelled(reduced_s, wide, o_wide, up)
+    for text in ("g299*g0*g299*g255*g256", "g255*g256*g299^3 + g0",
+                 "g256*g0*g299*g0 - 2*g255"):
+        p = P(wide, o_wide, text)
+        rem_w, log_w = divide(p, basis_w)
+        rem_s, log_s = divide(_relabelled([p], small, o_small, down)[0],
+                              basis_s)
+        assert rem_w == _relabelled([rem_s], wide, o_wide, up)[0]
+        assert log_w == tuple((Term(l.coeff, tuple(up[x] for x in l.mon)), k,
+                               Term(r.coeff, tuple(up[x] for x in r.mon)))
+                              for l, k, r in log_s)
+        assert log_w and poly_combine(rem_w, log_expand(log_w, basis_w), 1) == p
 
 
 def test_division_refuses_non_admissible_orderings(xy):
