@@ -68,20 +68,9 @@ def _encode(word):
     return "".join(map(chr, word))
 
 
-def _first_in(text, words, active=None):
-    """The first (j, s), in ``active`` order (default all of ``words``),
-    with words[j] occurring in the encoded word ``text`` at offset s, s
-    the smallest such; None if no word occurs."""
-    for j in range(len(words)) if active is None else active:
-        s = text.find(words[j])
-        if s >= 0:
-            return j, s
-    return None
-
-
 class _Divisors:
-    """Nonzero polynomials in one ordering, prepared for conventional
-    division: ``polys`` with their lead words encoded once (``words``).
+    """The one conventional divisor search: nonzero polynomials in one
+    ordering, ``polys``, with their lead words encoded once (``words``).
 
     Each element is checked once, when it is added.  ``first`` and
     ``occurrences`` find the lead words inside a word.
@@ -89,26 +78,31 @@ class _Divisors:
 
     __slots__ = ("ordering", "polys", "words")
 
-    def __init__(self, polys, ordering, words=None):
+    def __init__(self, polys, ordering):
         self.ordering = ordering
         self.polys = []
         self.words = []
-        for k, q in enumerate(polys):
-            self.add(q, None if words is None else words[k])
+        for q in polys:
+            self.add(q)
 
-    def add(self, q, word=None):
-        """Append q, whose lead word, encoded, is ``word`` if given."""
+    def add(self, q):
+        """Append the nonzero polynomial q, in the set's ordering."""
         if q.is_zero():
             raise ValueError("divisors must be nonzero")
         if q.ordering is not self.ordering and q.ordering != self.ordering:
             raise ValueError("polynomials live in different algebras or orderings")
         self.polys.append(q)
-        self.words.append(_encode(q.terms[0].mon) if word is None else word)
+        self.words.append(_encode(q.terms[0].mon))
 
     def first(self, u):
         """The first element whose lead word occurs in the word u, and its
         leftmost offset there, as (j, s), or None."""
-        return _first_in(_encode(u), self.words)
+        text = _encode(u)
+        for j, v in enumerate(self.words):
+            s = text.find(v)
+            if s >= 0:
+                return j, s
+        return None
 
     def occurrences(self, u):
         """Every (j, s) with element j's lead word at offset s in u."""

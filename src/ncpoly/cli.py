@@ -150,8 +150,13 @@ def run(args, out=None, err=None):
     elapsed = time.perf_counter() - started
 
     out_path = _output_path(args.problem, ordering.kind, args.algorithm)
-    _write_output(out_path, alphabet, computed_in, basis, stats, status,
-                  elapsed)
+    try:
+        _write_output(out_path, alphabet, computed_in, basis, stats, status,
+                      elapsed)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}",
+              file=err)
+        return EXIT_USAGE
     if args.verbose:
         print(f"wrote {out_path} ({len(basis)} polynomials, status {status})",
               file=out)

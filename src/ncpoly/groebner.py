@@ -2,7 +2,10 @@
 
 Also houses the division algorithm, the unique reduced basis, sugar
 values and logged representations (explicit expressions of basis
-elements over the input generators).
+elements over the input generators).  The division loop, ``reduce_by``,
+takes its divisor lookup as a callable: ``divide`` passes the
+conventional one, ``algebra._Divisors.first``, and involutive division
+brings its own from ``involutive``.
 
 The algorithm need not terminate -- noncommutative monomial ideals can
 fail to be finitely generated -- so runs are bounded by a lead-monomial
@@ -20,8 +23,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import (Polynomial, Term, _Divisors, _encode, _first_in,
-                      _sum_terms, term_mul_poly)
+from .algebra import (Polynomial, Term, _Divisors, _encode, _sum_terms,
+                      term_mul_poly)
 from .spoly import enumerate_overlaps, s_polynomial, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
@@ -85,69 +88,16 @@ def log_expand(log, F):
 # Division
 # ---------------------------------------------------------------------------
 
-def first_divisor(u, lms, lefts=None, rights=None, thick=False, active=None):
-    """The first divisor of word u, as (j, s), or None.
-
-    j is the first index (in ``active`` order, default all of ``lms``)
-    whose word lms[j] occurs in u at a placement u = u3 * lms[j] * u4
-    that row j's letter sets admit; s = len(u3) is the smallest such.
-    lefts[j] and rights[j] hold the letters u3 and u4 may carry: thin
-    divisors test only the letters next to lms[j], thick ones every
-    cofactor letter.  ``lefts=None`` admits every letter: conventional
-    division, which encodes the words and searches them as strings, the
-    search ``divide`` runs over its prepared divisor set.
-    """
-    if lefts is None:
-        return _first_in(_encode(u), [_encode(v) for v in lms], active)
-    n = len(u)
-    for j in range(len(lms)) if active is None else active:
-        v = lms[j]
-        d = len(v)
-        if d > n:
-            continue
-        lo, hi = 0, n - d
-        right = rights[j]
-        if not right:       # u4 must be empty: only the suffix placement
-            if u[hi:] == v:
-                left = lefts[j]
-                if not hi or (left.issuperset(u[:hi]) if thick
-                              else u[hi - 1] in left):
-                    return j, hi
-            continue
-        left = lefts[j]
-        if not left:        # u3 must be empty: only the prefix placement
-            if u[:d] == v and (not hi or (right.issuperset(u[d:]) if thick
-                                          else u[d] in right)):
-                return j, 0
-            continue
-        if thick:
-            # u3 must lie inside the longest left-multiplicative prefix
-            # of u, u4 inside the longest right-multiplicative suffix;
-            # every placement in between is admitted
-            lo = n
-            while lo and u[lo - 1] in right:
-                lo -= 1
-            lo = max(0, lo - d)
-            hi = 0
-            while hi < n - d and u[hi] in left:
-                hi += 1
-        for s in range(lo, hi + 1):
-            if u[s:s + d] == v and (thick or (
-                    (not s or u[s - 1] in left)
-                    and (s + d == n or u[s + d] in right))):
-                return j, s
-    return None
-
-
 def reduce_by(p, P, find):
     """Reduce p by P term by term, returning (remainder, log).
 
     The running polynomial is ``work / scale``: a dict from word to
     integer coefficient over one positive integer denominator, with a
     heap of its words, greatest first under p's ordering, which must be
-    admissible; the caller checks that P shares it.  While the greatest
-    word u has a divisor, ``find(u)`` gives (j, s): P[j] is cancelled in
-    place at the placement whose left cofactor is u[:s], in integers.
+    admissible; the caller checks that P shares it.  ``find`` is the
+    caller's divisor lookup: while the greatest word u has a divisor,
+    ``find(u)`` gives (j, s), and P[j] is cancelled in place at the
+    placement whose left cofactor is u[:s], in integers.
     ``scale`` grows only as far as that step needs, and scaling by a
     nonzero integer keeps every zero test, so each step is the one exact
     rational division takes.  A word whose coefficient cancels stays in
@@ -228,8 +178,8 @@ def divide(p, P):
     nonzero polynomials, or a prepared divisor set
     (``algebra._Divisors``) that a caller dividing by one basis many
     times builds once: a list is prepared on every call.  Each term's
-    lookup is one ``str.find`` per lead word.  See ``reduce_by`` for the
-    loop and the log.
+    lookup is ``_Divisors.first``.  See ``reduce_by`` for the loop and
+    the log.
     """
     if not isinstance(P, _Divisors):
         P = _Divisors(P, p.ordering)
@@ -296,7 +246,8 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     if not G:
         raise ValueError("input basis has no nonzero polynomials")
     sugars = [g.degree() for g in G]
-    divisors = _Divisors(G, ordering)   # grows with G
+    divisors = _Divisors(G, ordering)
+    G = divisors.polys      # the basis grows through divisors.add
     pending = []   # (key, spec, sugar), ascending by key
 
     def add_overlaps(i, j):
@@ -351,7 +302,6 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 ((Term(G[spec.i].lc(), spec.l2), spec.j, Term(_ONE, spec.r2)),),
                 logs)
             logs.append(log_reduced(s_log, dlog, logs))
-        G.append(rem)
         divisors.add(rem)
         sugars.append(sug)
         if not rem.lm():
@@ -380,14 +330,12 @@ def reduce_basis(G, ordering):
             del work[i], words[i]
         else:
             i += 1
-    done, done_words = [], []
+    done = []
     # no lead monomial divides another's, so a remainder keeps its monic
-    # lead term, and with it its lead word
+    # lead term
     while work:
         g = work.pop(0)
-        word = words.pop(0)
-        others = _Divisors(work + done, ordering, words + done_words)
-        done.append(divide(g, others)[0] if others.polys else g)
-        done_words.append(word)
+        others = work + done
+        done.append(divide(g, others)[0] if others else g)
     done.sort(key=lambda g: ordering.key(g.lm()), reverse=True)
     return done

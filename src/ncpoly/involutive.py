@@ -29,8 +29,8 @@ and the zero-reduction certificates are kept across restarts.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
-and divisor lookup of ``groebner`` with the table's letter sets, and
-reads nothing else of the division.  Divisibility comes in two
+of ``groebner`` with this module's lookup, ``first_divisor``, the one
+search of the table's rows.  Divisibility comes in two
 flavours: thin divisors test only the cofactor letters adjacent to the
 divisor (the last letter of the left cofactor and the first of the
 right), thick divisors test every cofactor letter.  Thin is the
@@ -46,8 +46,8 @@ from itertools import accumulate, count
 
 from .algebra import Term, term_mul_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
-                       _basis_in, first_divisor, log_conjugate, log_identity,
-                       log_reduced, reduce_by)
+                       _basis_in, log_conjugate, log_identity, log_reduced,
+                       reduce_by)
 from .orderings import _degrevlex_key
 
 DIVISION_NAMES = {
@@ -370,6 +370,57 @@ def _thick(mode):
     return mode == "thick"
 
 
+def first_divisor(u, lms, lefts, rights, thick, active=None):
+    """The first involutive divisor of word u, as (j, s), or None.
+
+    j is the first row (in ``active`` order, default every row) whose
+    word lms[j] occurs in u at a placement u = u3 * lms[j] * u4 that row
+    j's letter sets admit; s = len(u3) is the smallest such.  lefts[j]
+    and rights[j] hold the letters u3 and u4 may carry: thin divisors
+    test only the letters next to lms[j], thick ones every cofactor
+    letter.  A row of every letter admits every placement; conventional
+    division has its own search, ``algebra._Divisors``.
+    """
+    n = len(u)
+    for j in range(len(lms)) if active is None else active:
+        v = lms[j]
+        d = len(v)
+        if d > n:
+            continue
+        lo, hi = 0, n - d
+        right = rights[j]
+        if not right:       # u4 must be empty: only the suffix placement
+            if u[hi:] == v:
+                left = lefts[j]
+                if not hi or (left.issuperset(u[:hi]) if thick
+                              else u[hi - 1] in left):
+                    return j, hi
+            continue
+        left = lefts[j]
+        if not left:        # u3 must be empty: only the prefix placement
+            if u[:d] == v and (not hi or (right.issuperset(u[d:]) if thick
+                                          else u[d] in right)):
+                return j, 0
+            continue
+        if thick:
+            # u3 must lie inside the longest left-multiplicative prefix
+            # of u, u4 inside the longest right-multiplicative suffix;
+            # every placement in between is admitted
+            lo = n
+            while lo and u[lo - 1] in right:
+                lo -= 1
+            lo = max(0, lo - d)
+            hi = 0
+            while hi < n - d and u[hi] in left:
+                hi += 1
+        for s in range(lo, hi + 1):
+            if u[s:s + d] == v and (thick or (
+                    (not s or u[s - 1] in left)
+                    and (s + d == n or u[s + d] in right))):
+                return j, s
+    return None
+
+
 def involutively_divides(u2, u1, table, mode="thin"):
     """The admitted placement u1 = u3 * u2 * u4 with minimal-degree u3,
     or None.  ``mode`` selects thin or thick divisors."""
@@ -500,22 +551,21 @@ def _certificate_holds(steps, made, where, stamps, newest, table, thick):
     The choices were last known to be made at clock value ``made``.
     ``where`` maps each element of the basis (by ``id``) to its index;
     ``stamps[k]`` is the stamp of row k (``table._stamps``), and
-    ``newest[k]`` the largest stamp before k.  An element whose stamp is
+    ``newest[k]`` the largest of stamps[0..k].  An element whose stamp is
     no newer than ``made`` had the same row and came before the same
-    elements then, so it chooses as it chose then: a step scans only the
-    newer elements before its divisor, and rechecks the divisor alone
-    when it is newer."""
+    elements then, so it chooses as it chose then: a step scans the
+    newer rows up to its divisor's once, and must first hit the divisor
+    at the recorded placement if its row is newer, and nothing if not."""
     lms, lefts, rights = table.lms, table.left, table.right
     for divisor, word, left in steps:
         k = where.get(id(divisor))
         if k is None:
             return False
-        if newest[k] > made and first_divisor(
-                word, lms, lefts, rights, thick,
-                [j for j in range(k) if stamps[j] > made]) is not None:
-            return False
-        if stamps[k] > made and first_divisor(
-                word, lms, lefts, rights, thick, (k,)) != (k, left):
+        if newest[k] <= made:
+            continue
+        want = (k, left) if stamps[k] > made else None
+        if first_divisor(word, lms, lefts, rights, thick,
+                         [j for j in range(k + 1) if stamps[j] > made]) != want:
             return False
     return True
 
@@ -592,7 +642,7 @@ def involutive_basis(F, division, ordering, mode="thin",
                 for x in table.nonmult_right(idx):
                     insort(queue, (ordering.key(lm + (x,)), 1, x, g), key=rank)
         since = next(_clock)
-        newest = list(accumulate(stamps, max, initial=-1))
+        newest = list(accumulate(stamps, max))
         for _, side, x, g in queue:
             if stats["prolongations"] >= max_iterations:
                 status = "iteration_cap_hit"

@@ -111,7 +111,7 @@ def criterion2_applies(spec, basis, settled):
     overlap a participant need no check at all: a non-overlapping pair
     of placements always reduces to zero.  ``basis`` is a list of
     nonzero polynomials, or the prepared divisor set
-    (``algebra._Divisors``) that ``mora`` keeps beside its basis; the
+    (``algebra._Divisors``) that holds ``mora``'s basis; the
     placements come from its string search.
     """
     if not isinstance(basis, _Divisors):

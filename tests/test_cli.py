@@ -160,6 +160,21 @@ def test_walk_to_its_own_ordering_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_unwritable_output_exits_usage(tmp_path, capsys, monkeypatch):
+    # a directory holds the output's name: one error line, no traceback,
+    # and the membership loop never reads a query
+    path = write(tmp_path, "s3.txt", S3_FILE)
+    (tmp_path / "s3.deg.gb").mkdir()
+    monkeypatch.setattr("sys.stdin", io.StringIO("x^3 - 1\nquit\n"))
+    assert main([str(path), "--membership"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {tmp_path / 's3.deg.gb'}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_walk_footer_lists_walk_counters(tmp_path):
     path = write(tmp_path, "walk.txt", WALK_FILE)
     assert main([str(path), "--algorithm", "gwalk", "--ordering",

@@ -13,7 +13,7 @@ from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     enumerate_overlaps, inv_divide, log_expand, mora,
                     parse_polynomial, poly_combine, reduce_basis, sugar_value)
 from ncpoly.algebra import _Divisors
-from ncpoly.groebner import first_divisor
+from ncpoly.involutive import first_divisor
 from ncpoly.spoly import OverlapSpec, settled_key
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
@@ -87,8 +87,9 @@ row_sets = st.tuples(st.frozensets(letters), st.frozensets(letters))
 @st.composite
 def divisor_rows(draw):
     """Divisor words, their letter sets and a lookup order.  Sets of None
-    admit every letter (conventional division); otherwise each row gets
-    its own, possibly empty or partial, pair of sets."""
+    stand for rows of every letter, which admit every placement;
+    otherwise each row gets its own, possibly empty or partial, pair of
+    sets."""
     lms = draw(st.lists(st.lists(letters, max_size=3).map(tuple),
                         min_size=1, max_size=4))
     sets = draw(st.none() | st.lists(row_sets, min_size=len(lms),
@@ -111,8 +112,10 @@ def test_first_divisor_matches_oracle(u, rows, thick):
         if s is not None:
             expected = (j, s)
             break
-    lefts = None if sets is None else [left for left, _ in sets]
-    rights = None if sets is None else [right for _, right in sets]
+    if sets is None:
+        sets = [(frozenset(range(3)), frozenset(range(3)))] * len(lms)
+    lefts = [left for left, _ in sets]
+    rights = [right for _, right in sets]
     assert first_divisor(u, lms, lefts, rights, thick, active) == expected
 
 

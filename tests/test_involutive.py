@@ -546,8 +546,10 @@ def test_certificate_replay_checks_every_choice(xyz, o):
     # checked again
     def holds(steps, basis, table):
         where = {id(p): k for k, p in enumerate(basis)}
-        return _certificate_holds(steps, -1, where, [0] * len(basis),
-                                  [0] * len(basis), table, False)
+        stamps = [0] * len(basis)
+        newest = list(itertools.accumulate(stamps, max))
+        return _certificate_holds(steps, -1, where, stamps, newest, table,
+                                  False)
 
     Pset = P(xyz, o, "x*y - z", "y - z")
     every = {0, 1, 2}
@@ -583,7 +585,7 @@ def test_certificate_replay_checks_what_changed(xyz, o):
         table = MultiplicativeTable(InvolutiveDivision(3), xyz,
                                     [p.lm() for p in Pset],
                                     [every, every], [every, right_of_y])
-        newest = [-1, stamps[0]]
+        newest = list(itertools.accumulate(stamps, max))
         return _certificate_holds(steps, 0, where, stamps, newest, table,
                                   False)
 
@@ -595,6 +597,9 @@ def test_certificate_replay_checks_what_changed(xyz, o):
     assert not holds(((Pset[1], w(xyz, "yy"), 1),), [0, 1], every)
     # ... but a row that grew by z leaves the placement as it was
     assert holds(((Pset[1], w(xyz, "yy"), 1),), [0, 1], {0, 2})
+    # both rows newer: x*y - z does not divide yy, so y - z still does,
+    # at offset 1
+    assert holds(((Pset[1], w(xyz, "yy"), 1),), [1, 1], {0, 2})
 
 
 # reduction steps performed by each run below, keyed by (group, key,
