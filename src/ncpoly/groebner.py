@@ -273,10 +273,10 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     status = "complete"
 
     while pending:
-        stats["iterations"] += 1
-        if stats["iterations"] > max_iterations:
+        if stats["iterations"] >= max_iterations:
             status = "iteration_cap_hit"
             break
+        stats["iterations"] += 1
         _, spec, sug = pending.pop(0)
         # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))

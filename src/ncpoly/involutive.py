@@ -40,6 +40,7 @@ yet involutively irreducible; see the degree-cap tests for a witness.
 
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from fractions import Fraction
 from itertools import accumulate, count
@@ -75,10 +76,14 @@ class InvolutiveDivision:
     __slots__ = ("key",)
 
     def __init__(self, key):
-        key = int(key)
-        if key not in DIVISION_NAMES:
-            raise ValueError(f"division key must be 1..12, got {key}")
-        self.key = key
+        try:
+            index = operator.index(key)
+        except TypeError:
+            index = None
+        if index not in DIVISION_NAMES:
+            raise ValueError(
+                f"division key must be an integer 1..12, got {key!r}")
+        self.key = index
 
     @property
     def name(self):
@@ -440,16 +445,26 @@ def inv_divide(p, P, table, mode="thin", active=None):
     multiplicative table must admit: a term is divided by the first
     element of P (in ``active`` order, default all of P) that
     involutively divides it, at the admitted placement with the shortest
-    left cofactor.  The table always describes all of P, and its lead
-    monomials are the ones read.  The log has one triple per reduction
-    step."""
+    left cofactor.  The table must describe all of P, row j for P[j]: a
+    table with another number of rows, or a divisor found whose lead
+    monomial is not its row's word, raises ``ValueError``.  The log has
+    one triple per reduction step."""
     ordering = p.ordering
     for q in P:
         if q.ordering is not ordering and q.ordering != ordering:
             raise ValueError("polynomials live in different algebras or orderings")
     lms, lefts, rights, thick = table.lms, table.left, table.right, _thick(mode)
-    return reduce_by(p, P, lambda u: first_divisor(u, lms, lefts, rights,
-                                                   thick, active))
+    if len(lms) != len(P):
+        raise ValueError(f"the table has {len(lms)} rows for {len(P)} divisors")
+
+    def find(u):
+        hit = first_divisor(u, lms, lefts, rights, thick, active)
+        if hit is not None and P[hit[0]].terms[0].mon != lms[hit[0]]:
+            raise ValueError(f"divisor {hit[0]} does not lead with its "
+                             "table row's word")
+        return hit
+
+    return reduce_by(p, P, find)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Basis conversion between harmonious orderings (the degree-based trio).
 
-Both walks have one shape, ``_walk``: take the degree-initials G' of the
-source basis, complete <G'> in the target ordering, express each element
-of the result over G' and substitute the full source elements for their
-initials.  They differ in the lift.  The Gröbner walk divides each
-element of the reduced basis H' by G' under the *source* ordering (G' is
-a Gröbner Basis there, so the remainder is zero) and reduces the result.
-The involutive walk's inner run is logged, its logs are the
-representations, and there is no final reduction.
+Two walks, two lifts; they share only ``_initials``.  Both complete the
+degree-initials G' of the source basis G in the target ordering and
+return a run stopped by a cap as it stands.  The Gröbner walk lifts each
+element h of the reduced inner basis by one reduction under the source
+ordering, f = h - NF_G(h), which keeps h's lead term, and reduces the
+lifted elements.  The involutive walk's inner run is logged; expanding
+its representations over G is the lift, with no final reduction.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import _Divisors
+from .algebra import _Divisors, poly_combine
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, divide, log_expand, mora, reduce_basis)
 from .involutive import involutive_basis
@@ -31,10 +30,9 @@ class WalkJob:
     mode: str = "thin"
 
 
-def _walk(job, complete, logs):
-    """``complete(F)`` completes the target-ordered initials F;
-    ``logs(inner, initials)`` yields the representations over the
-    initials.  A completion stopped by a cap is returned as it stands."""
+def _initials(job):
+    """The source basis G in the source ordering, zero polynomials
+    dropped, and its degree-initials in the target ordering."""
     if not harmonious(job.source, job.target):
         raise ValueError(
             "walks require harmonious orderings: their functional "
@@ -43,36 +41,32 @@ def _walk(job, complete, logs):
             "deginvlex and degrevlex)")
     G, _ = _basis_in(job.basis, job.source)
     theta = degree_function()
-    G_init = [initial(g, theta) for g in G]
-    inner = complete([g.with_ordering(job.target) for g in G_init])
-    if inner.status != "complete":
-        return inner
-    target_G = [g.with_ordering(job.target) for g in G]
-    return BasisResult([log_expand(log, target_G) for log in logs(inner, G_init)],
-                       stats=inner.stats)
+    return G, [initial(g, theta).with_ordering(job.target) for g in G]
 
 
 def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
                   max_iterations=DEFAULT_MAX_ITERATIONS):
     """Convert a source-ordering Gröbner Basis to the reduced basis of
     the target ordering."""
-    def division_logs(inner, G_init):
-        divisors = _Divisors(G_init, job.source)
-        for h in reduce_basis(inner.basis, job.target):
-            rem, log = divide(h.with_ordering(job.source), divisors)
-            if not rem.is_zero():
-                raise ValueError(
-                    "initials basis failed to divide an initial-ideal "
-                    "element to zero; the input was not a Gröbner Basis "
-                    "for the source ordering")
-            yield log
-
-    result = _walk(job, lambda F: mora(F, job.target, max_degree=max_degree,
-                                       max_iterations=max_iterations),
-                   division_logs)
-    if result.status == "complete":
-        result.basis = reduce_basis(result.basis, job.target)
-    return result
+    G, initials = _initials(job)
+    inner = mora(initials, job.target, max_degree=max_degree,
+                 max_iterations=max_iterations)
+    if inner.status != "complete":
+        return inner
+    divisors = _Divisors(G, job.source)
+    lifted = []
+    for h in reduce_basis(inner.basis, job.target):
+        h = h.with_ordering(job.source)
+        rem, _ = divide(h, divisors)
+        # the terms of degree deg h are divided first, and only by the
+        # initials of G: a remainder of that degree means G' failed
+        if not rem.is_zero() and len(rem.lm()) == len(h.lm()):
+            raise ValueError(
+                "initials basis failed to divide an initial-ideal "
+                "element to zero; the input was not a Gröbner Basis "
+                "for the source ordering")
+        lifted.append(poly_combine(h, rem, -1).with_ordering(job.target))
+    return BasisResult(reduce_basis(lifted, job.target), stats=inner.stats)
 
 
 def involutive_walk(job, max_degree=DEFAULT_MAX_DEGREE,
@@ -80,7 +74,12 @@ def involutive_walk(job, max_degree=DEFAULT_MAX_DEGREE,
     """Convert a source-ordering Involutive Basis to the target ordering."""
     if job.division is None:
         raise ValueError("the involutive walk needs an involutive division")
-    return _walk(job, lambda F: involutive_basis(
-        F, job.division, job.target, mode=job.mode, max_degree=max_degree,
-        max_iterations=max_iterations, logged=True),
-        lambda inner, G_init: inner.logs)
+    G, initials = _initials(job)
+    inner = involutive_basis(initials, job.division, job.target,
+                             mode=job.mode, max_degree=max_degree,
+                             max_iterations=max_iterations, logged=True)
+    if inner.status != "complete":
+        return inner
+    G = [g.with_ordering(job.target) for g in G]
+    return BasisResult([log_expand(log, G) for log in inner.logs],
+                       stats=inner.stats)

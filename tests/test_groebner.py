@@ -357,6 +357,7 @@ def test_mora_iteration_cap(xyz, o):
     F = P(xyz, o, *MORA_FIXTURE)
     result = mora(F, o, max_iterations=1)
     assert result.status == "iteration_cap_hit"
+    assert result.stats["iterations"] == 1
 
 
 def test_mora_degree_cap(xyz, o):

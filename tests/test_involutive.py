@@ -47,6 +47,10 @@ def test_division_keys_and_names():
     assert not InvolutiveDivision(8).left_handed
     with pytest.raises(ValueError):
         InvolutiveDivision(13)
+    with pytest.raises(ValueError):
+        InvolutiveDivision(3.7)
+    with pytest.raises(ValueError):
+        InvolutiveDivision("3")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,15 @@ def test_inv_divide_rejects_divisors_in_another_ordering(xyz, o):
         inv_divide(P(xyz, drl, "x^2*y"), Pset, table)
     with pytest.raises(ValueError, match="different algebras or orderings"):
         divide(P(xyz, drl, "x^2*y"), Pset)
+    # a table must describe P row for row: its row for y*x does not
+    # describe x*y - z, and a table with one row more describes no P
+    table = assign_multiplicative(InvolutiveDivision(1), [w(xyz, "yx")], xyz)
+    with pytest.raises(ValueError, match="table row"):
+        inv_divide(P(xyz, o, "y*x"), [P(xyz, o, "x*y - z")], table)
+    table = assign_multiplicative(InvolutiveDivision(1),
+                                  [p.lm() for p in Pset] + [w(xyz, "z")], xyz)
+    with pytest.raises(ValueError, match="rows"):
+        inv_divide(P(xyz, o, "x^2*y"), Pset, table)
 
 
 def test_inv_divide_irreducible_is_identity(xyz, o):

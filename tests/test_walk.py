@@ -1,5 +1,7 @@
 """Gröbner and Involutive Walks between the degree-based orderings."""
 
+from itertools import permutations
+
 import pytest
 
 from ncpoly import (InvolutiveDivision, MonomialOrdering, Polynomial, WalkJob,
@@ -57,11 +59,23 @@ def test_groebner_walk_drops_zero_polynomials(xy, drl, dl):
     assert walked.basis == groebner_walk(WalkJob(drl, dl, G)).basis
 
 
-def test_groebner_walk_matches_direct_computation(xy, drl, dl):
-    job = WalkJob(source=drl, target=dl, basis=drl_basis(xy, drl))
-    walked = groebner_walk(job).basis
-    direct = mora([g.with_ordering(dl) for g in drl_basis(xy, drl)], dl)
-    assert walked == reduce_basis(direct.basis, dl)
+@pytest.mark.parametrize("source, target",
+                         permutations(("deglex", "deginvlex", "degrevlex"), 2))
+@pytest.mark.parametrize("problem", ["example", "s3"])
+def test_groebner_walk_matches_direct_computation(xy, group_alphabet, problem,
+                                                  source, target):
+    # the source basis is Mora's raw output, which reduce_basis would
+    # still change; on the worked example in degrevlex it is drl_basis
+    alphabet = xy if problem == "example" else group_alphabet
+    src = MonomialOrdering(source, alphabet)
+    gens = (drl_basis(xy, src) if problem == "example"
+            else group_presentation(alphabet, src, "S3"))
+    basis = mora(gens, src).basis
+    assert basis != reduce_basis(basis, src)
+    dst = MonomialOrdering(target, alphabet)
+    walked = groebner_walk(WalkJob(src, dst, basis)).basis
+    direct = mora([g.with_ordering(dst) for g in gens], dst)
+    assert walked == reduce_basis(direct.basis, dst)
 
 
 def test_groebner_walk_initials_are_groebner(xy, drl):
