@@ -9,6 +9,7 @@ at construction time.  Floating point never appears anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,16 +25,26 @@ class ParseError(ValueError):
 class Alphabet:
     """An ordered sequence of distinct generator names, highest priority first."""
 
-    __slots__ = ("generators", "_index")
+    __slots__ = ("generators", "_index", "_scanner")
 
     def __init__(self, generators):
         generators = tuple(generators)
         if not generators:
             raise ValueError("alphabet needs at least one generator")
+        if "" in generators:
+            raise ValueError("generator names must be nonempty")
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
         self.generators = generators
         self._index = {name: i for i, name in enumerate(generators)}
+        # one match per token, with its leading whitespace: an operator, a
+        # decimal run, the longest name, any other character, or the end of
+        # the text.  Some branch always matches after the whitespace, so
+        # nothing backtracks into it: a name that starts with whitespace is
+        # never read, and trailing whitespace is one match.
+        names = sorted(generators, key=len, reverse=True)
+        self._scanner = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % "|".join(
+            [*map(re.escape, names), r"\S"]))
 
     def __len__(self):
         return len(self.generators)
@@ -265,124 +276,101 @@ def term_mul_poly(l, p, r):
 # ---------------------------------------------------------------------------
 # Text grammar.  Terms joined by +/-; a term is `coeff`, `coeff*word` or
 # `word`; a word is *-separated factors `gen` or `gen^k`; coefficients are
-# integers or a/b rationals.  Generator names match longest-first.
+# integers or a/b rationals.  Whitespace may stand between tokens.  Operators
+# and decimal runs match first, then generator names, longest first.  An
+# integer past Python's digit limit and an exponent past an index are refused.
 # ---------------------------------------------------------------------------
 
-def _tokenize(text, alphabet):
-    names = sorted(alphabet.generators, key=len, reverse=True)
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        for name in names:
-            if text.startswith(name, i):
-                tokens.append(("gen", alphabet.index(name), i))
-                i += len(name)
-                break
-        else:
-            if ch.isalpha():
-                raise ParseError(f"unknown generator starting at {text[i:i+8]!r}", i)
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+_SIGNS = ("+", "-")
+_END = ("", "", "")         # operator, digits and name of the end-of-text match
 
 
-class _Parser:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
+class _Refused(Exception):
+    """A grammar error at a token index; ``parse_polynomial`` positions it."""
 
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _integer(tokens, i):
+    digits = tokens[i][2]
+    try:
+        return int(digits)
+    except ValueError:
+        raise _Refused("integer too long" if digits else "expected int", i) from None
 
-    def expect(self, kind):
-        if self.peek() != kind:
-            where = self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.length
-            raise ParseError(f"expected {kind}", where)
-        return self.take()
 
-    def parse_poly(self):
-        terms = []
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        while True:
-            coeff, mon = self.parse_term()
-            terms.append((sign * coeff, mon))
-            nxt = self.peek()
-            if nxt is None:
-                break
-            if nxt not in ("+", "-"):
-                raise ParseError("expected '+' or '-' between terms",
-                                 self.tokens[self.pos][2])
-            sign = -1 if self.take()[0] == "-" else 1
-        return terms
-
-    def parse_term(self):
-        kind = self.peek()
-        if kind == "int":
-            num = self.take()[1]
-            den = 1
-            if self.peek() == "/":
-                self.take()
-                den = self.expect("int")[1]
-                if den == 0:
-                    raise ParseError("zero denominator", self.tokens[self.pos - 1][2])
-            coeff = Fraction(num, den)
-            if self.peek() == "*":
-                self.take()
-                return coeff, self.parse_word()
-            return coeff, ()
-        if kind == "gen":
-            return Fraction(1), self.parse_word()
-        where = self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.length
-        raise ParseError("expected a term", where)
-
-    def parse_word(self):
-        letters = list(self.parse_factor())
-        while self.peek() == "*":
-            self.take()
-            letters.extend(self.parse_factor())
-        return tuple(letters)
-
-    def parse_factor(self):
-        gen = self.expect("gen")[1]
-        if self.peek() == "^":
-            self.take()
-            k = self.expect("int")[1]
+def _word(tokens, i, index):
+    """The word whose first factor is token i, and the index after it."""
+    letters = []
+    while True:
+        gen = index.get(tokens[i][3])
+        if gen is None:
+            raise _Refused("expected gen", i)
+        if tokens[i + 1][1] == "^":
+            i += 2
+            k = _integer(tokens, i)
             if k < 1:
-                raise ParseError("exponent must be >= 1", self.tokens[self.pos - 1][2])
-            return (gen,) * k
-        return (gen,)
+                raise _Refused("exponent must be >= 1", i)
+            try:
+                letters += (gen,) * k
+            except OverflowError:
+                raise _Refused("exponent too large", i) from None
+        else:
+            letters.append(gen)
+        if tokens[i + 1][1] != "*":
+            return tuple(letters), i + 1
+        i += 2
+
+
+def _refusal(text, tokens, index, message, k):
+    """The ParseError for token k.  Every character is classified before the
+    grammar is read, so the first character that is no token wins."""
+    bad = [j for j, t in enumerate(tokens) if t[3] and t[3] not in index]
+    k = bad[0] if bad else k
+    at = len("".join(map("".join, tokens[:k]))) + len(tokens[k][0])
+    if bad:
+        char = tokens[k][3]
+        message = (f"unknown generator starting at {text[at:at + 8]!r}"
+                   if char.isalpha() else f"unexpected character {char!r}")
+    return ParseError(message, at)
 
 
 def parse_polynomial(text, alphabet, ordering):
-    tokens = _tokenize(text, alphabet)
-    if not tokens:
+    tokens = alphabet._scanner.findall(text)
+    if tokens[0][1:] == _END:
         raise ParseError("empty polynomial", 0)
-    parser = _Parser(tokens, len(text))
-    # the tokenizer yields alphabet indices and the parser Fractions
-    return Polynomial(_sum_terms(parser.parse_poly(), ordering), alphabet,
-                      ordering, _trusted=True)
+    index = alphabet._index
+    pairs = []
+    op = tokens[0][1]
+    i = 1 if op in _SIGNS else 0
+    try:
+        while True:
+            if tokens[i][2]:
+                num, den = _integer(tokens, i), 1
+                if tokens[i + 1][1] == "/":
+                    i += 2
+                    den = _integer(tokens, i)
+                    if den == 0:
+                        raise _Refused("zero denominator", i)
+                coeff, word = Fraction(num, den), ()
+                i += 1
+                if tokens[i][1] == "*":
+                    word, i = _word(tokens, i + 1, index)
+            elif tokens[i][3] in index:
+                coeff = Fraction(1)
+                word, i = _word(tokens, i, index)
+            else:
+                raise _Refused("expected a term", i)
+            pairs.append((-coeff if op == "-" else coeff, word))
+            op = tokens[i][1]
+            if op not in _SIGNS:
+                if tokens[i][1:] != _END:
+                    raise _Refused("expected '+' or '-' between terms", i)
+                break
+            i += 1
+    except _Refused as refused:
+        raise _refusal(text, tokens, index, *refused.args) from None
+    # the words hold alphabet indices and the coefficients are Fractions
+    return Polynomial(_sum_terms(pairs, ordering), alphabet, ordering,
+                      _trusted=True)
 
 
 def format_word(mon, alphabet):

@@ -1,9 +1,10 @@
 """Alphabets, terms, polynomials, parsing and printing."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
@@ -27,6 +28,8 @@ def test_alphabet_rejects_empty_and_duplicates():
         Alphabet([])
     with pytest.raises(ValueError):
         Alphabet(["x", "y", "x"])
+    with pytest.raises(ValueError):
+        Alphabet(["", "x"])
 
 
 def test_alphabet_lookup(xyz):
@@ -163,7 +166,9 @@ def test_parse_errors_carry_position(xyz, o):
              ("x y", 2, "expected '+' or '-' between terms"),
              ("2**x", 2, "expected gen"),
              ("x²", 1, "unexpected character '²'"),
-             ("q", 0, "unknown generator starting at 'q'"))
+             ("q", 0, "unknown generator starting at 'q'"),
+             ("1" * 5000, 0, "integer too long"),
+             ("x^99999999999999999999", 2, "exponent too large"))
     for text, position, message in cases:
         with pytest.raises(ParseError) as caught:
             parse_polynomial(text, xyz, o)
@@ -176,6 +181,32 @@ def test_parse_longest_name_first():
     o = MonomialOrdering("deglex", ab)
     p = parse_polynomial("xx*x", ab, o)
     assert p.terms == (Term(Fraction(1), (0, 1)),)
+
+
+# names that start with whitespace, an operator or a digit can never be
+# written; "y z" holds a space and "xy" starts with the name "x"
+_TRICKY = Alphabet(["x", "xy", "y z", "é", " u", "+w", "1v"])
+_TRICKY_ORDERING = MonomialOrdering("deglex", _TRICKY)
+# an exponent of five digits or more could build a word of billions of
+# letters; only the explicit examples below go past the index size
+_LONG_EXPONENT = re.compile(r"\^\s*\d{5}")
+_PIECES = (*_TRICKY.generators, "y", "z", *"+-*/^", "0", "1", "12", "\u0663",
+           " ", "\t", "\u00a0", "q", "\u00b2", "(", ".")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join)
+       .filter(lambda text: not _LONG_EXPONENT.search(text)))
+@example("1" * 5000)
+@example("x^99999999999999999999")
+def test_parse_accepts_or_refuses_with_a_position(text):
+    try:
+        p = parse_polynomial(text, _TRICKY, _TRICKY_ORDERING)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        assert str(exc).endswith(f"(at position {exc.position})")
+    else:
+        assert isinstance(p, Polynomial)
 
 
 def test_format_zero(xyz, o):

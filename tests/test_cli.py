@@ -77,9 +77,15 @@ def test_problem_file_errors(tmp_path):
         assert main([str(path)]) == EXIT_USAGE
 
 
-def test_generator_parse_error_exits_usage(tmp_path):
+def test_generator_parse_error_exits_usage(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "vars: x > y\nx*q + 1\n")
     assert main([str(path)]) == EXIT_USAGE
+    # an exponent past the index size is a positioned error, not a crash
+    path = write(tmp_path, "huge.txt", "vars: x > y\nx^99999999999999999999\n")
+    capsys.readouterr()
+    assert main([str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {path}:2:2: exponent too large (at position 2)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +130,19 @@ def test_strong_left_overlap_thick_run(tmp_path):
     assert len(polys) == 5
 
 
-def test_cap_hit_exit_code(tmp_path):
+def test_cap_hit_exit_code(tmp_path, capsys):
     body = ("vars: x > y > z\nordering: deglex\n"
             "x*y - z\nx + z\ny*z - z\nx*z\nz*y + z\nz^2\n")
     path = write(tmp_path, "loop.txt", body)
-    assert main([str(path), "--algorithm", "involutive", "--division", "1",
-                 "--max-degree", "8"]) == EXIT_CAP
+    args = [str(path), "--algorithm", "involutive", "--division", "1",
+            "--max-degree", "8"]
+    assert main(args) == EXIT_CAP
     _, stats = read_output(tmp_path / "loop.deg.inv")
     assert any("status=degree_cap_hit" in l for l in stats)
+    # no membership loop over an incomplete basis
+    capsys.readouterr()
+    assert main(args + ["--membership"]) == EXIT_CAP
+    assert capsys.readouterr() == ("", "membership loop skipped: basis incomplete\n")
 
 
 def test_walk_runs(tmp_path):
@@ -292,10 +303,14 @@ def test_membership_answers_match_division_oracle(membership_gb, xyz):
 
 def test_membership_parse_error_continues(membership_gb):
     gb, o = membership_gb
-    # '²' passes str.isdigit(), but int() refuses it
-    out, err = run_repl(gb, o, "q + 1\nx²\nx + y + z - 3\nquit\nx\n")
-    assert err.count("error:") == 2
+    # '²' passes str.isdigit(), but int() refuses it; the next two lines
+    # pass Python's 4300-digit limit and the index size
+    out, err = run_repl(gb, o, "q + 1\nx²\n" + "1" * 5000
+                        + "\nx^99999999999999999999\nx + y + z - 3\nquit\nx\n")
+    assert err.count("error:") == 4
     assert "unexpected character '²' (at position 1)" in err
+    assert "integer too long (at position 0)" in err
+    assert "exponent too large (at position 2)" in err
     assert out.strip() == "member"     # the loop continued, quit stopped it
 
 

@@ -69,6 +69,13 @@ def test_divide_rejects_zero_divisor(xyz, o):
         divide(P(xyz, o, "x"), [Polynomial.zero(xyz, o)])
 
 
+def test_divide_rejects_a_prepared_set_in_another_ordering(xyz, o):
+    drl = MonomialOrdering("degrevlex", xyz)
+    prepared = _Divisors([P(xyz, drl, "x*y - z")], drl)
+    with pytest.raises(ValueError, match="different algebras or orderings"):
+        divide(P(xyz, o, "x*y"), prepared)
+
+
 def test_log_expand_checks_each_multiplier(xyz, o):
     F = [P(xyz, o, "x*y - z")]
     one = Term(Fraction(1), ())
