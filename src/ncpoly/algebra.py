@@ -31,8 +31,12 @@ class Alphabet:
         generators = tuple(generators)
         if not generators:
             raise ValueError("alphabet needs at least one generator")
-        if "" in generators:
-            raise ValueError("generator names must be nonempty")
+        for name in generators:
+            # the scanner below could never read such a name
+            if (not name or name[0].isspace() or name[0] in "+-*/^"
+                    or name[0].isdecimal()):
+                raise ValueError(f"generator name {name!r} is empty or starts "
+                                 "with whitespace, an operator or a digit")
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
         self.generators = generators
@@ -40,8 +44,7 @@ class Alphabet:
         # one match per token, with its leading whitespace: an operator, a
         # decimal run, the longest name, any other character, or the end of
         # the text.  Some branch always matches after the whitespace, so
-        # nothing backtracks into it: a name that starts with whitespace is
-        # never read, and trailing whitespace is one match.
+        # nothing backtracks into it and trailing whitespace is one match.
         names = sorted(generators, key=len, reverse=True)
         self._scanner = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % "|".join(
             [*map(re.escape, names), r"\S"]))

@@ -43,30 +43,42 @@ class ProblemFileError(ValueError):
 
 
 def parse_problem_file(path):
-    """Returns (alphabet, generator texts, ordering override or None)."""
+    """Returns (alphabet, [(line number, generator text)], ordering name or
+    None).  Every refusal is a ``ProblemFileError`` that starts with
+    ``path:``, followed by the line number when one line is at fault."""
     alphabet = None
     ordering = None
     generators = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if alphabet is None:
-                if not line.startswith("vars:"):
-                    raise ProblemFileError(
-                        f"{path}:{lineno}: first directive must be "
-                        "'vars: <name> > <name> > ...'")
-                names = [part.strip() for part in line[5:].split(">")]
-                if any(not name for name in names):
-                    raise ProblemFileError(
-                        f"{path}:{lineno}: malformed vars declaration")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    # bytes.splitlines breaks at \n, \r and \r\n, as text mode does
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProblemFileError(
+                f"{path}:{lineno}: not UTF-8 text "
+                f"({exc.reason} at byte {exc.start} of the line)") from None
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if alphabet is None:
+            if not line.startswith("vars:"):
+                raise ProblemFileError(
+                    f"{path}:{lineno}: first directive must be "
+                    "'vars: <name> > <name> > ...'")
+            names = [part.strip() for part in line[5:].split(">")]
+            try:
                 alphabet = Alphabet(names)
-                continue
-            if line.startswith("ordering:"):
-                ordering = line[len("ordering:"):].strip()
-                continue
-            generators.append((lineno, line))
+            except ValueError as exc:
+                raise ProblemFileError(f"{path}:{lineno}: {exc}") from None
+            continue
+        if line.startswith("ordering:"):
+            ordering = line[len("ordering:"):].strip()
+            if not ordering:
+                raise ProblemFileError(f"{path}:{lineno}: no ordering named")
+            continue
+        generators.append((lineno, line))
     if alphabet is None:
         raise ProblemFileError(f"{path}: missing 'vars:' declaration")
     if not generators:

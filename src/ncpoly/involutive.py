@@ -392,7 +392,7 @@ def first_divisor(u, lms, lefts, rights, thick, active=None):
         d = len(v)
         if d > n:
             continue
-        lo, hi = 0, n - d
+        hi = n - d
         right = rights[j]
         if not right:       # u4 must be empty: only the suffix placement
             if u[hi:] == v:
@@ -407,21 +407,11 @@ def first_divisor(u, lms, lefts, rights, thick, active=None):
                                           else u[d] in right)):
                 return j, 0
             continue
-        if thick:
-            # u3 must lie inside the longest left-multiplicative prefix
-            # of u, u4 inside the longest right-multiplicative suffix;
-            # every placement in between is admitted
-            lo = n
-            while lo and u[lo - 1] in right:
-                lo -= 1
-            lo = max(0, lo - d)
-            hi = 0
-            while hi < n - d and u[hi] in left:
-                hi += 1
-        for s in range(lo, hi + 1):
-            if u[s:s + d] == v and (thick or (
-                    (not s or u[s - 1] in left)
-                    and (s + d == n or u[s + d] in right))):
+        for s in range(hi + 1):
+            if u[s:s + d] == v and (
+                    (left.issuperset(u[:s]) and right.issuperset(u[s + d:]))
+                    if thick else ((not s or u[s - 1] in left)
+                                   and (s + d == n or u[s + d] in right))):
                 return j, s
     return None
 

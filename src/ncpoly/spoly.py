@@ -48,24 +48,14 @@ def enumerate_overlaps(u1, u2, same_element, i=0, j=1):
         lo, hi = max(0, s), min(d1, s + d2)
         if u1[lo:hi] != u2[lo - s:hi - s]:
             continue
-        if 0 <= s and s + d2 <= d1:          # u2 inside u1
-            l1, r1 = (), ()
-            l2, r2 = u1[:s], u1[s + d2:]
-            kind = "subword"
-        elif s <= 0 and s + d2 >= d1:        # u1 inside u2
-            l1, r1 = u2[:-s] if s else (), u2[d1 - s:]
-            l2, r2 = (), ()
-            kind = "subword"
-        elif s < 0:                          # u2 hangs off the left
-            l1, r1 = u2[:-s], ()
-            l2, r2 = (), u1[s + d2:]
-            kind = "prefix"
-        else:                                # u2 hangs off the right
-            l1, r1 = (), u2[d1 - s:]
-            l2, r2 = u1[:s], ()
-            kind = "suffix"
+        # u2 starts at offset s of u1; each word's cofactors are the parts
+        # of the other word that hang off its ends
+        l1, r1 = (u2[:-s] if s < 0 else ()), u2[d1 - s:]
+        l2, r2 = (u1[:s] if s > 0 else ()), u1[s + d2:]
         if same_element and l1 == l2:
             continue
+        kind = ("subword" if not (l1 or r1) or not (l2 or r2)
+                else "prefix" if s < 0 else "suffix")
         specs.append(OverlapSpec(i, j, l1, r1, l2, r2, kind, l1 + u1 + r1))
     return specs
 

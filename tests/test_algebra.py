@@ -30,6 +30,9 @@ def test_alphabet_rejects_empty_and_duplicates():
         Alphabet(["x", "y", "x"])
     with pytest.raises(ValueError):
         Alphabet(["", "x"])
+    for name in (" u", "+w", "1v"):     # the scanner never reads these
+        with pytest.raises(ValueError):
+            Alphabet([name, "x"])
 
 
 def test_alphabet_lookup(xyz):
@@ -55,6 +58,9 @@ def test_polynomial_immutable(xyz, o):
     p = P(xyz, o, "x + y")
     with pytest.raises(AttributeError):
         p.terms = ()
+    # nor can one be built over an alphabet its ordering does not share
+    with pytest.raises(ValueError, match="different alphabet"):
+        Polynomial(p.terms, Alphabet(["x", "y"]), o)
 
 
 def test_terms_strictly_descending(xyz, o):
@@ -76,6 +82,10 @@ def test_poly_combine_cancellation(xyz, o):
     p = P(xyz, o, "x*y - 3*z + 1/2")
     assert poly_combine(p, p, -1).is_zero()
     assert poly_combine(P(xyz, o, "x + z"), P(xyz, o, "x"), -1) == P(xyz, o, "z")
+    assert poly_combine(p, P(xyz, o, "y"), 0) == p
+    drl = MonomialOrdering("degrevlex", xyz)
+    with pytest.raises(ValueError, match="different algebras or orderings"):
+        poly_combine(p, P(xyz, drl, "y"), 1)
 
 
 def test_term_mul_poly_division_quotient(xyz, o):
@@ -183,15 +193,16 @@ def test_parse_longest_name_first():
     assert p.terms == (Term(Fraction(1), (0, 1)),)
 
 
-# names that start with whitespace, an operator or a digit can never be
-# written; "y z" holds a space and "xy" starts with the name "x"
-_TRICKY = Alphabet(["x", "xy", "y z", "é", " u", "+w", "1v"])
+# "y z" holds a space and "xy" starts with the name "x"; Alphabet refuses
+# names that start with whitespace, an operator or a digit, so those
+# three stay in the pieces only as text
+_TRICKY = Alphabet(["x", "xy", "y z", "é"])
 _TRICKY_ORDERING = MonomialOrdering("deglex", _TRICKY)
 # an exponent of five digits or more could build a word of billions of
 # letters; only the explicit examples below go past the index size
 _LONG_EXPONENT = re.compile(r"\^\s*\d{5}")
-_PIECES = (*_TRICKY.generators, "y", "z", *"+-*/^", "0", "1", "12", "\u0663",
-           " ", "\t", "\u00a0", "q", "\u00b2", "(", ".")
+_PIECES = (*_TRICKY.generators, " u", "+w", "1v", "y", "z", *"+-*/^", "0",
+           "1", "12", "\u0663", " ", "\t", "\u00a0", "q", "\u00b2", "(", ".")
 
 
 @settings(max_examples=300)

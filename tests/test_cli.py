@@ -1,12 +1,17 @@
 """CLI integration: problem files, output files, exit codes, membership."""
 
 import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, divide, mora, parse_polynomial,
                     reduce_basis)
-from ncpoly.cli import (EXIT_CAP, EXIT_OK, EXIT_USAGE, main, membership_repl,
+from ncpoly.cli import (EXIT_CAP, EXIT_OK, EXIT_USAGE, ProblemFileError,
+                        _parse_generators, main, membership_repl,
                         parse_problem_file)
 
 from conftest import P
@@ -66,15 +71,48 @@ def test_parse_problem_file(tmp_path):
         "x*y - z", "y*z + 2*x + z", "y*z + x"]
 
 
-def test_problem_file_errors(tmp_path):
-    cases = {
-        "novars.txt": "x*y - z\n",
-        "nogens.txt": "vars: x > y\n",
-        "badvars.txt": "vars: x > > y\nx\n",
+def test_problem_file_errors(tmp_path, capsys):
+    cases = {       # file name: (body, what follows "path:" in the error)
+        "novars.txt": (b"x*y - z\n", "1: "),
+        "nogens.txt": (b"vars: x > y\n", " "),
+        "badvars.txt": (b"vars: x > > y\nx\n", "1: "),
+        "comments.txt": (b"# no directive at all\n\n", " "),
+        "dup.txt": (b"# twice\rvars: x > x\rx\r", "2: "),
+        "digit.txt": (b"vars: 1 > x\nx\n", "1: "),
+        "noorder.txt": (b"vars: x > y\nordering:\nx\n", "2: "),
+        "byte.txt": (b"vars: x > y\r\nx*y \xff- 1\n", "2: "),
     }
-    for name, body in cases.items():
-        path = write(tmp_path, name, body)
+    for name, (body, where) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(body)
         assert main([str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path}:{where}")
+
+
+_FILE_TOKENS = (b"x", b"y", b"xy", b"y z", "\u00e9".encode(), b"1v", b"+w",
+                b" ", b">", b"*", b"-", b"^2", b"3", b"/", b"#", b"deglex",
+                b"vars:", b"ordering:", b"\xff", b"\xc3", b"\x00")
+# a well-formed first line, so that some files get as far as their generators
+_HEADER = "vars: x > xy > y z > \u00e9\n".encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from((b"", b"vars: ", b"ordering: ", b"# ", _HEADER)),
+    st.lists(st.sampled_from(_FILE_TOKENS), max_size=6).map(b"".join),
+    st.sampled_from((b"\n", b"\r\n", b"\r", b""))), max_size=6))
+@example([(b"vars: ", b"x > y", b"\n"), (b"", b"x*y - 1", b"\n")])
+def test_problem_files_parse_or_refuse_with_the_path(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.txt")
+        with open(path, "wb") as handle:
+            handle.write(b"".join(b"".join(line) for line in lines))
+        try:
+            alphabet, texts, _ = parse_problem_file(path)
+            _parse_generators(path, alphabet,
+                              MonomialOrdering("deglex", alphabet), texts)
+        except ProblemFileError as exc:
+            assert str(exc).startswith(path + ":")
 
 
 def test_generator_parse_error_exits_usage(tmp_path, capsys):
@@ -306,7 +344,8 @@ def test_membership_parse_error_continues(membership_gb):
     # '²' passes str.isdigit(), but int() refuses it; the next two lines
     # pass Python's 4300-digit limit and the index size
     out, err = run_repl(gb, o, "q + 1\nx²\n" + "1" * 5000
-                        + "\nx^99999999999999999999\nx + y + z - 3\nquit\nx\n")
+                        + "\nx^99999999999999999999\n\n# a comment\n"
+                        "x + y + z - 3\nquit\nx\n")
     assert err.count("error:") == 4
     assert "unexpected character '²' (at position 1)" in err
     assert "integer too long (at position 0)" in err

@@ -85,6 +85,8 @@ def test_log_expand_checks_each_multiplier(xyz, o):
         log_expand(((one, 0, one), (Term(Fraction(0), (0,)), 0, one)), F)
     with pytest.raises(ValueError, match="out of range"):
         log_expand(((one, 0, Term(Fraction(2), (3,))),), F)
+    with pytest.raises(ValueError, match="empty basis"):
+        log_expand((), [])
 
 
 letters = st.integers(0, 2)

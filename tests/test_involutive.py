@@ -104,6 +104,9 @@ def test_global_tables(xyz):
     for idx in range(len(lms)):
         assert left_table.row(idx) == (frozenset({0, 1, 2}), frozenset())
         assert right_table.row(idx) == (frozenset(), frozenset({0, 1, 2}))
+    assert left_table.sets_for(w(xyz, "zy")) == left_table.row(4)
+    with pytest.raises(KeyError):
+        left_table.sets_for(w(xyz, "yy"))      # not a row's word
 
 
 def test_table_permutation_invariance(xyz):
@@ -500,6 +503,10 @@ def test_involutive_basis_logged(xy):
         assert len(res.logs) == len(res.basis)
         for g, log in zip(res.basis, res.logs):
             assert log_expand(log, F) == g
+    # ...but zero generators alone are refused
+    with pytest.raises(ValueError, match="no nonzero"):
+        involutive_basis([Polynomial.zero(xy, o)], InvolutiveDivision(1), o,
+                         logged=True)
 
 
 def prolongation_remainders(res, ordering, mode="thin"):

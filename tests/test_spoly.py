@@ -95,6 +95,8 @@ def test_spoly_placement_mismatch(xyz, o):
     (spec,) = enumerate_overlaps(p1.lm(), p2.lm(), False, 0, 1)
     with pytest.raises(ValueError):
         s_polynomial(spec, p2, p1)
+    with pytest.raises(ValueError, match="LM\\(p2\\)"):     # p1 still fits
+        s_polynomial(spec, p1, P(xyz, o, "y*y - x"))
 
 
 # ---------------------------------------------------------------------------
