@@ -7,8 +7,8 @@ exact rational coefficients.
 """
 
 from .algebra import (Alphabet, ParseError, Polynomial, Term,
-                      format_polynomial, parse_polynomial, poly_combine,
-                      term_mul_poly)
+                      format_polynomial, normal_word_counts, parse_polynomial,
+                      poly_combine, term_mul_poly)
 from .groebner import (BasisResult, divide, log_expand, mora, reduce_basis,
                        sugar_value)
 from .involutive import (InvolutiveDivision, MultiplicativeTable,

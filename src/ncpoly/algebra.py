@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -126,6 +127,61 @@ class _Divisors:
             while s >= 0:
                 yield j, s
                 s = text.find(v, s + 1)
+
+
+def normal_word_counts(words, n_letters, max_degree):
+    """[c_0, ..., c_max_degree]: c_d words of degree d over ``n_letters``
+    letters contain none of ``words`` (tuples of letter indices) as a
+    subword.  The empty word is in every word, so it leaves none."""
+    return list(islice(_normal_counts(
+        [w for w in words if len(w) <= max_degree], n_letters), max_degree + 1))
+
+
+def _normal_counts(words, n_letters):
+    """Yield ``normal_word_counts(words, n_letters, d)[d]`` for d = 0, 1, ...
+
+    Dynamic programming over the Aho–Corasick automaton of the words
+    (Aho and Corasick, CACM 18(6), 1975): a state is the longest suffix
+    read so far that is a prefix of some word, and a state is dead when
+    one of the words ends it.  Each degree's count follows the live
+    states one letter on, in O(states · n_letters).
+    """
+    goto, dead = [{}], [False]      # the trie of the words
+    for word in words:
+        s = 0
+        for a in word:
+            if dead[s]:
+                break           # a word holds another: its tail is never read
+            t = goto[s].get(a)
+            if t is None:
+                t = goto[s][a] = len(goto)
+                goto.append({})
+                dead.append(False)
+            s = t
+        dead[s] = True
+    # breadth first, so the failure state of a state (its longest proper
+    # suffix in the trie) is complete before the state itself
+    delta = [None] * len(goto)    # full transitions, live states only
+    order = [(0, 0)]           # (state, its failure state)
+    for s, f in order:
+        if s:
+            dead[s] = dead[s] or dead[f]
+        if dead[s]:
+            continue
+        delta[s] = [goto[s].get(a, delta[f][a] if s else 0)
+                    for a in range(n_letters)]
+        for a, t in goto[s].items():
+            order.append((t, delta[f][a] if s else 0))
+    # the live states one letter on from each live state
+    live = [step and [t for t in step if not dead[t]] for step in delta]
+    current = {} if dead[0] else {0: 1}
+    while True:
+        yield sum(current.values())
+        following = {}
+        for s, c in current.items():
+            for t in live[s]:
+                following[t] = following.get(t, 0) + c
+        current = following
 
 
 class Term(NamedTuple):

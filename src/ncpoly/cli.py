@@ -45,7 +45,8 @@ class ProblemFileError(ValueError):
 def parse_problem_file(path):
     """Returns (alphabet, [(line number, generator text)], ordering name or
     None).  Every refusal is a ``ProblemFileError`` that starts with
-    ``path:``, followed by the line number when one line is at fault."""
+    ``path:``, followed by the line number when one line is at fault; a
+    second ``vars:`` or ``ordering:`` line is refused at its line."""
     alphabet = None
     ordering = None
     generators = []
@@ -73,7 +74,11 @@ def parse_problem_file(path):
             except ValueError as exc:
                 raise ProblemFileError(f"{path}:{lineno}: {exc}") from None
             continue
+        if line.startswith("vars:"):
+            raise ProblemFileError(f"{path}:{lineno}: a second 'vars:' line")
         if line.startswith("ordering:"):
+            if ordering is not None:
+                raise ProblemFileError(f"{path}:{lineno}: a second 'ordering:' line")
             ordering = line[len("ordering:"):].strip()
             if not ordering:
                 raise ProblemFileError(f"{path}:{lineno}: no ordering named")

@@ -19,12 +19,13 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import (Polynomial, Term, _Divisors, _encode, _sum_terms,
-                      term_mul_poly)
+from .algebra import (Polynomial, Term, _Divisors, _encode, _normal_counts,
+                      _sum_terms, term_mul_poly)
 from .spoly import enumerate_overlaps, s_polynomial, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
@@ -229,7 +230,7 @@ def _basis_in(F, ordering, logs=None):
 
 def mora(F, ordering, strategy="normal", use_criterion2=True,
          max_degree=DEFAULT_MAX_DEGREE, max_iterations=DEFAULT_MAX_ITERATIONS,
-         logged=False):
+         logged=False, hilbert=None):
     """Compute a Gröbner Basis for <F> (in the case of termination).
 
     The pending list is kept ascending by overlap word (sugar strategy:
@@ -238,6 +239,21 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     remaining ties by the first left cofactor; new entries with equal
     keys go in front of existing ones.  A nonzero constant, given or
     reached as a remainder, completes the run at once.
+
+    ``hilbert(d)``, when given, is the ideal's number of normal words of
+    degree d; it needs homogeneous input and the normal strategy, so
+    overlaps come in ascending degree and each remainder is homogeneous
+    of its overlap's degree.  When the run reaches a new overlap degree
+    d, it counts the degree-d words that the current lead words leave
+    normal, once (reading on from the last count if no element was added
+    since); each remainder added at degree d lowers that count by one,
+    since its lead word was normal.  Once the count equals hilbert(d),
+    the lead words span the ideal's degree-d part and every pending
+    degree-d overlap reduces to zero (Traverso, J. Symb. Comput. 22,
+    1996): each is popped without being built, settled for criterion 2,
+    counted as an iteration and in ``hilbert_skips``.  A count below
+    hilbert(d) raises ``ValueError``.  Without ``hilbert`` the stats have
+    no ``hilbert_skips``.
     """
     if strategy not in ("normal", "sugar"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -245,6 +261,11 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                         if logged else None)
     if not G:
         raise ValueError("input basis has no nonzero polynomials")
+    if hilbert is not None:
+        if strategy != "normal":
+            raise ValueError("hilbert counts need the normal strategy")
+        if any(len(t.mon) != len(g.terms[0].mon) for g in G for t in g.terms):
+            raise ValueError("hilbert counts need homogeneous input")
     sugars = [g.degree() for g in G]
     divisors = _Divisors(G, ordering)
     G = divisors.polys      # the basis grows through divisors.add
@@ -268,9 +289,14 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 add_overlaps(i, j)
 
     settled = set()
-    stats = {"spolys_considered": 0, "zero_reductions": 0,
-             "criterion2_skips": 0, "iterations": 0}
+    stats = {"spolys_considered": 0, "zero_reductions": 0, "criterion2_skips": 0}
+    if hilbert is not None:
+        stats["hilbert_skips"] = 0
+    stats["iterations"] = 0
     status = "complete"
+    degree = None    # the overlap degree whose normal words ``normal`` counts
+    counted = None   # len(G) when ``counts`` began to read the lead words
+    normal = 0
 
     while pending:
         if stats["iterations"] >= max_iterations:
@@ -280,6 +306,24 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         _, spec, sug = pending.pop(0)
         # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))
+        if hilbert is not None:
+            d = len(spec.overlap_word)
+            if d != degree:
+                if counted != len(G):       # new lead words: count afresh
+                    counted, degree = len(G), -1
+                    counts = _normal_counts([g.lm() for g in G],
+                                            len(ordering.alphabet))
+                # ``counts`` has yielded degrees up to ``degree``: read on to d
+                normal = next(islice(counts, d - degree - 1, None))
+                degree, wanted = d, hilbert(d)
+                if normal < wanted:
+                    raise ValueError(
+                        f"the lead words leave {normal} normal words of degree "
+                        f"{d}, fewer than the {wanted} of hilbert: the basis "
+                        "that hilbert counts is not a Gröbner Basis")
+            if normal == wanted:
+                stats["hilbert_skips"] += 1
+                continue
         if use_criterion2 and criterion2_applies(spec, divisors, settled):
             stats["criterion2_skips"] += 1
             continue
@@ -303,6 +347,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 logs)
             logs.append(log_reduced(s_log, dlog, logs))
         divisors.add(rem)
+        normal -= 1     # a homogeneous remainder: its lead word, of this degree
         sugars.append(sug)
         if not rem.lm():
             break    # a nonzero constant: see above

@@ -7,14 +7,27 @@ element h of the reduced inner basis by one reduction under the source
 ordering, f = h - NF_G(h), which keeps h's lead term, and reduces the
 lifted elements.  The involutive walk's inner run is logged; expanding
 its representations over G is the lift, with no final reduction.
+
+G' is homogeneous, and when G is Gröbner the ideal of G' leaves as many
+normal words of each degree as G's lead words do.  So the Gröbner walk
+passes those counts to its inner ``mora`` as ``hilbert``, read from one
+automaton of G's lead words a degree at a time, as far as the run's
+overlap degrees reach.  Once the inner run's lead words leave that many
+normal words of the overlap degree at hand, its other overlaps of that
+degree are dropped unbuilt; fewer than that many refuses G as not
+Gröbner, as a remainder of full degree in the lift does.  Neither test
+finds every G that is not Gröbner: the walk trusts its source, and on
+such a G its counts can drop overlaps that a full inner run would have
+turned into a refusal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
-from .algebra import _Divisors, poly_combine
+from .algebra import _Divisors, _normal_counts, poly_combine
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, divide, log_expand, mora, reduce_basis)
 from .involutive import involutive_basis
@@ -49,8 +62,15 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
     """Convert a source-ordering Gröbner Basis to the reduced basis of
     the target ordering."""
     G, initials = _initials(job)
+    counts = _normal_counts([g.lm() for g in G], len(job.source.alphabet))
+    known = []      # G's normal words per degree, read as the run needs them
+
+    def hilbert(d):
+        known.extend(islice(counts, d + 1 - len(known)))
+        return known[d]
+
     inner = mora(initials, job.target, max_degree=max_degree,
-                 max_iterations=max_iterations)
+                 max_iterations=max_iterations, hilbert=hilbert)
     if inner.status != "complete":
         return inner
     divisors = _Divisors(G, job.source)

@@ -1,17 +1,19 @@
 """Alphabets, terms, polynomials, parsing and printing."""
 
+import random
 import re
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
-                    format_polynomial, parse_polynomial, poly_combine,
-                    term_mul_poly)
+                    format_polynomial, mora, normal_word_counts,
+                    parse_polynomial, poly_combine, reduce_basis, term_mul_poly)
 
-from conftest import P, w
+from conftest import P, group_presentation, w
 
 
 @pytest.fixture
@@ -289,3 +291,66 @@ def test_term_mul_poly_trusted_product_is_normalized(kind, l, p, r):
     assert got.terms == Polynomial(product, _ALPHABET, o).terms
     assert isinstance(got.terms, tuple)
     assert all(isinstance(t.coeff, Fraction) for t in got.terms)
+
+
+# ---------------------------------------------------------------------------
+# Normal words
+# ---------------------------------------------------------------------------
+
+def brute_force_normal_counts(words, n_letters, max_degree):
+    """Oracle for ``normal_word_counts``: every word of each degree, tested
+    for each of ``words`` as a subword."""
+    texts = ["".join(map(str, v)) for v in words]
+    return [sum(1 for u in product("".join(map(str, range(n_letters))), repeat=d)
+                if not any(v in "".join(u) for v in texts))
+            for d in range(max_degree + 1)]
+
+
+def test_normal_word_counts_match_enumeration():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        words = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(0, 5))]
+        max_degree = rng.randint(0, 7)
+        assert (normal_word_counts(words, n, max_degree)
+                == brute_force_normal_counts(words, n, max_degree))
+    # a word holding another, and a word holding itself twice
+    assert normal_word_counts([(0, 1, 0), (1,), (1,)], 2, 4) == [1, 1, 1, 1, 1]
+    # the empty word is in every word
+    for words in ([()], [(0, 1), ()]):
+        assert normal_word_counts(words, 2, 5) == [0] * 6
+    assert normal_word_counts([], 3, 3) == [1, 3, 9, 27]
+
+
+# Coxeter graphs: the letters, and the pairs whose product has order
+# m > 2 (every other pair commutes)
+COXETER = {"D5": ("abcde", {"ab": 3, "bc": 3, "cd": 3, "ce": 3}),
+           "F4": ("abcd", {"ab": 3, "bc": 4, "cd": 3})}
+
+
+def coxeter_presentation(group):
+    letters, edges = COXETER[group]
+    alphabet = Alphabet(list(letters))
+    o = MonomialOrdering("deglex", alphabet)
+    texts = [f"{s}^2 - 1" for s in letters]
+    for s, t in combinations(letters, 2):
+        m = edges.get(s + t, 2)
+        texts.append("*".join((s, t) * m)[:2 * m - 1] + " - "
+                     + "*".join((t, s) * m)[:2 * m - 1])
+    return o, P(alphabet, o, *texts)
+
+
+@pytest.mark.parametrize("group, order", [("S3", 6), ("A4", 12), ("S4", 24),
+                                          ("D5", 1920), ("F4", 1152)])
+def test_normal_word_counts_give_group_orders(group_alphabet, group, order):
+    if group in COXETER:
+        o, F = coxeter_presentation(group)
+    else:
+        o = MonomialOrdering("deglex", group_alphabet)
+        F = group_presentation(group_alphabet, o, group)
+    basis = reduce_basis(mora(F, o).basis, o)
+    counts = normal_word_counts([g.lm() for g in basis], len(o.alphabet), 30)
+    # a degree with no normal word has none above it
+    assert counts[-1] == 0
+    assert sum(counts) == order

@@ -81,6 +81,12 @@ def test_problem_file_errors(tmp_path, capsys):
         "digit.txt": (b"vars: 1 > x\nx\n", "1: "),
         "noorder.txt": (b"vars: x > y\nordering:\nx\n", "2: "),
         "byte.txt": (b"vars: x > y\r\nx*y \xff- 1\n", "2: "),
+        # a repeated directive is refused at its own line, even one that
+        # would have been accepted alone
+        "twoorders.txt": (b"vars: x > y\nordering: lex\nx*y - 1\n"
+                          b"ordering: deglex\n", "4: a second 'ordering:' line"),
+        "twovars.txt": (b"vars: x > y\nx*y - 1\nvars: x > y > z\n",
+                        "3: a second 'vars:' line"),
     }
     for name, (body, where) in cases.items():
         path = tmp_path / name

@@ -8,6 +8,8 @@ triple, the table and the stats) and the SHA-256 of the whole text is
 pinned.  A change to the reduction loop, the orderings or the
 representation bookkeeping that alters any output, even one log
 coefficient or the order of a basis, changes the digest.
+``OUTPUT_DIGEST`` hashes the same runs with their stats left out, so a
+change that only skips work moves ``DIGEST`` and leaves it.
 
 The group presentations have coefficients +-1 only.  ``DENSE_DIGEST``
 pins runs on two dense cubics whose intermediate coefficients grow to
@@ -28,7 +30,9 @@ from ncpoly.algebra import format_word
 
 from conftest import group_presentation
 
-DIGEST = "474c6fd4b8358372805feb66a5b06dc01a3dd220889a46177ba8ba2f8fcf6628"
+DIGEST = "7fd9d7be0ea8568f4544d5b169d449e1b4356cafd1704477da39d530b3ec3e78"
+# the same runs with every stats field None: bases, logs and tables only
+OUTPUT_DIGEST = "5358fe15006200a51a9a2b59d7bef465e38a0f8eb9d0708458b0be5cebdcc913"
 DENSE_DIGEST = "d49eb802722d751c777d39154bc728f7806e28b40296144edf2fa36b82f24e96"
 
 GRID_DIGEST = "db55adc49a7b71b2e140c717db9141fec31bb34ac79467a290dafd3037ed9f37"
@@ -116,6 +120,12 @@ def digest_text(runs):
 
 def test_output_digest_pinned():
     assert hashlib.sha256(digest_text(_runs()).encode()).hexdigest() == DIGEST
+
+
+def test_output_digest_without_stats():
+    runs = (run[:2] + (None,) + run[3:] for run in _runs())
+    text = digest_text(runs)
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTPUT_DIGEST
 
 
 def test_dense_digest_pinned():

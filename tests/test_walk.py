@@ -7,7 +7,9 @@ import pytest
 from ncpoly import (InvolutiveDivision, MonomialOrdering, Polynomial, WalkJob,
                     divide, degree_function, initial, involutive_basis,
                     log_expand, mora, groebner_walk, involutive_walk,
-                    reduce_basis)
+                    normal_word_counts, reduce_basis)
+
+from ncpoly.groebner import DEFAULT_MAX_DEGREE
 
 from conftest import P, all_spolys_reduce_to_zero, group_presentation
 
@@ -73,9 +75,53 @@ def test_groebner_walk_matches_direct_computation(xy, group_alphabet, problem,
     basis = mora(gens, src).basis
     assert basis != reduce_basis(basis, src)
     dst = MonomialOrdering(target, alphabet)
-    walked = groebner_walk(WalkJob(src, dst, basis)).basis
+    walked = groebner_walk(WalkJob(src, dst, basis))
     direct = mora([g.with_ordering(dst) for g in gens], dst)
-    assert walked == reduce_basis(direct.basis, dst)
+    assert walked.basis == reduce_basis(direct.basis, dst)
+    stats = walked.stats
+    assert stats["hilbert_skips"] > 0
+    assert (stats["hilbert_skips"] + stats["criterion2_skips"]
+            + stats["spolys_considered"] == stats["iterations"])
+
+
+def source_counts(basis):
+    """hilbert for a walk from ``basis``: its normal words per degree."""
+    return normal_word_counts([g.lm() for g in basis], len(basis[0].alphabet),
+                              2 * DEFAULT_MAX_DEGREE).__getitem__
+
+
+@pytest.mark.parametrize("source, target",
+                         permutations(("deglex", "deginvlex", "degrevlex"), 2))
+def test_hilbert_driven_inner_run_is_groebner(group_alphabet, source, target):
+    # the walk's inner run, with and without the source's counts: each
+    # dropped overlap would have reduced to zero, so the basis is the same
+    src = MonomialOrdering(source, group_alphabet)
+    dst = MonomialOrdering(target, group_alphabet)
+    gb = mora(group_presentation(group_alphabet, src, "A4"), src).basis
+    initials = [initial(g, degree_function()).with_ordering(dst) for g in gb]
+    plain = mora(initials, dst)
+    inner = mora(initials, dst, hilbert=source_counts(gb))
+    assert inner.basis == plain.basis
+    assert all_spolys_reduce_to_zero(inner.basis)
+    assert "hilbert_skips" not in plain.stats
+    assert inner.stats["iterations"] == plain.stats["iterations"]
+    assert inner.stats["hilbert_skips"] > 0
+    assert (inner.stats["hilbert_skips"] + inner.stats["criterion2_skips"]
+            + inner.stats["spolys_considered"] == inner.stats["iterations"])
+
+
+def test_mora_refuses_hilbert_counts_it_cannot_use(xy, drl, dl):
+    G = drl_basis(xy, drl)
+    initials = [initial(g, degree_function()).with_ordering(dl) for g in G]
+    hilbert = source_counts(G)
+    with pytest.raises(ValueError, match="normal strategy"):
+        mora(initials, dl, strategy="sugar", hilbert=hilbert)
+    with pytest.raises(ValueError, match="homogeneous"):
+        mora(G, drl, hilbert=hilbert)
+    # more normal words than the lead words of the initials leave at the
+    # first overlap degree: the counts cannot be the ideal's
+    with pytest.raises(ValueError, match="not a Gröbner Basis"):
+        mora(initials, dl, hilbert=lambda d: 4 ** d)
 
 
 def test_groebner_walk_initials_are_groebner(xy, drl):
