@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import NamedTuple
 
 
@@ -83,20 +84,32 @@ def _encode(word):
     return "".join(map(chr, word))
 
 
+def _integer_form(q):
+    """(den, coefficients): den the least common denominator of the
+    polynomial q's coefficients, and den times each of them, an integer,
+    in a list aligned with ``q.terms``."""
+    den = 1
+    for c, _ in q.terms:
+        den = lcm(den, c.denominator)
+    return den, [c.numerator * (den // c.denominator) for c, _ in q.terms]
+
+
 class _Divisors:
     """The one conventional divisor search: nonzero polynomials in one
-    ordering, ``polys``, with their lead words encoded once (``words``).
+    ordering, ``polys``, with their lead words encoded once (``words``)
+    and their integer forms (``forms``, see ``form``).
 
     Each element is checked once, when it is added.  ``first`` and
     ``occurrences`` find the lead words inside a word.
     """
 
-    __slots__ = ("ordering", "polys", "words")
+    __slots__ = ("ordering", "polys", "words", "forms")
 
     def __init__(self, polys, ordering):
         self.ordering = ordering
         self.polys = []
         self.words = []
+        self.forms = []
         for q in polys:
             self.add(q)
 
@@ -108,6 +121,16 @@ class _Divisors:
             raise ValueError("polynomials live in different algebras or orderings")
         self.polys.append(q)
         self.words.append(_encode(q.terms[0].mon))
+        self.forms.append(None)
+
+    def form(self, j):
+        """``_integer_form`` of element j, built the first time it is
+        asked for: a set prepared per query mostly cancels few of its
+        elements."""
+        f = self.forms[j]
+        if f is None:
+            f = self.forms[j] = _integer_form(self.polys[j])
+        return f
 
     def first(self, u):
         """The first element whose lead word occurs in the word u, and its

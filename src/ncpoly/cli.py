@@ -256,7 +256,7 @@ def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
         except ParseError as exc:
             print(f"error: {exc}", file=err)
             continue
-        rem, _ = divide(p, divisors)
+        rem, _ = divide(p, divisors, logged=False)
         if rem.is_zero():
             print("member", file=out)
         else:

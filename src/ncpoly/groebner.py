@@ -3,9 +3,11 @@
 Also houses the division algorithm, the unique reduced basis, sugar
 values and logged representations (explicit expressions of basis
 elements over the input generators).  The division loop, ``reduce_by``,
-takes its divisor lookup as a callable: ``divide`` passes the
-conventional one, ``algebra._Divisors.first``, and involutive division
-brings its own from ``involutive``.
+runs in integers and takes its divisor lookup and the divisors' integer
+forms as callables: ``divide`` passes ``algebra._Divisors.first`` and
+the forms the set builds once each, and involutive division brings its
+own lookup from ``involutive`` and builds a form per step.  ``mora``
+divides each S-polynomial as an integer seed built from two forms.
 
 The algorithm need not terminate -- noncommutative monomial ideals can
 fail to be finitely generated -- so runs are bounded by a lead-monomial
@@ -26,7 +28,7 @@ from typing import Optional
 
 from .algebra import (Polynomial, Term, _Divisors, _encode, _normal_counts,
                       _sum_terms, term_mul_poly)
-from .spoly import enumerate_overlaps, s_polynomial, settled_key, criterion2_applies
+from .spoly import enumerate_overlaps, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -89,32 +91,41 @@ def log_expand(log, F):
 # Division
 # ---------------------------------------------------------------------------
 
-def reduce_by(p, P, find):
-    """Reduce p by P term by term, returning (remainder, log).
-
-    The running polynomial is ``work / scale``: a dict from word to
-    integer coefficient over one positive integer denominator, with a
-    heap of its words, greatest first under p's ordering, which must be
-    admissible; the caller checks that P shares it.  ``find`` is the
-    caller's divisor lookup: while the greatest word u has a divisor,
-    ``find(u)`` gives (j, s), and P[j] is cancelled in place at the
-    placement whose left cofactor is u[:s], in integers.
-    ``scale`` grows only as far as that step needs, and scaling by a
-    nonzero integer keeps every zero test, so each step is the one exact
-    rational division takes.  A word whose coefficient cancels stays in
-    the dict as a zero until it is popped, so each word is pushed once.
-    Irreducible words go to the remainder, which comes out descending.
-    The remainder and the log hold ``Fraction``s.  The log's triples
-    reference indices into P and satisfy p = remainder + expansion(log).
-    """
-    ordering = p.ordering
-    if not ordering.admissible:
-        raise ValueError(f"ordering {ordering.kind} is not admissible")
-    desc = ordering.desc_key
+def _seed(p):
+    """The polynomial p as a seed for ``reduce_by``: (work, scale), a
+    dict from each of p's words to an integer coefficient, over the
+    least positive integer scale that makes them integers."""
     scale = 1
     for c, _ in p.terms:
         scale = lcm(scale, c.denominator)
-    work = {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}
+    return {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}, scale
+
+
+def reduce_by(seed, ordering, P, find, form, logged=True):
+    """Reduce the seed (work, scale) by P term by term, returning
+    (remainder, log).
+
+    The running polynomial is ``work / scale``: a dict from word to
+    integer coefficient over one positive integer denominator, which the
+    kernel takes over, with a heap of its words, greatest first under
+    ``ordering``, which must be admissible and shared by P.  ``find`` is
+    the caller's divisor lookup: while the greatest word u has a
+    divisor, ``find(u)`` gives (j, s), and P[j] is cancelled in place at
+    the placement whose left cofactor is u[:s], in integers, through
+    ``form(j)``, P[j]'s ``algebra._integer_form``.  ``scale`` grows only
+    as far as that step needs, and scaling by a nonzero integer keeps
+    every zero test, so each step is the one exact rational division
+    takes.  A word whose coefficient is zero stays in the dict until it
+    is popped, so each word is pushed once.  Irreducible words go to the
+    remainder, a polynomial of ``Fraction``s that comes out descending.
+    The log has one entry per step.  Logged, it is a triple (left term,
+    j, right term) with ``Fraction`` coefficients, and the seed equals
+    remainder + expansion(log) over P; unlogged, it is j.
+    """
+    if not ordering.admissible:
+        raise ValueError(f"ordering {ordering.kind} is not admissible")
+    desc = ordering.desc_key
+    work, scale = seed
     heap = [(desc(u), u) for u in work]
     heapq.heapify(heap)
     rem_terms = []
@@ -130,17 +141,14 @@ def reduce_by(p, P, find):
             continue
         j, s = hit
         q = P[j].terms
-        lc = q[0].coeff
+        # den * q has integer coefficients coeffs, the lead one L
+        den, coeffs = form(j)
+        L = coeffs[0]
         left, right = u[:s], u[s + len(q[0].mon):]
-        log.append((Term(Fraction(a * lc.denominator, scale * lc.numerator),
-                         left), j, Term(_ONE, right)))
-        # den * q has integer coefficients and lead coefficient L; cancel
-        # a / scale = a1 / s1 against it over the least scale that keeps
-        # the multiplier (a1 / s1) / L times that scale an integer
-        den = 1
-        for tc, _ in q:
-            den = lcm(den, tc.denominator)
-        L = lc.numerator * (den // lc.denominator)
+        log.append((Term(Fraction(a * den, scale * L), left), j, Term(_ONE, right))
+                   if logged else j)
+        # cancel a / scale = a1 / s1 against den * q over the least scale
+        # that keeps the multiplier (a1 / s1) / L times that scale an integer
         g = gcd(a, scale)
         a1, s1 = a // g, scale // g
         g = gcd(a1, L)
@@ -156,20 +164,21 @@ def reduce_by(p, P, find):
             m = -m
         # every product word is below u, so none is popped already; the
         # lead term cancels u exactly
-        for tc, tm in q[1:]:
-            v = left + tm + right
+        for k in range(1, len(q)):
+            v = left + q[k].mon + right
             d = work.get(v)
-            t = m * tc.numerator * (den // tc.denominator)
+            t = m * coeffs[k]
             if d is None:
                 heapq.heappush(heap, (desc(v), v))
                 work[v] = t
             else:
                 work[v] = d + t
-    remainder = Polynomial(tuple(rem_terms), p.alphabet, ordering, _trusted=True)
+    remainder = Polynomial(tuple(rem_terms), ordering.alphabet, ordering,
+                           _trusted=True)
     return remainder, tuple(log)
 
 
-def divide(p, P):
+def divide(p, P, logged=True):
     """Divide p by P, returning (remainder, log).
 
     Conventional division under p's ordering, which every element of P
@@ -179,14 +188,19 @@ def divide(p, P):
     nonzero polynomials, or a prepared divisor set
     (``algebra._Divisors``) that a caller dividing by one basis many
     times builds once: a list is prepared on every call.  Each term's
-    lookup is ``_Divisors.first``.  See ``reduce_by`` for the loop and
-    the log.
+    lookup is ``_Divisors.first``, and each divisor's integer form is
+    built once per set.  p may also be a seed (work, scale) in P's
+    ordering, P then prepared: ``mora`` hands over its S-polynomials so.
+    See ``reduce_by`` for the loop and the log; a caller that discards
+    the log passes ``logged=False`` and gets one divisor index per step.
     """
-    if not isinstance(P, _Divisors):
-        P = _Divisors(P, p.ordering)
-    elif p.ordering is not P.ordering and p.ordering != P.ordering:
-        raise ValueError("polynomials live in different algebras or orderings")
-    return reduce_by(p, P.polys, P.first)
+    if isinstance(p, Polynomial):
+        if not isinstance(P, _Divisors):
+            P = _Divisors(P, p.ordering)
+        elif p.ordering is not P.ordering and p.ordering != P.ordering:
+            raise ValueError("polynomials live in different algebras or orderings")
+        p = _seed(p)
+    return reduce_by(p, P.ordering, P.polys, P.first, P.form, logged)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +240,25 @@ def _basis_in(F, ordering, logs=None):
     keep = [k for k, f in enumerate(F) if not f.is_zero()]
     return ([F[k].with_ordering(ordering) for k in keep],
             None if logs is None else [logs[k] for k in keep])
+
+
+def _s_seed(spec, divisors):
+    """``spoly.s_polynomial`` of the overlap ``spec`` of two elements of
+    the prepared set ``divisors``, as a seed for ``divide``.  With Tk / dk
+    element k's integer form and Lk its lead coefficient, the seed is
+        L2 * (l1 * T1 * r1) - L1 * (l2 * T2 * r2)  over  d1 * d2,
+    less the overlap word, whose coefficient cancels."""
+    d1, c1 = divisors.form(spec.i)
+    d2, c2 = divisors.form(spec.j)
+    L1, L2 = c1[0], c2[0]
+    l, r = spec.l1, spec.r1
+    work = {l + t.mon + r: L2 * c for t, c in zip(divisors.polys[spec.i].terms, c1)}
+    l, r = spec.l2, spec.r2
+    for t, c in zip(divisors.polys[spec.j].terms, c2):
+        v = l + t.mon + r
+        work[v] = work.get(v, 0) - L1 * c
+    del work[spec.overlap_word]
+    return work, d1 * d2
 
 
 def mora(F, ordering, strategy="normal", use_criterion2=True,
@@ -328,11 +361,11 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             stats["criterion2_skips"] += 1
             continue
         stats["spolys_considered"] += 1
-        s = s_polynomial(spec, G[spec.i], G[spec.j])
-        if s.is_zero():
+        seed = _s_seed(spec, divisors)
+        if not any(seed[0].values()):
             stats["zero_reductions"] += 1
             continue
-        rem, dlog = divide(s, divisors)
+        rem, dlog = divide(seed, divisors, logged)
         if rem.is_zero():
             stats["zero_reductions"] += 1
             continue
@@ -381,6 +414,6 @@ def reduce_basis(G, ordering):
     while work:
         g = work.pop(0)
         others = work + done
-        done.append(divide(g, others)[0] if others else g)
+        done.append(divide(g, others, logged=False)[0] if others else g)
     done.sort(key=lambda g: ordering.key(g.lm()), reverse=True)
     return done

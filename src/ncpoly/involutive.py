@@ -45,10 +45,10 @@ from bisect import insort
 from fractions import Fraction
 from itertools import accumulate, count
 
-from .algebra import Term, term_mul_poly
+from .algebra import Term, _integer_form, term_mul_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
-                       _basis_in, log_conjugate, log_identity, log_reduced,
-                       reduce_by)
+                       _basis_in, _seed, log_conjugate, log_identity,
+                       log_reduced, reduce_by)
 from .orderings import _degrevlex_key
 
 DIVISION_NAMES = {
@@ -454,7 +454,7 @@ def inv_divide(p, P, table, mode="thin", active=None):
                              "table row's word")
         return hit
 
-    return reduce_by(p, P, find)
+    return reduce_by(_seed(p), ordering, P, find, lambda j: _integer_form(P[j]))
 
 
 # ---------------------------------------------------------------------------

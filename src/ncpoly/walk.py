@@ -77,7 +77,7 @@ def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,
     lifted = []
     for h in reduce_basis(inner.basis, job.target):
         h = h.with_ordering(job.source)
-        rem, _ = divide(h, divisors)
+        rem, _ = divide(h, divisors, logged=False)
         # the terms of degree deg h are divided first, and only by the
         # initials of G: a remainder of that degree means G' failed
         if not rem.is_zero() and len(rem.lm()) == len(h.lm()):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,10 @@ from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     MultiplicativeTable, Polynomial, Term,
                     assign_multiplicative, criterion2_applies, divide,
                     enumerate_overlaps, inv_divide, log_expand, mora,
-                    parse_polynomial, poly_combine, reduce_basis, sugar_value)
+                    parse_polynomial, poly_combine, reduce_basis,
+                    s_polynomial, sugar_value)
 from ncpoly.algebra import _Divisors
+from ncpoly.groebner import _s_seed
 from ncpoly.involutive import first_divisor
 from ncpoly.spoly import OverlapSpec, settled_key
 
@@ -218,6 +221,62 @@ def test_prepared_divisor_set_gives_the_list_answer(problem, data):
     for spec in specs:
         assert (criterion2_applies(spec, divisors, settled)
                 == criterion2_applies(spec, prepared, settled))
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems())
+def test_unlogged_division_keeps_the_remainder_and_the_steps(problem):
+    o, p, divisors, _, _, _ = problem
+    rem, log = divide(p, divisors)
+    for P_ in (divisors, _Divisors(divisors, o)):
+        rem_u, steps = divide(p, P_, logged=False)
+        assert (rem_u.terms, steps) == (rem.terms, tuple(j for _, j, _ in log))
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems())
+def test_a_prepared_set_builds_the_forms_its_steps_use(problem):
+    o, p, divisors, _, _, _ = problem
+    prepared = _Divisors(divisors, o)
+    assert prepared.forms == [None] * len(divisors)
+    _, steps = divide(p, prepared, logged=False)
+    built = {j for j, f in enumerate(prepared.forms) if f is not None}
+    assert built == set(steps)
+    for j in built:
+        den, coeffs = prepared.forms[j]
+        terms = divisors[j].terms
+        assert den == lcm(*(c.denominator for c, _ in terms))
+        assert coeffs == [c * den for c, _ in terms]
+        assert all(type(c) is int for c in coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_ADMISSIBLE).flatmap(
+    lambda o: st.tuples(st.just(o), st.lists(polys(o, 3, 1), min_size=2,
+                                            max_size=3))))
+# non-monic, negative lead coefficients over coprime big denominators;
+# the first and the third element make an S-polynomial that is zero
+@example(problem=(_ADMISSIBLE[0], [parse_polynomial(text, _XYZ, _ADMISSIBLE[0])
+                                    for text in (
+    f"-{2**70 + 1}/3*x*y*x + 7/{2**65}*y",
+    f"5/{2**66 + 1}*y*x*y - 2/9*x + 1/11",
+    f"{2**70 + 1}/7*x*y*x - 3/{2**65}*y")]))
+def test_an_s_polynomial_seed_divides_as_its_polynomial(problem):
+    """Every overlap's seed, divided, gives its S-polynomial's remainder
+    and log."""
+    o, basis = problem
+    basis = [q for q in basis if q.lm()]
+    divisors = _Divisors(basis, o)
+    for i, j in itertools.product(range(len(basis)), repeat=2):
+        for spec in enumerate_overlaps(basis[i].lm(), basis[j].lm(),
+                                       i == j, i, j):
+            s = s_polynomial(spec, basis[i], basis[j])
+            seed = _s_seed(spec, divisors)
+            assert any(seed[0].values()) == (not s.is_zero())
+            rem, log = divide(seed, divisors)
+            want, want_log = divide(s, basis)
+            assert (rem.terms, log) == (want.terms, want_log)
+            assert poly_combine(rem, log_expand(log, basis), 1) == s
 
 
 def _relabelled(polys, alphabet, ordering, letter_map):
