@@ -100,7 +100,9 @@ class _Divisors:
     and their integer forms (``forms``, see ``form``).
 
     Each element is checked once, when it is added.  ``first`` and
-    ``occurrences`` find the lead words inside a word.
+    ``occurrences`` find the lead words inside a word.  ``add`` and
+    ``remove`` edit the set in place, so a caller whose basis changes by
+    one element at a time keeps one set, and the forms it has built.
     """
 
     __slots__ = ("ordering", "polys", "words", "forms")
@@ -113,15 +115,24 @@ class _Divisors:
         for q in polys:
             self.add(q)
 
-    def add(self, q):
-        """Append the nonzero polynomial q, in the set's ordering."""
+    def add(self, q, i=None):
+        """Append the nonzero polynomial q, in the set's ordering, or put it
+        in place of element i."""
         if q.is_zero():
             raise ValueError("divisors must be nonzero")
         if q.ordering is not self.ordering and q.ordering != self.ordering:
             raise ValueError("polynomials live in different algebras or orderings")
-        self.polys.append(q)
-        self.words.append(_encode(q.terms[0].mon))
-        self.forms.append(None)
+        word = _encode(q.terms[0].mon)
+        if i is None:
+            self.polys.append(q)
+            self.words.append(word)
+            self.forms.append(None)
+        else:
+            self.polys[i], self.words[i], self.forms[i] = q, word, None
+
+    def remove(self, i):
+        """Delete element i."""
+        del self.polys[i], self.words[i], self.forms[i]
 
     def form(self, j):
         """``_integer_form`` of element j, built the first time it is

@@ -150,11 +150,17 @@ def run(args, out=None, err=None):
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    if args.algorithm == "groebner" and args.verbose:
-        # involutive-only options are ignored in this mode
-        if args.division != 3 or args.divisors != "thin":
-            print("warning: --division/--divisors are ignored with "
-                  "--algorithm groebner", file=err)
+    if args.verbose:
+        # Mora's runs read no involutive option, involutive runs no Mora one
+        if args.algorithm in ("groebner", "gwalk"):
+            ignored = ("--division/--divisors"
+                       if args.division != 3 or args.divisors != "thin" else None)
+        else:
+            ignored = ("--strategy/--no-criterion2"
+                       if args.strategy != "normal" or args.no_criterion2 else None)
+        if ignored:
+            print(f"warning: {ignored} are ignored with --algorithm "
+                  f"{args.algorithm}", file=err)
 
     caps = {"max_degree": args.max_degree, "max_iterations": args.max_iterations}
     started = time.perf_counter()

@@ -6,8 +6,9 @@ elements over the input generators).  The division loop, ``reduce_by``,
 runs in integers and takes its divisor lookup and the divisors' integer
 forms as callables: ``divide`` passes ``algebra._Divisors.first`` and
 the forms the set builds once each, and involutive division brings its
-own lookup from ``involutive`` and builds a form per step.  ``mora``
-divides each S-polynomial as an integer seed built from two forms.
+own lookup from ``involutive`` and takes the forms from a set too.
+``mora`` divides each S-polynomial as an integer seed built from two
+forms.
 
 The algorithm need not terminate -- noncommutative monomial ideals can
 fail to be finitely generated -- so runs are bounded by a lead-monomial

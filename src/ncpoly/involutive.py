@@ -25,7 +25,15 @@ and every row whose letter sets it changes from one clock, and a fact
 recorded at a clock value is checked again only against the rows
 stamped since: an element found irreducible is divided again only when
 one of its terms has a divisor among them, and the sorted prolongations
-and the zero-reduction certificates are kept across restarts.
+and the zero-reduction certificates are kept across restarts.  Each
+completion keeps one prepared divisor set of its basis
+(``algebra._Divisors``: the elements, their encoded lead words and
+their integer forms, each built once), edited wherever ``_edit`` edits
+the table, and ``autoreduce`` hands it over on the table.  Before it
+searches an element's terms, ``autoreduce`` drops the stamped rows
+whose encoded lead word does not occur in the element's encoded terms.
+Prolongations are built straight from the element's terms, without
+``Fraction`` products.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
@@ -45,7 +53,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import accumulate, count
 
-from .algebra import Term, _integer_form, term_mul_poly
+from .algebra import Polynomial, Term, _Divisors, _encode
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, _seed, log_conjugate, log_identity,
                        log_reduced, reduce_by)
@@ -129,8 +137,9 @@ class MultiplicativeTable:
         # per row, the clock when it was made or its sets last changed: a
         # new table is newer than anything recorded before it
         self._stamps = [next(_clock)] * len(self.lms)
-        # (thick, *basis) while this is the table autoreduce returned for
-        # that basis in that mode, and no later call has taken it over
+        # (thick, divisor set, texts) while this is the table autoreduce
+        # returned for the set's elements in that mode, and no later call
+        # has taken it over
         self._reduced = None
 
     def __eq__(self, other):
@@ -435,31 +444,43 @@ def inv_divide(p, P, table, mode="thin", active=None):
     multiplicative table must admit: a term is divided by the first
     element of P (in ``active`` order, default all of P) that
     involutively divides it, at the admitted placement with the shortest
-    left cofactor.  The table must describe all of P, row j for P[j]: a
-    table with another number of rows, or a divisor found whose lead
-    monomial is not its row's word, raises ``ValueError``.  The log has
-    one triple per reduction step."""
-    ordering = p.ordering
-    for q in P:
-        if q.ordering is not ordering and q.ordering != ordering:
-            raise ValueError("polynomials live in different algebras or orderings")
+    left cofactor.  P is a list of nonzero polynomials or a prepared
+    divisor set (``algebra._Divisors``), as for ``divide``: a list is
+    prepared on every call, a set checks each element's ordering once,
+    when it is added, and builds each element's integer form once.  The
+    table must describe all of P, row j for P's element j: a table with
+    another number of rows, or a divisor found whose lead monomial is
+    not its row's word, raises ``ValueError``.  The log has one triple
+    per reduction step."""
+    if not isinstance(P, _Divisors):
+        P = _Divisors(P, p.ordering)
+    elif p.ordering is not P.ordering and p.ordering != P.ordering:
+        raise ValueError("polynomials live in different algebras or orderings")
     lms, lefts, rights, thick = table.lms, table.left, table.right, _thick(mode)
-    if len(lms) != len(P):
-        raise ValueError(f"the table has {len(lms)} rows for {len(P)} divisors")
+    polys = P.polys
+    if len(lms) != len(polys):
+        raise ValueError(f"the table has {len(lms)} rows for {len(polys)} divisors")
 
     def find(u):
         hit = first_divisor(u, lms, lefts, rights, thick, active)
-        if hit is not None and P[hit[0]].terms[0].mon != lms[hit[0]]:
+        if hit is not None and polys[hit[0]].terms[0].mon != lms[hit[0]]:
             raise ValueError(f"divisor {hit[0]} does not lead with its "
                              "table row's word")
         return hit
 
-    return reduce_by(_seed(p), ordering, P, find, lambda j: _integer_form(P[j]))
+    return reduce_by(_seed(p), P.ordering, polys, find, P.form)
 
 
 # ---------------------------------------------------------------------------
 # Autoreduction
 # ---------------------------------------------------------------------------
+
+def _terms_text(p, sep):
+    """The words of p's terms, encoded as ``algebra._encode`` does and
+    joined by ``sep``, a code point outside the alphabet: a lead word
+    occurs in this text exactly when it occurs in a term of p."""
+    return sep.join([_encode(mon) for _, mon in p.terms])
+
 
 def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     """Repeatedly replace the first p_i that is involutively reducible by
@@ -470,20 +491,30 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     provided, and then aligned with P, and whose
     ``stats["inv_reductions"]`` counts the reduction steps.
 
-    Each element keeps the clock value at which it was last known to be
-    irreducible by the others, and is checked again only against the
-    rows ``_edit`` has stamped since.  ``table`` is for a basis that grew
-    by one element: the table this function returned, under the same
-    division and mode, for a basis whose element objects P[:-1] (zero
-    polynomials dropped) are, in order.  Such a table is taken over: it
-    is extended in place by the last element's row, not built again, and
-    the elements of P[:-1] count as irreducible as of its stamps.  Any
-    other table is ignored.  Either way the result is the same as
-    without ``table``."""
+    The current set is kept as one prepared divisor set
+    (``algebra._Divisors``), edited wherever ``_edit`` edits the table,
+    next to one text per element: its term words, encoded and joined
+    (``_terms_text``).  Each element keeps the clock value at which it
+    was last known to be irreducible by the others, and is checked again
+    only against the rows ``_edit`` has stamped since, and of those only
+    against the rows whose encoded lead word occurs in its text; an
+    element with no such row is not checked at all.  ``first_divisor``
+    confirms every hit, and elements are taken in ascending index, so
+    the filter changes no result.
+
+    ``table`` is for a basis that grew by one element: the table this
+    function returned, under the same division and mode, for a basis
+    whose element objects P[:-1] (zero polynomials dropped) are, in
+    order.  Such a table is taken over with the divisor set and texts
+    it carries: they are extended in place by the last element, not
+    built again, and the elements of P[:-1] count as irreducible as of
+    its stamps.  Any other table is ignored.  Either way the result is
+    the same as without ``table``."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     thick = _thick(mode)    # rejects an unknown mode even when nothing is divided
     basis, logs = _basis_in(P, ordering, logs)
+    sep = chr(len(ordering.alphabet))
     # checked[i]: a clock value when no term of basis[i] was divisible by
     # another element.  A row stamped no later than that is the row it was
     # then, and a deleted row divides nothing, so only the rows stamped
@@ -491,14 +522,20 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     checked = [-1] * len(basis)
     reduced = None if table is None else table._reduced
     if (reduced is not None and table.division == division
-            and reduced[0] == thick and len(reduced) == len(basis)
-            and all(p is q for p, q in zip(reduced[1:], basis))):
+            and reduced[0] == thick and len(reduced[1].polys) == len(basis) - 1
+            and all(p is q for p, q in zip(reduced[1].polys, basis))):
         table._reduced = None
+        _, divisors, texts = reduced
         checked[:-1] = [next(_clock)] * len(table.lms)
         _edit(table, len(table.lms), basis[-1].lm())
+        divisors.add(basis[-1])
+        texts.append(_terms_text(basis[-1], sep))
     else:
         table = assign_multiplicative(division, [p.lm() for p in basis],
                                       ordering.alphabet)
+        divisors = _Divisors(basis, ordering)
+        texts = [_terms_text(p, sep) for p in basis]
+    basis, words = divisors.polys, divisors.words
     reductions = 0
     while True:
         now = next(_clock)
@@ -508,31 +545,35 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
             if since not in newer:
                 newer[since] = [j for j, stamp in enumerate(table._stamps)
                                 if stamp > since]
-            rows = [j for j in newer[since] if j != i]
-            if all(first_divisor(u, table.lms, table.left, table.right,
-                                 thick, rows) is None
-                   for _, u in basis[i].terms):
+            text = texts[i]
+            rows = [j for j in newer[since] if j != i and words[j] in text]
+            if not rows or all(
+                    first_divisor(u, table.lms, table.left, table.right,
+                                  thick, rows) is None
+                    for _, u in basis[i].terms):
                 checked[i] = now
                 continue
-            rem, dlog = inv_divide(basis[i], basis, table, mode,
+            rem, dlog = inv_divide(basis[i], divisors, table, mode,
                                    [j for j in range(len(basis)) if j != i])
             reductions += len(dlog)
             if rem.is_zero():
-                del basis[i], checked[i]
+                divisors.remove(i)
+                del texts[i], checked[i]
                 _edit(table, i)
                 if logs is not None:
                     del logs[i]
             else:
                 # fully reduced by the rows as they stand at now; _edit
                 # stamps every row it changes later
-                basis[i], checked[i] = rem, now
+                divisors.add(rem, i)
+                texts[i], checked[i] = _terms_text(rem, sep), now
                 _edit(table, i, rem.lm())
                 if logs is not None:
                     logs[i] = log_reduced(logs[i], dlog, logs)
             break
         else:
-            table._reduced = (thick, *basis)
-            return BasisResult(basis, stats={"inv_reductions": reductions},
+            table._reduced = (thick, divisors, texts)
+            return BasisResult(list(basis), stats={"inv_reductions": reductions},
                                logs=logs, table=table)
 
 
@@ -629,6 +670,7 @@ def involutive_basis(F, division, ordering, mode="thin",
         # remainder, so autoreduce need only check what that touches
         result = autoreduce(basis, division, ordering, mode, logs, table)
         basis, logs, table = result.basis, result.logs, result.table
+        divisors = table._reduced[1]    # basis, prepared; autoreduce keeps it
         stats["inv_reductions"] += result.stats["inv_reductions"]
         stamps = table._stamps
         where = {id(p): idx for idx, p in enumerate(basis)}
@@ -659,10 +701,13 @@ def involutive_basis(F, division, ordering, mode="thin",
                 known[1] = since
                 stats["reused"] += 1
                 continue
-            letter, unit = Term(Fraction(1), (x,)), Term(Fraction(1), ())
-            lterm, rterm = (letter, unit) if side == 0 else (unit, letter)
-            s = term_mul_poly(lterm, g, rterm)
-            rem, dlog = inv_divide(s, basis, table, mode)
+            # x*g or g*x: the ordering is admissible, so the terms stay
+            # descending
+            w = (x,)
+            terms = tuple([Term(c, w + mon) for c, mon in g.terms] if side == 0
+                          else [Term(c, mon + w) for c, mon in g.terms])
+            s = Polynomial(terms, g.alphabet, g.ordering, _trusted=True)
+            rem, dlog = inv_divide(s, divisors, table, mode)
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
                 certificates[g, side, x] = [_certificate(basis, table, dlog),
@@ -672,6 +717,8 @@ def involutive_basis(F, division, ordering, mode="thin",
                 status = "degree_cap_hit"
                 break
             if logged:
+                letter, unit = Term(Fraction(1), (x,)), Term(Fraction(1), ())
+                lterm, rterm = (letter, unit) if side == 0 else (unit, letter)
                 logs.append(log_reduced(
                     log_conjugate(lterm, logs[where[id(g)]], rterm), dlog, logs))
             basis.append(rem)

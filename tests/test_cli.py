@@ -280,6 +280,32 @@ def test_verbosity_does_not_change_results(tmp_path, capsys):
     assert quiet_polys == loud_polys
 
 
+def test_verbose_warns_about_ignored_options(tmp_path, capsys):
+    path = write(tmp_path, "walk.txt", WALK_FILE)
+    walk = ["--source-ordering", "degrevlex", "--ordering", "deglex"]
+    cases = {
+        ("--algorithm", "groebner", "--divisors", "thick"):
+            "--division/--divisors are ignored with --algorithm groebner",
+        ("--algorithm", "gwalk", *walk, "--division", "7", "--divisors", "thick"):
+            "--division/--divisors are ignored with --algorithm gwalk",
+        ("--algorithm", "involutive", "--strategy", "sugar", "--no-criterion2"):
+            "--strategy/--no-criterion2 are ignored with --algorithm involutive",
+        ("--algorithm", "iwalk", *walk, "--division", "1", "--no-criterion2"):
+            "--strategy/--no-criterion2 are ignored with --algorithm iwalk",
+    }
+    for flags, warning in cases.items():
+        assert main([str(path), *flags, "-v"]) == EXIT_OK
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        # only when asked to be verbose, and only for an ignored option
+        assert main([str(path), *flags]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+    for flags in (["--algorithm", "groebner", "--strategy", "sugar"],
+                  ["--algorithm", "involutive", "--division", "7"],
+                  ["--algorithm", "gwalk", *walk, "--no-criterion2"]):
+        assert main([str(path), *flags, "-v"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 def test_default_ordering_is_degrevlex(tmp_path):
     path = write(tmp_path, "plain.txt", "vars: x > y\nx*y - 1\n")
     assert main([str(path)]) == EXIT_OK

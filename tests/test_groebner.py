@@ -183,18 +183,19 @@ def _division_example(kind, p, divisors, sets=None, thick=False, active=None):
     False, [1, 0]))
 def test_reduction_matches_reference(problem):
     o, p, divisors, sets, thick, active = problem
-    if sets is None:
-        rem, log = divide(p, divisors)
-    else:
-        table = MultiplicativeTable(
-            InvolutiveDivision(1), _XYZ, [d.lm() for d in divisors],
-            [left for left, _ in sets], [right for _, right in sets])
-        rem, log = inv_divide(p, divisors, table,
-                              "thick" if thick else "thin", active)
     expected = reference_reduce(p, divisors, o, sets, thick,
                                 None if sets is None else active)
-    assert (rem.terms, log) == expected
-    assert poly_combine(rem, log_expand(log, divisors), 1) == p
+    for P_ in (divisors, _Divisors(divisors, o)):
+        if sets is None:
+            rem, log = divide(p, P_)
+        else:
+            table = MultiplicativeTable(
+                InvolutiveDivision(1), _XYZ, [d.lm() for d in divisors],
+                [left for left, _ in sets], [right for _, right in sets])
+            rem, log = inv_divide(p, P_, table, "thick" if thick else "thin",
+                                  active)
+        assert (rem.terms, log) == expected
+        assert poly_combine(rem, log_expand(log, divisors), 1) == p
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Involutive divisions, tables, reduction, autoreduction, bases."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,8 @@ from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     assign_multiplicative, autoreduce, divide, inv_divide,
                     involutive, involutive_basis, involutively_divides,
                     log_expand, poly_combine, reduce_basis)
-from ncpoly.groebner import log_identity
+from ncpoly.algebra import _Divisors
+from ncpoly.groebner import log_identity, log_reduced
 from ncpoly.involutive import _certificate, _certificate_holds, _edit
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
@@ -283,22 +285,28 @@ def test_inv_divide_dry_run(xyz, o):
 
 def test_inv_divide_rejects_divisors_in_another_ordering(xyz, o):
     Pset = P(xyz, o, "x^2 - 2*y", "x*y - x")
-    table = assign_multiplicative(InvolutiveDivision(1),
-                                  [p.lm() for p in Pset], xyz)
     drl = MonomialOrdering("degrevlex", xyz)
-    with pytest.raises(ValueError, match="different algebras or orderings"):
-        inv_divide(P(xyz, drl, "x^2*y"), Pset, table)
-    with pytest.raises(ValueError, match="different algebras or orderings"):
-        divide(P(xyz, drl, "x^2*y"), Pset)
-    # a table must describe P row for row: its row for y*x does not
-    # describe x*y - z, and a table with one row more describes no P
+    # a list and a prepared set of it are refused alike
+    for P_ in (Pset, _Divisors(Pset, o)):
+        table = assign_multiplicative(InvolutiveDivision(1),
+                                      [p.lm() for p in Pset], xyz)
+        with pytest.raises(ValueError, match="different algebras or orderings"):
+            inv_divide(P(xyz, drl, "x^2*y"), P_, table)
+        with pytest.raises(ValueError, match="different algebras or orderings"):
+            divide(P(xyz, drl, "x^2*y"), P_)
+        # a table must describe P row for row, and a table with one row
+        # more describes no P
+        table = assign_multiplicative(InvolutiveDivision(1),
+                                      [p.lm() for p in Pset] + [w(xyz, "z")],
+                                      xyz)
+        with pytest.raises(ValueError, match="rows"):
+            inv_divide(P(xyz, o, "x^2*y"), P_, table)
+    # its row for y*x does not describe x*y - z
     table = assign_multiplicative(InvolutiveDivision(1), [w(xyz, "yx")], xyz)
-    with pytest.raises(ValueError, match="table row"):
-        inv_divide(P(xyz, o, "y*x"), [P(xyz, o, "x*y - z")], table)
-    table = assign_multiplicative(InvolutiveDivision(1),
-                                  [p.lm() for p in Pset] + [w(xyz, "z")], xyz)
-    with pytest.raises(ValueError, match="rows"):
-        inv_divide(P(xyz, o, "x^2*y"), Pset, table)
+    divisors = [P(xyz, o, "x*y - z")]
+    for P_ in (divisors, _Divisors(divisors, o)):
+        with pytest.raises(ValueError, match="table row"):
+            inv_divide(P(xyz, o, "y*x"), P_, table)
 
 
 def test_inv_divide_irreducible_is_identity(xyz, o):
@@ -447,6 +455,98 @@ def test_autoreduce_table_of_all_but_the_last(group_alphabet, xyz,
     plain = autoreduce(Q, 1, o)
     assert plain.basis == P(xyz, o, "y", "x*z", "z^2")
     assert autoreduce(Q, 1, o, table=T) == plain
+
+
+_XY = Alphabet(["x", "y"])
+_XY_ORDERINGS = [MonomialOrdering(kind, _XY)
+                 for kind in ("deglex", "deginvlex", "degrevlex")]
+
+
+def naive_autoreduce(F, division, o, mode, logs):
+    """The reference for ``autoreduce``: a fresh table per pass, and every
+    term of every element checked against every other row, from element
+    0 on; no stamps and no filter on the rows."""
+    keep = [k for k, f in enumerate(F) if not f.is_zero()]
+    basis = [F[k] for k in keep]
+    logs = None if logs is None else [logs[k] for k in keep]
+    reductions = 0
+    while True:
+        table = assign_multiplicative(division, [p.lm() for p in basis], _XY)
+        for i, p in enumerate(basis):
+            others = [j for j in range(len(basis)) if j != i]
+            if all(involutive.first_divisor(u, table.lms, table.left,
+                                            table.right, mode == "thick",
+                                            others) is None
+                   for _, u in p.terms):
+                continue
+            rem, dlog = inv_divide(p, basis, table, mode, others)
+            reductions += len(dlog)
+            if rem.is_zero():
+                del basis[i]
+                if logs is not None:
+                    del logs[i]
+            else:
+                basis[i] = rem
+                if logs is not None:
+                    logs[i] = log_reduced(logs[i], dlog, logs)
+            break
+        else:
+            return basis, logs, table, reductions
+
+
+def _xy_polys(o):
+    terms = st.lists(st.tuples(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]),
+                               st.lists(st.integers(0, 1), max_size=4)),
+                     min_size=0, max_size=4)
+    return terms.map(lambda ts: Polynomial(
+        [Term(c, tuple(m)) for c, m in ts], _XY, o))
+
+
+@st.composite
+def autoreduce_problems(draw):
+    """An ordering, a list of polynomials (zero ones too), a division, a
+    mode and whether to hand over the table of all but the last."""
+    o = draw(st.sampled_from(_XY_ORDERINGS))
+    F = draw(st.lists(_xy_polys(o), min_size=1, max_size=6))
+    return (o, F, draw(st.integers(1, 12)), draw(st.sampled_from(["thin", "thick"])),
+            draw(st.booleans()))
+
+
+def _xy_problem(kind, texts, key, mode, handover):
+    o = MonomialOrdering(kind, _XY)
+    return o, P(_XY, o, *texts), key, mode, handover
+
+
+@settings(max_examples=300, deadline=None)
+@given(autoreduce_problems(), st.booleans())
+# a constant, before the handover and as the appended element: its empty
+# lead word occurs in every text, and it reduces every other element to
+# zero
+@example(problem=_xy_problem("deglex", ["x*y - y", "2", "y^2*x + x"], 3,
+                             "thin", True), logged=True)
+@example(problem=_xy_problem("degrevlex", ["x*y - y", "y*x*y + x", "3"], 7,
+                             "thick", True), logged=True)
+# x*y*x^2 is replaced by its remainder -x^3 before the handover, and the
+# appended x^3 occurs in that remainder only: a replaced element's text
+# must be its remainder's
+@example(problem=_xy_problem("deglex", ["y*x^2 + x^2", "x*y*x^2", "x^3"], 1,
+                             "thin", True), logged=False)
+def test_autoreduce_matches_a_naive_autoreduce(problem, logged):
+    o, F, key, mode, handover = problem
+    division = InvolutiveDivision(key)
+    table = None
+    if handover:
+        # the table autoreduce returned for the reduced F[:-1], handed over
+        # with the last element appended
+        head = autoreduce(F[:-1], division, o, mode)
+        F = head.basis + F[-1:]
+        table = head.table
+    logs = [log_identity(k) for k in range(len(F))] if logged else None
+    want = naive_autoreduce(F, division, o, mode, logs)
+    got = autoreduce(F, division, o, mode, logs, table)
+    assert (got.basis, got.logs, got.table, got.stats["inv_reductions"]) == want
+    if handover and not F[-1].is_zero():
+        assert got.table is table
 
 
 # ---------------------------------------------------------------------------
