@@ -84,6 +84,12 @@ def _encode(word):
     return "".join(map(chr, word))
 
 
+def _terms_text(p):
+    """p's term words, encoded as ``_encode`` does, joined by a code point
+    past p's alphabet: for p nonzero, a word occurs in it iff in a term."""
+    return chr(len(p.alphabet)).join([_encode(mon) for _, mon in p.terms])
+
+
 def _integer_form(q):
     """(den, coefficients): den the least common denominator of the
     polynomial q's coefficients, and den times each of them, an integer,

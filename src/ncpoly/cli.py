@@ -116,7 +116,8 @@ def build_arg_parser():
     parser.add_argument("--source-ordering", choices=sorted(ORDERING_ABBREV),
                         default="degrevlex",
                         help="walks only: the ordering the walk starts from")
-    parser.add_argument("--division", type=int, default=3, metavar="1..12",
+    parser.add_argument("--division", type=int, choices=range(1, 13),
+                        default=3, metavar="1..12",
                         help="involutive division key (default 3, LeftOverlap)")
     parser.add_argument("--divisors", choices=("thin", "thick"), default="thin")
     parser.add_argument("--strategy", choices=("normal", "sugar"),
@@ -273,6 +274,8 @@ def main(argv=None):
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if min(args.max_degree, args.max_iterations) < 0:
+            parser.error("--max-degree and --max-iterations must be >= 0")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     return run(args)

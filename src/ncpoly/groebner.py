@@ -3,12 +3,12 @@
 Also houses the division algorithm, the unique reduced basis, sugar
 values and logged representations (explicit expressions of basis
 elements over the input generators).  The division loop, ``reduce_by``,
-runs in integers and takes its divisor lookup and the divisors' integer
-forms as callables: ``divide`` passes ``algebra._Divisors.first`` and
-the forms the set builds once each, and involutive division brings its
-own lookup from ``involutive`` and takes the forms from a set too.
-``mora`` divides each S-polynomial as an integer seed built from two
-forms.
+runs in integers.  It reads a prepared divisor set
+(``algebra._Divisors``: ordering, elements, integer forms) through a
+lookup: ``divide`` passes ``_Divisors.first``, involutive division
+``involutive.first_divisor``.  ``mora`` and ``reduce_basis`` each edit
+one set as their basis changes; ``mora`` divides each S-polynomial as
+an integer seed built from two forms.
 
 The algorithm need not terminate -- noncommutative monomial ideals can
 fail to be finitely generated -- so runs are bounded by a lead-monomial
@@ -27,8 +27,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import (Polynomial, Term, _Divisors, _encode, _normal_counts,
-                      _sum_terms, term_mul_poly)
+from .algebra import (Polynomial, Term, _Divisors, _normal_counts, _sum_terms,
+                      term_mul_poly)
 from .spoly import enumerate_overlaps, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
@@ -102,27 +102,28 @@ def _seed(p):
     return {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}, scale
 
 
-def reduce_by(seed, ordering, P, find, form, logged=True):
-    """Reduce the seed (work, scale) by P term by term, returning
-    (remainder, log).
+def reduce_by(seed, divisors, find, logged=True):
+    """Reduce the seed (work, scale) by the elements P of the prepared
+    set ``divisors`` term by term, returning (remainder, log).
 
     The running polynomial is ``work / scale``: a dict from word to
     integer coefficient over one positive integer denominator, which the
     kernel takes over, with a heap of its words, greatest first under
-    ``ordering``, which must be admissible and shared by P.  ``find`` is
-    the caller's divisor lookup: while the greatest word u has a
-    divisor, ``find(u)`` gives (j, s), and P[j] is cancelled in place at
-    the placement whose left cofactor is u[:s], in integers, through
-    ``form(j)``, P[j]'s ``algebra._integer_form``.  ``scale`` grows only
-    as far as that step needs, and scaling by a nonzero integer keeps
-    every zero test, so each step is the one exact rational division
-    takes.  A word whose coefficient is zero stays in the dict until it
-    is popped, so each word is pushed once.  Irreducible words go to the
-    remainder, a polynomial of ``Fraction``s that comes out descending.
+    the set's ordering, which must be admissible.  ``find`` is the
+    caller's divisor lookup: while the greatest word u has a divisor,
+    ``find(u)`` gives (j, s), and P[j] is cancelled in place at the
+    placement whose left cofactor is u[:s], in integers, through
+    ``divisors.form(j)``, P[j]'s ``algebra._integer_form``.  ``scale``
+    grows only as far as that step needs, and scaling by a nonzero
+    integer keeps every zero test, so each step is the one exact
+    rational division takes.  A word whose coefficient is zero stays in
+    the dict until it is popped, so each word is pushed once.
+    Irreducible words go to the remainder, descending, in ``Fraction``s.
     The log has one entry per step.  Logged, it is a triple (left term,
     j, right term) with ``Fraction`` coefficients, and the seed equals
     remainder + expansion(log) over P; unlogged, it is j.
     """
+    ordering, P, form = divisors.ordering, divisors.polys, divisors.form
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
     desc = ordering.desc_key
@@ -188,12 +189,12 @@ def divide(p, P, logged=True):
     monomial it contains, at the leftmost placement.  P is a list of
     nonzero polynomials, or a prepared divisor set
     (``algebra._Divisors``) that a caller dividing by one basis many
-    times builds once: a list is prepared on every call.  Each term's
-    lookup is ``_Divisors.first``, and each divisor's integer form is
-    built once per set.  p may also be a seed (work, scale) in P's
-    ordering, P then prepared: ``mora`` hands over its S-polynomials so.
-    See ``reduce_by`` for the loop and the log; a caller that discards
-    the log passes ``logged=False`` and gets one divisor index per step.
+    times builds once: a list is prepared on every call.  ``reduce_by``
+    reads the set with ``_Divisors.first`` as the lookup.  p may also be
+    a seed (work, scale) in P's ordering, P prepared: ``mora`` hands
+    over its S-polynomials so.  See ``reduce_by`` for the loop and the
+    log; a caller that discards the log passes ``logged=False`` and gets
+    one divisor index per step.
     """
     if isinstance(p, Polynomial):
         if not isinstance(P, _Divisors):
@@ -201,7 +202,7 @@ def divide(p, P, logged=True):
         elif p.ordering is not P.ordering and p.ordering != P.ordering:
             raise ValueError("polynomials live in different algebras or orderings")
         p = _seed(p)
-    return reduce_by(p, P.ordering, P.polys, P.first, P.form, logged)
+    return reduce_by(p, P, P.first, logged)
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +402,19 @@ def reduce_basis(G, ordering):
     """The unique reduced Gröbner Basis: monic elements, no element's lead
     monomial a multiple of another's, every element fully reduced against
     the rest.  Output sorted descending by lead monomial."""
-    work = [g.monic() for g in _basis_in(G, ordering)[0]]
-    words = [_encode(g.lm()) for g in work]
+    divisors = _Divisors([g.monic() for g in _basis_in(G, ordering)[0]],
+                         ordering)
+    polys, words = divisors.polys, divisors.words
     i = 0
-    while i < len(work):
+    while i < len(words):
         if any(v in words[i] for jj, v in enumerate(words) if jj != i):
-            del work[i], words[i]
+            divisors.remove(i)
         else:
             i += 1
-    done = []
-    # no lead monomial divides another's, so a remainder keeps its monic
-    # lead term
-    while work:
-        g = work.pop(0)
-        others = work + done
-        done.append(divide(g, others, logged=False)[0] if others else g)
-    done.sort(key=lambda g: ordering.key(g.lm()), reverse=True)
-    return done
+    # each element leaves at the front, is divided by the rest and goes
+    # back in at the end, keeping its monic lead term: none divides another
+    for _ in range(len(polys)):
+        g = polys[0]
+        divisors.remove(0)
+        divisors.add(divide(g, divisors, logged=False)[0] if polys else g)
+    return sorted(polys, key=lambda g: ordering.key(g.lm()), reverse=True)

@@ -28,10 +28,10 @@ one of its terms has a divisor among them, and the sorted prolongations
 and the zero-reduction certificates are kept across restarts.  Each
 completion keeps one prepared divisor set of its basis
 (``algebra._Divisors``: the elements, their encoded lead words and
-their integer forms, each built once), edited wherever ``_edit`` edits
-the table, and ``autoreduce`` hands it over on the table.  Before it
-searches an element's terms, ``autoreduce`` drops the stamped rows
-whose encoded lead word does not occur in the element's encoded terms.
+their integer forms, each built once), built by appending and edited
+wherever ``_edit`` edits the table; ``autoreduce`` hands it over on the
+table, and drops the stamped rows whose lead word occurs in none of an
+element's terms (``algebra._terms_text``) before it searches them.
 Prolongations are built straight from the element's terms, without
 ``Fraction`` products.
 
@@ -53,7 +53,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import accumulate, count
 
-from .algebra import Polynomial, Term, _Divisors, _encode
+from .algebra import Polynomial, Term, _Divisors, _terms_text
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, _seed, log_conjugate, log_identity,
                        log_reduced, reduce_by)
@@ -446,12 +446,11 @@ def inv_divide(p, P, table, mode="thin", active=None):
     involutively divides it, at the admitted placement with the shortest
     left cofactor.  P is a list of nonzero polynomials or a prepared
     divisor set (``algebra._Divisors``), as for ``divide``: a list is
-    prepared on every call, a set checks each element's ordering once,
-    when it is added, and builds each element's integer form once.  The
-    table must describe all of P, row j for P's element j: a table with
-    another number of rows, or a divisor found whose lead monomial is
-    not its row's word, raises ``ValueError``.  The log has one triple
-    per reduction step."""
+    prepared on every call, and ``reduce_by`` reads the set with
+    ``first_divisor`` as the lookup.  The table must describe all of P,
+    row j for P's element j: a table with another number of rows, or a
+    divisor found whose lead monomial is not its row's word, raises
+    ``ValueError``.  The log has one triple per reduction step."""
     if not isinstance(P, _Divisors):
         P = _Divisors(P, p.ordering)
     elif p.ordering is not P.ordering and p.ordering != P.ordering:
@@ -468,19 +467,12 @@ def inv_divide(p, P, table, mode="thin", active=None):
                              "table row's word")
         return hit
 
-    return reduce_by(_seed(p), P.ordering, polys, find, P.form)
+    return reduce_by(_seed(p), P, find)
 
 
 # ---------------------------------------------------------------------------
 # Autoreduction
 # ---------------------------------------------------------------------------
-
-def _terms_text(p, sep):
-    """The words of p's terms, encoded as ``algebra._encode`` does and
-    joined by ``sep``, a code point outside the alphabet: a lead word
-    occurs in this text exactly when it occurs in a term of p."""
-    return sep.join([_encode(mon) for _, mon in p.terms])
-
 
 def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     """Repeatedly replace the first p_i that is involutively reducible by
@@ -494,47 +486,46 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     The current set is kept as one prepared divisor set
     (``algebra._Divisors``), edited wherever ``_edit`` edits the table,
     next to one text per element: its term words, encoded and joined
-    (``_terms_text``).  Each element keeps the clock value at which it
-    was last known to be irreducible by the others, and is checked again
-    only against the rows ``_edit`` has stamped since, and of those only
-    against the rows whose encoded lead word occurs in its text; an
-    element with no such row is not checked at all.  ``first_divisor``
-    confirms every hit, and elements are taken in ascending index, so
-    the filter changes no result.
+    (``algebra._terms_text``); each element is appended to all three in
+    turn.  Each element keeps the clock value at which it was last known
+    to be irreducible by the others, and is checked again only against
+    the rows ``_edit`` has stamped since, and of those only against the
+    rows whose encoded lead word occurs in its text; an element with no
+    such row is not checked at all.  ``first_divisor`` confirms every
+    hit, and elements are taken in ascending index, so the filter
+    changes no result.
 
     ``table`` is for a basis that grew by one element: the table this
     function returned, under the same division and mode, for a basis
     whose element objects P[:-1] (zero polynomials dropped) are, in
     order.  Such a table is taken over with the divisor set and texts
-    it carries: they are extended in place by the last element, not
-    built again, and the elements of P[:-1] count as irreducible as of
-    its stamps.  Any other table is ignored.  Either way the result is
-    the same as without ``table``."""
+    it carries: the last element is appended to them in place, and the
+    elements of P[:-1] count as irreducible as of its stamps.  Any other
+    table is ignored.  Either way the result is the same as without
+    ``table``."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
     thick = _thick(mode)    # rejects an unknown mode even when nothing is divided
     basis, logs = _basis_in(P, ordering, logs)
-    sep = chr(len(ordering.alphabet))
     # checked[i]: a clock value when no term of basis[i] was divisible by
     # another element.  A row stamped no later than that is the row it was
     # then, and a deleted row divides nothing, so only the rows stamped
     # since can divide it now.
-    checked = [-1] * len(basis)
     reduced = None if table is None else table._reduced
     if (reduced is not None and table.division == division
             and reduced[0] == thick and len(reduced[1].polys) == len(basis) - 1
             and all(p is q for p, q in zip(reduced[1].polys, basis))):
         table._reduced = None
         _, divisors, texts = reduced
-        checked[:-1] = [next(_clock)] * len(table.lms)
-        _edit(table, len(table.lms), basis[-1].lm())
-        divisors.add(basis[-1])
-        texts.append(_terms_text(basis[-1], sep))
+        checked = [next(_clock)] * len(table.lms)
     else:
-        table = assign_multiplicative(division, [p.lm() for p in basis],
-                                      ordering.alphabet)
-        divisors = _Divisors(basis, ordering)
-        texts = [_terms_text(p, sep) for p in basis]
+        table = assign_multiplicative(division, (), ordering.alphabet)
+        divisors, texts, checked = _Divisors((), ordering), [], []
+    for p in basis[len(checked):]:
+        _edit(table, len(checked), p.lm())
+        divisors.add(p)
+        texts.append(_terms_text(p))
+        checked.append(-1)
     basis, words = divisors.polys, divisors.words
     reductions = 0
     while True:
@@ -566,7 +557,7 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
                 # fully reduced by the rows as they stand at now; _edit
                 # stamps every row it changes later
                 divisors.add(rem, i)
-                texts[i], checked[i] = _terms_text(rem, sep), now
+                texts[i], checked[i] = _terms_text(rem), now
                 _edit(table, i, rem.lm())
                 if logs is not None:
                     logs[i] = log_reduced(logs[i], dlog, logs)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
                     format_polynomial, mora, normal_word_counts,
                     parse_polynomial, poly_combine, reduce_basis, term_mul_poly)
+from ncpoly.algebra import _encode, _terms_text
 
 from conftest import P, group_presentation, w
 
@@ -291,6 +292,45 @@ def test_term_mul_poly_trusted_product_is_normalized(kind, l, p, r):
     assert got.terms == Polynomial(product, _ALPHABET, o).terms
     assert isinstance(got.terms, tuple)
     assert all(isinstance(t.coeff, Fraction) for t in got.terms)
+
+
+# ---------------------------------------------------------------------------
+# Term texts
+# ---------------------------------------------------------------------------
+
+_WIDE = Alphabet([f"g{k}" for k in range(300)])   # letters past 255
+
+
+@st.composite
+def texts_and_words(draw):
+    """A nonzero polynomial over three or 300 letters, and a word: any
+    word, or one cut from two of its term words joined by a letter, so
+    that it may straddle the joint of two terms in the text."""
+    alphabet = draw(st.sampled_from([_ALPHABET, _WIDE]))
+    letters = st.integers(0, len(alphabet) - 1)
+    word = st.lists(letters, max_size=4).map(tuple)
+    # positive coefficients never cancel, so p is nonzero
+    p = Polynomial(draw(st.lists(st.tuples(st.integers(1, 3), word),
+                                 min_size=1, max_size=4)),
+                   alphabet, MonomialOrdering("deglex", alphabet))
+    if draw(st.booleans()):
+        return p, draw(word)
+    mons = st.sampled_from([mon for _, mon in p.terms])
+    joined = draw(mons) + (draw(letters),) + draw(mons)
+    start = draw(st.integers(0, len(joined)))
+    return p, joined[start:draw(st.integers(start, len(joined)))]
+
+
+@settings(max_examples=300)
+@given(texts_and_words())
+# y, x, z straddles the joint of y and z: the separator is no letter
+@example(case=(P(_ALPHABET, _ORDERING, "y + z"), (1, 0, 2)))
+@example(case=(P(_ALPHABET, _ORDERING, "x*y + z"), ()))
+def test_terms_text_holds_exactly_the_subwords_of_the_terms(case):
+    p, v = case
+    subword = any(mon[s:s + len(v)] == v for _, mon in p.terms
+                  for s in range(len(mon) - len(v) + 1))
+    assert (_encode(v) in _terms_text(p)) == subword
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,10 @@ def test_bad_flags_exit_usage(tmp_path):
     assert main([str(path), "--division", "99", "--algorithm",
                  "involutive"]) == EXIT_USAGE
     assert main(["/does/not/exist.txt"]) == EXIT_USAGE
+    # refused at parsing under every algorithm, before any run
+    assert main([str(path), "--max-degree", "-1"]) == EXIT_USAGE
+    assert main([str(path), "--max-iterations", "-3"]) == EXIT_USAGE
+    assert main([str(path), "--division", "0"]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,58 @@ def test_reduce_basis_sorted_descending(xyz, o):
     assert all(g.lc() == 1 for g in out)
 
 
+def list_reduce_basis(G, ordering):
+    """``reduce_basis`` as a loop over lists: drop each element whose lead
+    word holds another's, then divide each element in turn by those not
+    yet reduced, then those reduced, in that order."""
+    work = [g.with_ordering(ordering).monic() for g in G if not g.is_zero()]
+    i = 0
+    while i < len(work):
+        u = work[i].lm()
+        if any(v == u[s:s + len(v)] for jj, g in enumerate(work) if jj != i
+               for v in [g.lm()] for s in range(len(u) - len(v) + 1)):
+            del work[i]
+        else:
+            i += 1
+    done = []
+    while work:
+        g = work.pop(0)
+        others = work + done
+        done.append(divide(g, others, logged=False)[0] if others else g)
+    return sorted(done, key=lambda g: ordering.key(g.lm()), reverse=True)
+
+
+_XYZ = Alphabet(["x", "y", "z"])
+
+
+@st.composite
+def reduce_basis_inputs(draw):
+    """An ordering of x > y > z and a list of polynomials in it, zero ones
+    too, or the basis a short Mora run makes of them: a Gröbner Basis if
+    the run completes, not always one if a cap stops it."""
+    o = MonomialOrdering(draw(st.sampled_from(["deglex", "deginvlex",
+                                               "degrevlex"])), _XYZ)
+    term = st.tuples(st.sampled_from([1, -1, 2, 3, Fraction(1, 2)]),
+                     st.lists(st.integers(0, 2), max_size=4).map(tuple))
+    F = draw(st.lists(st.lists(term, max_size=4).map(
+        lambda ts: Polynomial(ts, _XYZ, o)), min_size=1, max_size=5))
+    if draw(st.booleans()) and any(not f.is_zero() for f in F):
+        F = mora(F, o, max_degree=5, max_iterations=20).basis
+    return o, F
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduce_basis_inputs())
+# divided by the reduced elements first, y*x*z*x - 1/3*z*y*z + 1/6*z*x
+# would lose its last term here
+@example(case=(MonomialOrdering("deglex", _XYZ), P(
+    _XYZ, MonomialOrdering("deglex", _XYZ), "-z^2",
+    "3*y*x*z*x - z^2*y^2 - x*z^2 - z*y*z", "2*z*y^2 + x", "x*y + 2")))
+def test_reduce_basis_divides_in_list_order(case):
+    o, F = case
+    assert reduce_basis(F, o) == list_reduce_basis(F, o)
+
+
 # ---------------------------------------------------------------------------
 # sugar
 # ---------------------------------------------------------------------------
