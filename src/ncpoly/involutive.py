@@ -11,13 +11,16 @@ Twelve divisions are supported, keyed 1-12:
      7  SubwordFreeLeftOverlap
 
 Left and Right are global (the multiplicative sets do not depend on the
-basis); the rest are local.  Under LeftOverlap, PrefixOnlyLeftOverlap,
-SubwordFreeLeftOverlap and their mirrors a row is the full letter set
-minus the letters that pairs of lead monomials discard, so when the
-basis changes only the pairs with the changed element are counted
-again; the tables of 4, 5, 9 and 10 are rebuilt whole.  Every
-right-handed kind is the exact word-reversal mirror of the
-corresponding left-handed kind.
+basis); the rest are local.  Every table is made one way: lead
+monomials go in through a count step, rows come out of a derive step.
+Under LeftOverlap, PrefixOnlyLeftOverlap, SubwordFreeLeftOverlap and
+their mirrors a row is the full letter set minus the letters that pairs
+of lead monomials discard, so when the basis changes only the pairs
+with the changed element are counted again; StrongLeftOverlap keeps
+LeftOverlap's counts and cuts each row's cone again, and only
+TwoSidedLeftOverlap works its rows out whole.  Every right-handed kind
+is the word-reversal mirror of its left-handed kind: it is worked out
+on reversed words, with its sides swapped.
 
 Completion autoreduces and restarts after every basis change.
 ``_edit``, the one function that changes a row, stamps the row it makes
@@ -131,8 +134,8 @@ class MultiplicativeTable:
         self.left = [frozenset(s) for s in left]
         self.right = [frozenset(s) for s in right]
         # per row and letter, the number of pairs of lead monomials that
-        # discard the letter (see _count_pairs); assign_multiplicative
-        # keeps it under the divisions it builds row by row
+        # discard the letter (see _count_pairs), kept under every local
+        # division but 5 and 10 (under 4 and 9, the counts of 3 and 8)
         self._counts = None
         # per row, the clock when it was made or its sets last changed: a
         # new table is newer than anything recorded before it
@@ -176,105 +179,98 @@ class MultiplicativeTable:
         }
 
 
-# divisions whose rows are not a union of discards by pairs of lead
-# monomials: their tables are built whole
-_WHOLE = (4, 5, 9, 10)
-
-
 def assign_multiplicative(division, lms, alphabet):
     """Build the multiplicative table for the given lead monomials.
 
-    Local divisions internally sort the monomials descending by
-    DegRevLex (stable), so the result is invariant under permutation of
-    the input; rows come back aligned with the input order.  Under every
-    division but 4, 5 and their mirrors the table is built by appending
-    one row at a time, the way ``autoreduce`` keeps it as the basis
-    changes.
+    ``division`` is an ``InvolutiveDivision`` or its key.  The table is
+    made the way ``_edit`` keeps it as the basis changes: each lead
+    monomial goes in through the count step, then every row is derived
+    once.  Local divisions sort the monomials descending by DegRevLex
+    where order matters, so the result is invariant under permutation of
+    the input; rows come back aligned with the input order, all with one
+    stamp.
     """
-    lms = [tuple(m) for m in lms]
-    if division.key not in _WHOLE:
-        table = MultiplicativeTable(division, alphabet, (), (), ())
-        if not division.is_global:
-            table._counts = []
-        for lm in lms:
-            _edit(table, len(table.lms), lm)
-        return table
-
-    if not division.left_handed:
-        mirrored = assign_multiplicative(
-            InvolutiveDivision(_MIRROR[division.key]),
-            [w[::-1] for w in lms], alphabet)
-        return MultiplicativeTable(division, alphabet, lms,
-                                   mirrored.right, mirrored.left)
-
-    order = sorted(range(len(lms)), key=lambda t: _degrevlex_key(lms[t]),
-                   reverse=True)
-    u = [lms[t] for t in order]
-    left = [set(range(len(alphabet))) for _ in u]
-    if division.key == 4:
-        # LeftOverlap's rows, then the cones made disjoint
-        overlap = assign_multiplicative(InvolutiveDivision(3), lms, alphabet)
-        right = [set(overlap.right[t]) for t in order]
-        _disjoint_cones(u, right)
-    else:
-        right = [set(range(len(alphabet))) for _ in u]
-        _two_sided_rules(u, left, right)
-
-    out_left = [None] * len(lms)
-    out_right = [None] * len(lms)
-    for slot, t in enumerate(order):
-        out_left[t] = left[slot]
-        out_right[t] = right[slot]
-    return MultiplicativeTable(division, alphabet, lms, out_left, out_right)
+    if not isinstance(division, InvolutiveDivision):
+        division = InvolutiveDivision(division)
+    table = MultiplicativeTable(division, alphabet, (), (), ())
+    if division.key not in (1, 2, 5, 10):
+        table._counts = []
+    stamp = next(_clock)
+    for lm in lms:
+        _count(table, len(table.lms), tuple(lm), stamp)
+    _derive(table, range(len(table.lms)), stamp)
+    return table
 
 
 def _edit(table, i, lm=None):
     """Make row i of ``table`` the row of lead monomial ``lm``, in place:
     append it when i is the table's length, else replace row i, or delete
     row i when ``lm`` is None.  ``table`` is one ``assign_multiplicative``
-    built.  Rows of 1 and 2 are constant; under 3, 6, 7 and their mirrors
-    only the pairs with row i are counted again; the tables of 4, 5 and
-    their mirrors, which keep no counts, are rebuilt.  The row made and
+    built.  The count step counts again only the pairs with row i, and
+    the derive step remakes the rows that can change.  The row made and
     every other row whose letter sets change get one fresh stamp from
     ``_clock``."""
-    division, lms, counts = table.division, table.lms, table._counts
-    new = [] if lm is None else [lm]
-    n = len(table.alphabet)
     stamp = next(_clock)
+    _derive(table, _count(table, i, lm, stamp), stamp)
+
+
+def _count(table, i, lm, stamp):
+    """The count step of an edit (see ``_edit``): slice into the table
+    row i of ``lm``, every letter on both sides and stamped ``stamp``,
+    and count its pairs again where the table keeps counts.  Returns the
+    rows, with repeats, whose sets the counts may change."""
+    n = len(table.alphabet)
+    new = [] if lm is None else [lm]
+    counts = table._counts
+    changed = (_count_pairs(table, i, -1)
+               if counts is not None and i < len(table.lms) else [])
+    table.lms[i:i + 1] = new
     table._stamps[i:i + 1] = [stamp] * len(new)
-    if division.is_global:
-        every, none = frozenset(range(n)), frozenset()
-        lms[i:i + 1] = new
-        table.left[i:i + 1] = [every if division.key == 1 else none] * len(new)
-        table.right[i:i + 1] = [none if division.key == 1 else every] * len(new)
-        return
+    table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
+    if counts is None:
+        return [i] * len(new)
+    counts[i:i + 1] = [[0] * n for _ in new]
+    if lm is None:
+        return [j - (j > i) for j in changed if j != i]
+    return changed + _count_pairs(table, i, 1) + [i]
+
+
+def _derive(table, changed, stamp):
+    """The derive step of an edit (see ``_edit``): remake the rows in
+    ``changed`` under 1, 2, 3, 6, 7 and their mirrors, and every row
+    under 4, 5 and theirs; give ``stamp`` to each row whose sets change."""
+    key, words, left, right = _as_left(table)
 
     def put(rows, j, row):
         if row != rows[j]:
             table._stamps[j] = stamp
-            rows[j] = row
+            rows[j] = frozenset(row)
 
-    if counts is None:
-        whole = assign_multiplicative(division, lms[:i] + new + lms[i + 1:],
-                                      table.alphabet)
-        lms[i:i + 1] = new
-        for rows, fresh in ((table.left, whole.left), (table.right, whole.right)):
-            rows[i:i + 1] = [frozenset(range(n))] * len(new)
-            for j, row in enumerate(fresh):
-                put(rows, j, row)
-        return
-    changed = _count_pairs(table, i, -1) if i < len(lms) else []
-    lms[i:i + 1] = new
-    counts[i:i + 1] = [[0] * n for _ in new]
-    table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
-    if lm is None:
-        changed = [j - (j > i) for j in changed if j != i]
+    if key == 1:
+        for j in changed:
+            put(right, j, frozenset())
+    elif key == 5:
+        lefts, rights = _two_sided_rows(words, len(table.alphabet))
+        for j in range(len(words)):
+            put(left, j, lefts[j])
+            put(right, j, rights[j])
     else:
-        changed += _count_pairs(table, i, 1)
-        changed.append(i)
-    rows = table.right if division.left_handed else table.left
-    for j in set(changed):
-        put(rows, j, frozenset(x for x, c in enumerate(counts[j]) if not c))
+        if key == 4:
+            changed = range(len(words))
+            ascending = sorted([w for w in words if w], key=_degrevlex_key)
+        for j in set(changed):
+            row = frozenset(x for x, c in enumerate(table._counts[j]) if not c)
+            put(right, j, row if key != 4 else _cone(row, ascending))
+
+
+def _as_left(table):
+    """``table`` as its left-handed division works it out: that key, the
+    words and the (left, right) row lists.  A right-handed division is
+    the mirror: its words reversed and its sides swapped, here only."""
+    if table.division.left_handed:
+        return table.division.key, table.lms, table.left, table.right
+    return (_MIRROR[table.division.key], [w[::-1] for w in table.lms],
+            table.right, table.left)
 
 
 def _count_pairs(table, i, step):
@@ -283,13 +279,8 @@ def _count_pairs(table, i, step):
     letter set that changes, with repeats.
 
     A pair is taken longer word first, as ``_discards`` needs it (two
-    words of one length discard alike in either order); a mirrored
-    division counts on reversed words and left sets."""
-    key = table.division.key
-    words = table.lms
-    if not table.division.left_handed:
-        key = _MIRROR[key]
-        words = [w[::-1] for w in words]
+    words of one length discard alike in either order)."""
+    key, words = _as_left(table)[:2]
     counts = table._counts
     flipped = 1 if step > 0 else 0      # the count at which a letter flips
     changed = []
@@ -302,11 +293,7 @@ def _count_pairs(table, i, step):
                 changed.append(j)
 
     ui = words[i]
-    da, db = _discards(key, ui, ui)
-    bump(i, da + db)
     for j, uj in enumerate(words):
-        if j == i:
-            continue
         if len(uj) <= len(ui):
             da, db = _discards(key, ui, uj)
             bump(i, da)
@@ -320,12 +307,13 @@ def _count_pairs(table, i, step):
 
 def _discards(key, ua, ub):
     """The letters that the pair (ua, ub) discards from the right sets of
-    ua and of ub under LeftOverlap (3), PrefixOnlyLeftOverlap (6) or
-    SubwordFreeLeftOverlap (7), with repeats.  ua is at least as long as
-    ub; ua is ub for an element's overlaps with itself."""
+    ua and of ub under LeftOverlap (3, whose counts StrongLeftOverlap, 4,
+    keeps), PrefixOnlyLeftOverlap (6) or SubwordFreeLeftOverlap (7), with
+    repeats.  ua is at least as long as ub; ua is ub for an element's
+    overlaps with itself."""
     alpha, beta = len(ua), len(ub)
     da, db = [], []
-    if key == 3:            # ub inside ua, but not as its suffix
+    if key in (3, 4):       # ub inside ua, but not as its suffix
         for k in range(alpha - beta):
             if ua[k:k + beta] == ub:
                 db.append(ua[k + beta])
@@ -339,37 +327,47 @@ def _discards(key, ua, ub):
     return da, db
 
 
-def _disjoint_cones(u, right):
-    """Ensure every monomial contains a right-nonmultiplicative letter of
-    every other; runs back-to-front and reads the table as it mutates.
-    The empty word has no letter to withdraw, so it is skipped."""
-    for a in range(len(u) - 1, -1, -1):
-        for b in range(len(u) - 1, -1, -1):
-            if u[b] and all(letter in right[a] for letter in u[b]):
-                right[a].discard(u[b][0])
+def _cone(row, ascending):
+    """StrongLeftOverlap's right set from LeftOverlap's ``row``: withdraw
+    the first letter of each word of ``ascending`` (the nonempty words,
+    ascending by DegRevLex) all of whose letters the row still holds."""
+    for w in ascending:
+        if row.issuperset(w):
+            row = row - {w[0]}
+    return row
 
 
-def _two_sided_rules(u, left, right):
-    for a in range(len(u)):
-        for b in range(a, len(u)):
-            ua, ub = u[a], u[b]
-            alpha, beta = len(ua), len(ub)
+def _two_sided_rows(words, n):
+    """TwoSidedLeftOverlap's (left, right) rows, aligned with ``words``:
+    the rules run over the pairs of words taken descending by DegRevLex
+    (stable) and read the sets as they change them."""
+    order = sorted(range(len(words)), key=lambda t: _degrevlex_key(words[t]),
+                   reverse=True)
+    left = [set(range(n)) for _ in words]
+    right = [set(range(n)) for _ in words]
+    for s, a in enumerate(order):
+        ua, la, ra = words[a], left[a], right[a]
+        alpha = len(ua)
+        for b in order[s:]:
+            ub, lb, rb = words[b], left[b], right[b]
+            beta = len(ub)
             if a != b:
-                for k in range(1, alpha - beta + 2):    # k <= alpha - beta + 1
-                    if ua[k - 1:k - 1 + beta] == ub:
-                        if k < alpha - beta + 1:
-                            right[b].discard(ua[k + beta - 1])
-                        elif k >= 2:    # ub is a suffix of ua
-                            left[b].discard(ua[k - 2])  # letter k-1 of ua
+                for k in range(alpha - beta + 1):
+                    if ua[k:k + beta] == ub:
+                        if k < alpha - beta:
+                            rb.discard(ua[k + beta])
+                        elif k:         # ub is a suffix of ua
+                            lb.discard(ua[k - 1])
             for k in range(1, beta):
                 if ua[:k] == ub[beta - k:]:
                     xl, xr = ub[beta - k - 1], ua[k]
-                    if xl in left[a] and xr in right[b]:
-                        right[b].discard(xr)
+                    if xl in la and xr in rb:
+                        rb.discard(xr)
                 if ua[alpha - k:] == ub[:k]:
                     xr, xl = ub[k], ua[alpha - k - 1]
-                    if xr in right[a] and xl in left[b]:
-                        left[b].discard(xl)
+                    if xr in ra and xl in lb:
+                        lb.discard(xl)
+    return left, right
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ and the division of a fixed non-member by the raw and the reduced
 basis, all under deglex.  ``GRID_DIGEST`` pins unlogged involutive
 completion on S3 under all twelve divisions, deglex and degrevlex, thin
 and thick, capped at 500 prolongations: its stats, basis and table,
-which reach the whole-table rebuild of divisions 4, 5, 9 and 10.
+which reach the cone recut of divisions 4 and 9 and the whole rows of
+5 and 10.
 """
 
 import hashlib

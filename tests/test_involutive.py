@@ -88,6 +88,10 @@ def test_strong_left_overlap_table(xyz):
         w(xyz, "zz"): set(),
     }
     assert all(s == {"x", "y", "z"} for s in named_left(table).values())
+    # a key stands for its division, as in autoreduce and involutive_basis
+    assert assign_multiplicative(4, lms, xyz) == table
+    with pytest.raises(ValueError):
+        assign_multiplicative(13, lms, xyz)
 
 
 def test_two_sided_left_overlap_table(xyz):
@@ -113,7 +117,7 @@ def test_global_tables(xyz):
 
 def test_table_permutation_invariance(xyz):
     lms = [w(xyz, m) for m in LMS_6]
-    for key in (3, 4, 5, 6, 7, 8, 11):
+    for key in range(3, 13):
         base = assign_multiplicative(InvolutiveDivision(key), lms, xyz)
         reference = dict(zip(base.lms, zip(base.left, base.right)))
         for perm in itertools.islice(itertools.permutations(lms), 0, 24, 5):
@@ -147,16 +151,46 @@ edits = st.lists(st.tuples(st.sampled_from(("append", "delete", "replace")),
                            st.integers(0, 20), st.integers(0, 3)), max_size=14)
 
 
+def strong_overlap_rows(key, lms, alphabet):
+    """The (left, right) rows of StrongLeftOverlap (4) or its mirror (9),
+    built without the library's cone code: LeftOverlap's right sets of
+    the words, then, for each set and each word back to front in
+    descending DegRevLex order, the word's first letter withdrawn when
+    the set, as it shrinks, holds all of the word's letters.  Under 9 on
+    reversed words, with the sides swapped."""
+    words = [u if key == 4 else u[::-1] for u in lms]
+    base = assign_multiplicative(InvolutiveDivision(3), words, alphabet)
+    order = sorted(range(len(words)), reverse=True,
+                   key=lambda t: (len(words[t]), words[t][::-1]))
+    u = [words[t] for t in order]
+    right = [set(base.right[t]) for t in order]
+    for a in range(len(u) - 1, -1, -1):
+        for b in range(len(u) - 1, -1, -1):
+            if u[b] and all(letter in right[a] for letter in u[b]):
+                right[a].discard(u[b][0])
+    cut = [None] * len(words)
+    for slot, t in enumerate(order):
+        cut[t] = frozenset(right[slot])
+    every = [frozenset(range(len(alphabet)))] * len(words)
+    return (every, cut) if key == 4 else (cut, every)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), edit_words, edits)
 # xx discards x from the row of x; deleting xx gives it back
 @example(3, [(0,), (0, 0)], [("append", 0, 0), ("append", 0, 1),
                              ("delete", 1, 0)])
+# ascending, the word x withdraws x from each row, and yx, which then
+# lacks x, withdraws nothing; descending, yx would withdraw y first.
+# Under 9 the same on the reversed words x and xy
+@example(4, [(0,), (1, 0)], [("append", 0, 0), ("append", 0, 1)])
+@example(9, [(0,), (0, 1)], [("append", 0, 0), ("append", 0, 1)])
 def test_edited_rows_match_a_fresh_table(key, words, steps):
     # the rows autoreduce keeps as lead monomials are appended, deleted
-    # and replaced in place are the rows of a table built afresh.  The
-    # edited row and exactly the rows whose sets change get a stamp newer
-    # than any before.
+    # and replaced in place are the rows of a table built afresh, and
+    # under 4 and 9, whose fresh builds go through the same cone code,
+    # the rows of strong_overlap_rows.  The edited row and exactly the
+    # rows whose sets change get a stamp newer than any before.
     alphabet = Alphabet(["x", "y", "z"])
     division = InvolutiveDivision(key)
     table = assign_multiplicative(division, [], alphabet)
@@ -179,6 +213,9 @@ def test_edited_rows_match_a_fresh_table(key, words, steps):
             before[i] = None
             _edit(table, i, word)
         assert table == assign_multiplicative(division, lms, alphabet)
+        if key in (4, 9):
+            assert (table.left, table.right) == strong_overlap_rows(
+                key, lms, alphabet)
         after = list(zip(table.left, table.right, table._stamps))
         assert len(after) == len(before)
         for old, (left, right, stamp) in zip(before, after):
