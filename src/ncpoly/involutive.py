@@ -28,7 +28,11 @@ and every row whose letter sets it changes from one clock, and a fact
 recorded at a clock value is checked again only against the rows
 stamped since: an element found irreducible is divided again only when
 one of its terms has a divisor among them, and the sorted prolongations
-and the zero-reduction certificates are kept across restarts.  Each
+are kept across restarts, each with its zero-reduction certificate.
+While no element has left the basis and no row up to a certificate's
+largest divisor index has been stamped since it last held, it holds by
+one integer test; a restart that only appended a remainder adds that
+element's prolongations and leaves the rest as they are.  Each
 completion keeps one prepared divisor set of its basis
 (``algebra._Divisors``: the elements, their encoded lead words and
 their integer forms, each built once), built by appending and edited
@@ -41,7 +45,9 @@ Prolongations are built straight from the element's terms, without
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
 of ``groebner`` with this module's lookup, ``first_divisor``, the one
-search of the table's rows.  Divisibility comes in two
+search of the table's rows; it is handed only the rows whose lead word,
+kept encoded on the table, occurs in the word (``str`` containment, in
+C).  Divisibility comes in two
 flavours: thin divisors test only the cofactor letters adjacent to the
 divisor (the last letter of the left cofactor and the first of the
 right), thick divisors test every cofactor letter.  Thin is the
@@ -54,9 +60,9 @@ from __future__ import annotations
 import operator
 from bisect import insort
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, compress, count
 
-from .algebra import Polynomial, Term, _Divisors, _terms_text
+from .algebra import Polynomial, Term, _Divisors, _encode, _terms_text
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, _seed, log_conjugate, log_identity,
                        log_reduced, reduce_by)
@@ -124,8 +130,8 @@ class MultiplicativeTable:
     Rows are aligned with the lead-monomial list the table was built
     from.  ``sets_for`` looks a row up by word (first match)."""
 
-    __slots__ = ("division", "alphabet", "lms", "left", "right", "_counts",
-                 "_stamps", "_reduced")
+    __slots__ = ("division", "alphabet", "lms", "left", "right", "_encoded",
+                 "_mirrored", "_counts", "_stamps", "_reduced")
 
     def __init__(self, division, alphabet, lms, left, right):
         self.division = division
@@ -133,6 +139,11 @@ class MultiplicativeTable:
         self.lms = list(lms)
         self.left = [frozenset(s) for s in left]
         self.right = [frozenset(s) for s in right]
+        # aligned with lms: each word as algebra._encode encodes it, and,
+        # for a right-handed division, each word reversed (see _as_left)
+        self._encoded = [_encode(lm) for lm in self.lms]
+        self._mirrored = (None if division.left_handed
+                          else [lm[::-1] for lm in self.lms])
         # per row and letter, the number of pairs of lead monomials that
         # discard the letter (see _count_pairs), kept under every local
         # division but 5 and 10 (under 4 and 9, the counts of 3 and 8)
@@ -209,8 +220,12 @@ def _edit(table, i, lm=None):
     built.  The count step counts again only the pairs with row i, and
     the derive step remakes the rows that can change.  The row made and
     every other row whose letter sets change get one fresh stamp from
-    ``_clock``."""
+    ``_clock``; a replacement by the word row i already holds changes no
+    row, so it only stamps row i."""
     stamp = next(_clock)
+    if lm is not None and i < len(table.lms) and table.lms[i] == lm:
+        table._stamps[i] = stamp
+        return
     _derive(table, _count(table, i, lm, stamp), stamp)
 
 
@@ -225,6 +240,9 @@ def _count(table, i, lm, stamp):
     changed = (_count_pairs(table, i, -1)
                if counts is not None and i < len(table.lms) else [])
     table.lms[i:i + 1] = new
+    table._encoded[i:i + 1] = [_encode(lm) for lm in new]
+    if table._mirrored is not None:
+        table._mirrored[i:i + 1] = [lm[::-1] for lm in new]
     table._stamps[i:i + 1] = [stamp] * len(new)
     table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
     if counts is None:
@@ -266,11 +284,11 @@ def _derive(table, changed, stamp):
 def _as_left(table):
     """``table`` as its left-handed division works it out: that key, the
     words and the (left, right) row lists.  A right-handed division is
-    the mirror: its words reversed and its sides swapped, here only."""
-    if table.division.left_handed:
+    the mirror: its words reversed (kept on the table, edited by
+    ``_count``) and its sides swapped, here only."""
+    if table._mirrored is None:
         return table.division.key, table.lms, table.left, table.right
-    return (_MIRROR[table.division.key], [w[::-1] for w in table.lms],
-            table.right, table.left)
+    return _MIRROR[table.division.key], table._mirrored, table.right, table.left
 
 
 def _count_pairs(table, i, step):
@@ -445,9 +463,11 @@ def inv_divide(p, P, table, mode="thin", active=None):
     left cofactor.  P is a list of nonzero polynomials or a prepared
     divisor set (``algebra._Divisors``), as for ``divide``: a list is
     prepared on every call, and ``reduce_by`` reads the set with
-    ``first_divisor`` as the lookup.  The table must describe all of P,
-    row j for P's element j: a table with another number of rows, or a
-    divisor found whose lead monomial is not its row's word, raises
+    ``first_divisor`` as the lookup, handed only the rows (in ``active``
+    order) whose word, as the table keeps it encoded, occurs in the
+    encoded word looked up.  The table must describe all of P, row j for
+    P's element j: a table with another number of rows, or a divisor
+    found whose lead monomial is not its row's word, raises
     ``ValueError``.  The log has one triple per reduction step."""
     if not isinstance(P, _Divisors):
         P = _Divisors(P, p.ordering)
@@ -458,8 +478,15 @@ def inv_divide(p, P, table, mode="thin", active=None):
     if len(lms) != len(polys):
         raise ValueError(f"the table has {len(lms)} rows for {len(polys)} divisors")
 
+    if active is None:
+        active, words = range(len(lms)), table._encoded
+    else:
+        words = [table._encoded[j] for j in active]
+
     def find(u):
-        hit = first_divisor(u, lms, lefts, rights, thick, active)
+        text = _encode(u)
+        hit = first_divisor(u, lms, lefts, rights, thick,
+                            compress(active, map(text.__contains__, words)))
         if hit is not None and polys[hit[0]].terms[0].mon != lms[hit[0]]:
             raise ValueError(f"divisor {hit[0]} does not lead with its "
                              "table row's word")
@@ -620,14 +647,23 @@ def involutive_basis(F, division, ordering, mode="thin",
 
     The sorted prolongations are kept across restarts: only those of the
     rows ``_edit`` stamped since the last restart are built and inserted,
-    and those of the elements that left or were stamped are dropped.
+    and those of the elements that left or were stamped are dropped.  A
+    restart that only appended a remainder, whose edit stamped no other
+    row, inserts that element's prolongations and drops none.
 
-    A prolongation that reduced to zero leaves a certificate: the divisor
-    and placement chosen at each step.  While its element is still in the
-    basis and every recorded choice is still the one ``inv_divide`` would
-    make, the prolongation is known to reduce to zero again and is not
-    rebuilt.  A choice is checked again only against the elements
-    stamped since it was last known to hold.
+    A prolongation that reduced to zero leaves a certificate on its queue
+    entry: the divisor and placement chosen at each step, the clock when
+    it was last known to hold and its largest divisor index.  While its
+    element is still in the basis and every recorded choice is still the
+    one ``inv_divide`` would make, the prolongation is known to reduce to
+    zero again and is not rebuilt.  If no element has left the basis
+    since the certificate held, its divisors have the indices recorded,
+    so when no row up to the largest is newer it holds without a replay;
+    otherwise a choice is checked again only against the elements
+    stamped since.  The entries of an element whose row is stamped park
+    their certificates until the entries for the same side and letter
+    are rebuilt, even at a later restart; an element that leaves the
+    basis drops its certificates.
     Stats: ``prolongations`` counts prolongations examined, reused or
     reduced (``max_iterations`` caps this count); ``reused`` counts those
     settled by a certificate; ``inv_reductions`` counts the reduction
@@ -643,11 +679,14 @@ def involutive_basis(F, division, ordering, mode="thin",
     stats = {"prolongations": 0, "reused": 0, "inv_reductions": 0,
              "basis_changes": 0}
     status = "complete"
-    letters = range(len(ordering.alphabet))
-    certificates = {}   # (element, side, letter) -> [certificate, clock]
+    parked = {}         # (element, side, letter) -> certificate off the queue
     table = None
     since = -1          # the clock at the last restart
-    queue = []          # (word key, side, letter, element), ascending by rank
+    left_at = -1        # since, as it stood when an element last left
+    where = {}          # id(element) -> its index in the basis
+    # [word key, side, letter, element, certificate], ascending by rank; a
+    # certificate is [steps, clock confirmed, largest divisor index] or None
+    queue = []
 
     def rank(entry):
         # survivors keep their order, so the queue stays sorted by this
@@ -662,34 +701,58 @@ def involutive_basis(F, division, ordering, mode="thin",
         divisors = table._reduced[1]    # basis, prepared; autoreduce keeps it
         stats["inv_reductions"] += result.stats["inv_reductions"]
         stamps = table._stamps
-        where = {id(p): idx for idx, p in enumerate(basis)}
-        for p in previous:
-            if id(p) not in where:
-                for side in (0, 1):
-                    for x in letters:
-                        certificates.pop((p, side, x), None)
-        kept = {id(g) for g, stamp in zip(basis, stamps) if stamp <= since}
-        queue = [entry for entry in queue if id(entry[3]) in kept]
-        for idx, g in enumerate(basis):
-            if stamps[idx] > since:
-                lm = g.lm()
-                for x in table.nonmult_left(idx):
-                    insort(queue, (ordering.key((x,) + lm), 0, x, g), key=rank)
-                for x in table.nonmult_right(idx):
-                    insort(queue, (ordering.key(lm + (x,)), 1, x, g), key=rank)
-        since = next(_clock)
         newest = list(accumulate(stamps, max))
-        for _, side, x, g in queue:
+        last = len(basis) - 1
+        grew = len(where) == last and all(map(operator.is_, basis, previous))
+        if grew:
+            where[id(basis[last])] = last
+        else:
+            left_at = since
+            where = {id(p): idx for idx, p in enumerate(basis)}
+            parked = {k: c for k, c in parked.items() if id(k[0]) in where}
+        if grew and not (last and newest[last - 1] > since):
+            fresh = (last,)     # only appended: no entry leaves the queue
+        else:
+            # the entries of elements that left go; those of stamped rows
+            # park their certificates for the entries rebuilt below
+            fresh = [idx for idx in range(last + 1) if stamps[idx] > since]
+            survivors = []
+            for entry in queue:
+                idx = where.get(id(entry[3]))
+                if idx is not None and stamps[idx] <= since:
+                    survivors.append(entry)
+                elif idx is not None and entry[4] is not None:
+                    parked[entry[3], entry[1], entry[2]] = entry[4]
+            queue = survivors
+        for idx in fresh:
+            g = basis[idx]
+            lm = g.lm()
+            for x in table.nonmult_left(idx):
+                insort(queue, [ordering.key((x,) + lm), 0, x, g,
+                               parked.pop((g, 0, x), None)], key=rank)
+            for x in table.nonmult_right(idx):
+                insort(queue, [ordering.key(lm + (x,)), 1, x, g,
+                               parked.pop((g, 1, x), None)], key=rank)
+        since = next(_clock)
+        for entry in queue:
             if stats["prolongations"] >= max_iterations:
                 status = "iteration_cap_hit"
                 break
             stats["prolongations"] += 1
-            known = certificates.get((g, side, x))
-            if known is not None and _certificate_holds(
-                    known[0], known[1], where, stamps, newest, table, thick):
-                known[1] = since
-                stats["reused"] += 1
-                continue
+            _, side, x, g, known = entry
+            if known is not None:
+                steps, made, top = known
+                # no element has left since made, so the recorded indices
+                # stand, and no row up to top is newer: the choices stand
+                if left_at < made and newest[top] <= made:
+                    known[1] = since
+                    stats["reused"] += 1
+                    continue
+                if _certificate_holds(steps, made, where, stamps, newest,
+                                      table, thick):
+                    known[1:] = since, max([where[id(d)] for d, _, _ in steps])
+                    stats["reused"] += 1
+                    continue
             # x*g or g*x: the ordering is admissible, so the terms stay
             # descending
             w = (x,)
@@ -699,8 +762,8 @@ def involutive_basis(F, division, ordering, mode="thin",
             rem, dlog = inv_divide(s, divisors, table, mode)
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
-                certificates[g, side, x] = [_certificate(basis, table, dlog),
-                                            since]
+                entry[4] = [_certificate(basis, table, dlog), since,
+                            max([j for _, j, _ in dlog])]
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"

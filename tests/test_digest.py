@@ -19,17 +19,24 @@ basis, all under deglex.  ``GRID_DIGEST`` pins unlogged involutive
 completion on S3 under all twelve divisions, deglex and degrevlex, thin
 and thick, capped at 500 prolongations: its stats, basis and table,
 which reach the cone recut of divisions 4 and 9 and the whole rows of
-5 and 10.
+5 and 10.  ``RANDOM_DIGEST`` pins involutive completion beyond the group
+presentations: ten seeded inputs of two or three ``random_poly``
+polynomials over x > y, under all twelve divisions, thin and thick,
+capped at 300 prolongations and degree 8, hashing status, basis and
+stats.  Its runs end under all three statuses, and an element leaves
+the basis (a deletion or a replacement by autoreduction) at 444 of the
+2,565 restarts that follow a run's first.
 """
 
 import hashlib
+import random
 
 from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering, WalkJob,
                     divide, format_polynomial, groebner_walk, involutive_basis,
                     involutive_walk, mora, parse_polynomial, reduce_basis)
 from ncpoly.algebra import format_word
 
-from conftest import group_presentation
+from conftest import group_presentation, random_poly
 
 DIGEST = "7fd9d7be0ea8568f4544d5b169d449e1b4356cafd1704477da39d530b3ec3e78"
 # the same runs with every stats field None: bases, logs and tables only
@@ -37,6 +44,7 @@ OUTPUT_DIGEST = "5358fe15006200a51a9a2b59d7bef465e38a0f8eb9d0708458b0be5cebdcc91
 DENSE_DIGEST = "d49eb802722d751c777d39154bc728f7806e28b40296144edf2fa36b82f24e96"
 
 GRID_DIGEST = "db55adc49a7b71b2e140c717db9141fec31bb34ac79467a290dafd3037ed9f37"
+RANDOM_DIGEST = "18bf3ddbb160c07c09c65931285a0a7fdcecdb3ba7ef1690f788e55ef084a8df"
 
 DENSE_CUBICS = (
     "-x^3 - 9*x^2*y - 9*x*y*x - 4*x*y^2 + 3*y*x^2 - 8*y*x*y - 3*y^2*x - 8*y^3",
@@ -105,6 +113,20 @@ def _grid_runs():
                        res.stats, res.basis, None, res.table)
 
 
+def _random_runs():
+    A = Alphabet(["x", "y"])
+    o = MonomialOrdering("deglex", A)
+    rng = random.Random(7)
+    for n in range(10):
+        F = [random_poly(rng, A, o) for _ in range(rng.randint(2, 3))]
+        for key in range(1, 13):
+            for mode in ("thin", "thick"):
+                res = involutive_basis(F, InvolutiveDivision(key), o, mode=mode,
+                                       max_iterations=300, max_degree=8)
+                yield (f"random {n} {key} {mode}", res.status, res.stats,
+                       res.basis, None, None)
+
+
 def digest_text(runs):
     lines = []
     for label, status, stats, basis, logs, table in runs:
@@ -137,3 +159,8 @@ def test_dense_digest_pinned():
 def test_grid_digest_pinned():
     text = digest_text(_grid_runs())
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
+
+
+def test_random_digest_pinned():
+    text = digest_text(_random_runs())
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGEST
