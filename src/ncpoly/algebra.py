@@ -90,14 +90,15 @@ def _terms_text(p):
     return chr(len(p.alphabet)).join([_encode(mon) for _, mon in p.terms])
 
 
-def _integer_form(q):
-    """(den, coefficients): den the least common denominator of the
-    polynomial q's coefficients, and den times each of them, an integer,
-    in a list aligned with ``q.terms``."""
-    den = 1
-    for c, _ in q.terms:
-        den = lcm(den, c.denominator)
-    return den, [c.numerator * (den // c.denominator) for c, _ in q.terms]
+def _seed(p):
+    """The polynomial p as a seed for ``groebner.reduce_by``: (work,
+    scale), a dict from each of p's words to an integer coefficient, in
+    term order, over the least positive integer scale that makes them
+    integers."""
+    scale = 1
+    for c, _ in p.terms:
+        scale = lcm(scale, c.denominator)
+    return {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}, scale
 
 
 class _Divisors:
@@ -141,12 +142,14 @@ class _Divisors:
         del self.polys[i], self.words[i], self.forms[i]
 
     def form(self, j):
-        """``_integer_form`` of element j, built the first time it is
-        asked for: a set prepared per query mostly cancels few of its
-        elements."""
+        """The integer form of element j, (den, coefficients): its
+        ``_seed`` scale and coefficients, in a list aligned with its
+        terms.  It is built the first time it is asked for: a set
+        prepared per query mostly cancels few of its elements."""
         f = self.forms[j]
         if f is None:
-            f = self.forms[j] = _integer_form(self.polys[j])
+            work, den = _seed(self.polys[j])
+            f = self.forms[j] = den, list(work.values())
         return f
 
     def first(self, u):

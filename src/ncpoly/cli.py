@@ -227,18 +227,31 @@ def _output_path(problem_path, ordering_kind, algorithm):
     return f"{stem}.{ORDERING_ABBREV[ordering_kind]}.{ALGORITHM_ABBREV[algorithm]}"
 
 
+def _formatted(polys):
+    """``format_polynomial`` of each of ``polys``, with Python's
+    integer-string limit lifted: reduction can make integers longer than
+    the parser takes as input."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [format_polynomial(p) for p in polys]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _write_output(path, alphabet, ordering, basis, stats, status, elapsed):
+    """Write the result file.  Its text is made whole before the file is
+    opened, so a formatting error leaves no partial file."""
+    lines = ["vars: " + " > ".join(alphabet.generators),
+             f"ordering: {ordering.kind}", *_formatted(basis),
+             f"# stats: status={status}", f"# stats: basis_size={len(basis)}"]
+    lines += [f"# stats: {key}={value}" for key, value in stats.items()
+              if key != "basis_size"]
+    lines.append(f"# stats: wall_time={elapsed:.3f}s")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("vars: " + " > ".join(alphabet.generators) + "\n")
-        handle.write(f"ordering: {ordering.kind}\n")
-        for p in basis:
-            handle.write(format_polynomial(p) + "\n")
-        handle.write(f"# stats: status={status}\n")
-        handle.write(f"# stats: basis_size={len(basis)}\n")
-        for key, value in stats.items():
-            if key != "basis_size":
-                handle.write(f"# stats: {key}={value}\n")
-        handle.write(f"# stats: wall_time={elapsed:.3f}s\n")
+        handle.write("\n".join(lines) + "\n")
 
 
 def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
@@ -267,7 +280,7 @@ def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
         if rem.is_zero():
             print("member", file=out)
         else:
-            print(f"non-member, remainder: {format_polynomial(rem)}", file=out)
+            print(f"non-member, remainder: {_formatted([rem])[0]}", file=out)
 
 
 def main(argv=None):

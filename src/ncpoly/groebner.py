@@ -27,8 +27,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import (Polynomial, Term, _Divisors, _normal_counts, _sum_terms,
-                      term_mul_poly)
+from .algebra import (Polynomial, Term, _Divisors, _normal_counts, _seed,
+                      _sum_terms, term_mul_poly)
 from .spoly import enumerate_overlaps, settled_key, criterion2_applies
 
 DEFAULT_MAX_DEGREE = 20
@@ -92,16 +92,6 @@ def log_expand(log, F):
 # Division
 # ---------------------------------------------------------------------------
 
-def _seed(p):
-    """The polynomial p as a seed for ``reduce_by``: (work, scale), a
-    dict from each of p's words to an integer coefficient, over the
-    least positive integer scale that makes them integers."""
-    scale = 1
-    for c, _ in p.terms:
-        scale = lcm(scale, c.denominator)
-    return {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}, scale
-
-
 def reduce_by(seed, divisors, find, logged=True):
     """Reduce the seed (work, scale) by the elements P of the prepared
     set ``divisors`` term by term, returning (remainder, log).
@@ -113,7 +103,7 @@ def reduce_by(seed, divisors, find, logged=True):
     caller's divisor lookup: while the greatest word u has a divisor,
     ``find(u)`` gives (j, s), and P[j] is cancelled in place at the
     placement whose left cofactor is u[:s], in integers, through
-    ``divisors.form(j)``, P[j]'s ``algebra._integer_form``.  ``scale``
+    ``divisors.form(j)``, P[j]'s integer form.  ``scale``
     grows only as far as that step needs, and scaling by a nonzero
     integer keeps every zero test, so each step is the one exact
     rational division takes.  A word whose coefficient is zero stays in

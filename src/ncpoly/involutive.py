@@ -45,14 +45,15 @@ Prolongations are built straight from the element's terms, without
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
 of ``groebner`` with this module's lookup, ``first_divisor``, the one
-search of the table's rows; it is handed only the rows whose lead word,
-kept encoded on the table, occurs in the word (``str`` containment, in
-C).  Divisibility comes in two
-flavours: thin divisors test only the cofactor letters adjacent to the
-divisor (the last letter of the left cofactor and the first of the
-right), thick divisors test every cofactor letter.  Thin is the
-default.  Thick-divisor runs can leave words conventionally reducible
-yet involutively irreducible; see the degree-cap tests for a witness.
+search of the table's rows: one loop over the ``str.find`` occurrences
+(in C) of each row's lead word, kept encoded on the table, in the
+encoded word, handed only the rows whose word occurs there.
+Divisibility comes in two flavours: thin divisors test only the
+cofactor letters adjacent to the divisor (the last letter of the left
+cofactor and the first of the right), thick divisors test every
+cofactor letter.  Thin is the default.  Thick-divisor runs can leave
+words conventionally reducible yet involutively irreducible; see the
+degree-cap tests for a witness.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ from bisect import insort
 from fractions import Fraction
 from itertools import accumulate, compress, count
 
-from .algebra import Polynomial, Term, _Divisors, _encode, _terms_text
+from .algebra import (Polynomial, Term, _Divisors, _encode, _seed,
+                      _terms_text)
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
-                       _basis_in, _seed, log_conjugate, log_identity,
-                       log_reduced, reduce_by)
+                       _basis_in, log_conjugate, log_identity, log_reduced,
+                       reduce_by)
 from .orderings import _degrevlex_key
 
 DIVISION_NAMES = {
@@ -400,44 +402,29 @@ def _thick(mode):
     return mode == "thick"
 
 
-def first_divisor(u, lms, lefts, rights, thick, active=None):
-    """The first involutive divisor of word u, as (j, s), or None.
+def first_divisor(text, words, lefts, rights, thick, active=None):
+    """The first involutive divisor of a word u, as (j, s), or None.
 
-    j is the first row (in ``active`` order, default every row) whose
-    word lms[j] occurs in u at a placement u = u3 * lms[j] * u4 that row
-    j's letter sets admit; s = len(u3) is the smallest such.  lefts[j]
-    and rights[j] hold the letters u3 and u4 may carry: thin divisors
-    test only the letters next to lms[j], thick ones every cofactor
-    letter.  A row of every letter admits every placement; conventional
-    division has its own search, ``algebra._Divisors``.
+    u and row j's word v are ``text`` and ``words[j]``, encoded by
+    ``_encode``.  j is the first row (in ``active`` order, default every
+    row) with an occurrence u = u3 * v * u4, found by ``str.find``, that
+    its letter sets admit, and s = len(u3) the first such.  lefts[j] and
+    rights[j] hold the letters u3 and u4 may carry: thin divisors test
+    only the letters next to v, thick ones every cofactor letter.
+    Conventional division has its own search, ``_Divisors``.
     """
-    n = len(u)
-    for j in range(len(lms)) if active is None else active:
-        v = lms[j]
-        d = len(v)
-        if d > n:
-            continue
-        hi = n - d
-        right = rights[j]
-        if not right:       # u4 must be empty: only the suffix placement
-            if u[hi:] == v:
-                left = lefts[j]
-                if not hi or (left.issuperset(u[:hi]) if thick
-                              else u[hi - 1] in left):
-                    return j, hi
-            continue
-        left = lefts[j]
-        if not left:        # u3 must be empty: only the prefix placement
-            if u[:d] == v and (not hi or (right.issuperset(u[d:]) if thick
-                                          else u[d] in right)):
-                return j, 0
-            continue
-        for s in range(hi + 1):
-            if u[s:s + d] == v and (
-                    (left.issuperset(u[:s]) and right.issuperset(u[s + d:]))
-                    if thick else ((not s or u[s - 1] in left)
-                                   and (s + d == n or u[s + d] in right))):
+    n = len(text)
+    for j in range(len(words)) if active is None else active:
+        v, left, right = words[j], lefts[j], rights[j]
+        s = text.find(v)
+        while s >= 0:
+            e = s + len(v)
+            if ((left.issuperset(map(ord, text[:s]))
+                 and right.issuperset(map(ord, text[e:]))) if thick
+                    else ((not s or ord(text[s - 1]) in left)
+                          and (e == n or ord(text[e]) in right))):
                 return j, s
+            s = text.find(v, s + 1)
     return None
 
 
@@ -446,7 +433,8 @@ def involutively_divides(u2, u1, table, mode="thin"):
     or None.  ``mode`` selects thin or thick divisors."""
     u2, u1 = tuple(u2), tuple(u1)
     left, right = table.sets_for(u2)
-    hit = first_divisor(u1, [u2], [left], [right], _thick(mode))
+    hit = first_divisor(_encode(u1), [_encode(u2)], [left], [right],
+                        _thick(mode))
     if hit is None:
         return None
     s = hit[1]
@@ -463,9 +451,9 @@ def inv_divide(p, P, table, mode="thin", active=None):
     left cofactor.  P is a list of nonzero polynomials or a prepared
     divisor set (``algebra._Divisors``), as for ``divide``: a list is
     prepared on every call, and ``reduce_by`` reads the set with
-    ``first_divisor`` as the lookup, handed only the rows (in ``active``
-    order) whose word, as the table keeps it encoded, occurs in the
-    encoded word looked up.  The table must describe all of P, row j for
+    ``first_divisor`` as the lookup: each word looked up is encoded
+    once, and only the rows (in ``active`` order) whose word, as the
+    table keeps it encoded, occurs in that text are searched.  The table must describe all of P, row j for
     P's element j: a table with another number of rows, or a divisor
     found whose lead monomial is not its row's word, raises
     ``ValueError``.  The log has one triple per reduction step."""
@@ -474,18 +462,18 @@ def inv_divide(p, P, table, mode="thin", active=None):
     elif p.ordering is not P.ordering and p.ordering != P.ordering:
         raise ValueError("polynomials live in different algebras or orderings")
     lms, lefts, rights, thick = table.lms, table.left, table.right, _thick(mode)
-    polys = P.polys
+    encoded, polys = table._encoded, P.polys
     if len(lms) != len(polys):
         raise ValueError(f"the table has {len(lms)} rows for {len(polys)} divisors")
 
     if active is None:
-        active, words = range(len(lms)), table._encoded
+        active, words = range(len(lms)), encoded
     else:
-        words = [table._encoded[j] for j in active]
+        words = [encoded[j] for j in active]
 
     def find(u):
         text = _encode(u)
-        hit = first_divisor(u, lms, lefts, rights, thick,
+        hit = first_divisor(text, encoded, lefts, rights, thick,
                             compress(active, map(text.__contains__, words)))
         if hit is not None and polys[hit[0]].terms[0].mon != lms[hit[0]]:
             raise ValueError(f"divisor {hit[0]} does not lead with its "
@@ -564,8 +552,8 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
             text = texts[i]
             rows = [j for j in newer[since] if j != i and words[j] in text]
             if not rows or all(
-                    first_divisor(u, table.lms, table.left, table.right,
-                                  thick, rows) is None
+                    first_divisor(_encode(u), table._encoded, table.left,
+                                  table.right, thick, rows) is None
                     for _, u in basis[i].terms):
                 checked[i] = now
                 continue
@@ -618,7 +606,7 @@ def _certificate_holds(steps, made, where, stamps, newest, table, thick):
     elements then, so it chooses as it chose then: a step scans the
     newer rows up to its divisor's once, and must first hit the divisor
     at the recorded placement if its row is newer, and nothing if not."""
-    lms, lefts, rights = table.lms, table.left, table.right
+    words, lefts, rights = table._encoded, table.left, table.right
     for divisor, word, left in steps:
         k = where.get(id(divisor))
         if k is None:
@@ -626,7 +614,7 @@ def _certificate_holds(steps, made, where, stamps, newest, table, thick):
         if newest[k] <= made:
             continue
         want = (k, left) if stamps[k] > made else None
-        if first_divisor(word, lms, lefts, rights, thick,
+        if first_divisor(_encode(word), words, lefts, rights, thick,
                          [j for j in range(k + 1) if stamps[j] > made]) != want:
             return False
     return True

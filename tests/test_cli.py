@@ -2,17 +2,19 @@
 
 import io
 import os
+import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpoly import (Alphabet, MonomialOrdering, divide, mora, parse_polynomial,
-                    reduce_basis)
+from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, divide,
+                    mora, parse_polynomial, reduce_basis)
 from ncpoly.cli import (EXIT_CAP, EXIT_OK, EXIT_USAGE, ProblemFileError,
-                        _parse_generators, main, membership_repl,
-                        parse_problem_file)
+                        _parse_generators, _write_output, main,
+                        membership_repl, parse_problem_file)
 
 from conftest import P
 
@@ -269,6 +271,24 @@ def test_output_round_trip(tmp_path):
                                        "z^2", "x + z")
 
 
+def test_output_holds_integers_past_the_digit_limit(tmp_path):
+    # completion can make a coefficient longer than Python's integer-string
+    # limit, which the parser refuses as input: it is written in full, and
+    # the limit is left as it was
+    xy = Alphabet(["x", "y"])
+    o = MonomialOrdering("deglex", xy)
+    big = 10**5000 + 1
+    p = Polynomial([Term(Fraction(big), (0,)), Term(Fraction(1), ())], xy, o)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = tmp_path / "big.deg.inv"
+    _write_output(path, xy, o, [p], {"inv_reductions": 0}, "complete", 0.5)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    polys, stats = read_output(path)
+    assert polys == ["1" + "0" * 4999 + "1*x + 1"]
+    assert stats == ["# stats: status=complete", "# stats: basis_size=1",
+                     "# stats: inv_reductions=0", "# stats: wall_time=0.500s"]
+
+
 def test_verbosity_does_not_change_results(tmp_path, capsys):
     path = write(tmp_path, "mora.txt", MORA_FILE)
     main([str(path)])
@@ -387,6 +407,19 @@ def test_membership_parse_error_continues(membership_gb):
     assert "integer too long (at position 0)" in err
     assert "exponent too large (at position 2)" in err
     assert out.strip() == "member"     # the loop continued, quit stopped it
+
+
+def test_membership_remainder_past_the_digit_limit(xyz):
+    # a query within the limit can leave a remainder past it, which is
+    # printed in full; the limit is left as it was, so the next query of
+    # 5000 digits is still refused
+    o = MonomialOrdering("deglex", xyz)
+    gb = [P(xyz, o, "x - 1" + "0" * 4000)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    out, err = run_repl(gb, o, "x^2\n" + "1" * 5000 + "\n")
+    assert out == "non-member, remainder: 1" + "0" * 8000 + "\n"
+    assert err == "error: integer too long (at position 0)\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_membership_flag_end_to_end(tmp_path, capfd, monkeypatch):

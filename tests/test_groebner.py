@@ -14,7 +14,7 @@ from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     enumerate_overlaps, inv_divide, log_expand, mora,
                     parse_polynomial, poly_combine, reduce_basis,
                     s_polynomial, sugar_value)
-from ncpoly.algebra import _Divisors
+from ncpoly.algebra import _Divisors, _encode
 from ncpoly.groebner import _s_seed
 from ncpoly.involutive import first_divisor
 from ncpoly.spoly import OverlapSpec, settled_key
@@ -115,6 +115,23 @@ def divisor_rows(draw):
 @given(st.lists(letters, max_size=8).map(tuple), divisor_rows(), st.booleans())
 # thick, last letter of u not right-multiplicative: only the suffix placement
 @example(u=(0, 1), rows=([(1,)], [({0}, {0})], None), thick=True)
+# empty right set: the word occurs before its suffix occurrence
+@example(u=(0, 1, 2, 0, 1), rows=([(0, 1)], [({0, 1, 2}, set())], None),
+         thick=False)
+@example(u=(0, 1, 2, 0, 1), rows=([(0, 1)], [({0, 1, 2}, set())], None),
+         thick=True)
+# empty left set: the word occurs at 0 and later; only 0 can be admitted
+@example(u=(1, 0, 1), rows=([(1,)], [(set(), {0})], None), thick=False)
+@example(u=(1, 0, 1), rows=([(1,)], [(set(), {0})], None), thick=True)
+# the empty word occurs at every offset, the last one past the last letter
+@example(u=(0, 1), rows=([()], [({0}, {1})], None), thick=False)
+@example(u=(0, 1), rows=([(), (0,)], [({0}, set()), ({1}, {1})], None),
+         thick=True)
+# letters past 255, in the word and in the row sets
+@example(u=(300, 0, 300), rows=([(300,), (0,)], [({0}, set()), ({300}, {300})],
+                                 None), thick=False)
+@example(u=(300, 0, 300), rows=([(300,), (0,)], [({0}, set()), ({300}, {300})],
+                                 None), thick=True)
 def test_first_divisor_matches_oracle(u, rows, thick):
     lms, sets, active = rows
     expected = None
@@ -128,7 +145,8 @@ def test_first_divisor_matches_oracle(u, rows, thick):
         sets = [(frozenset(range(3)), frozenset(range(3)))] * len(lms)
     lefts = [left for left, _ in sets]
     rights = [right for _, right in sets]
-    assert first_divisor(u, lms, lefts, rights, thick, active) == expected
+    assert first_divisor(_encode(u), [_encode(v) for v in lms], lefts, rights,
+                         thick, active) == expected
 
 
 _XYZ = Alphabet(["x", "y", "z"])

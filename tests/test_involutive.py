@@ -12,7 +12,7 @@ from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
                     assign_multiplicative, autoreduce, divide, inv_divide,
                     involutive, involutive_basis, involutively_divides,
                     log_expand, poly_combine, reduce_basis)
-from ncpoly.algebra import _Divisors
+from ncpoly.algebra import _Divisors, _encode
 from ncpoly.groebner import log_identity, log_reduced
 from ncpoly.involutive import _certificate, _certificate_holds, _edit
 
@@ -511,9 +511,9 @@ def naive_autoreduce(F, division, o, mode, logs):
         table = assign_multiplicative(division, [p.lm() for p in basis], _XY)
         for i, p in enumerate(basis):
             others = [j for j in range(len(basis)) if j != i]
-            if all(involutive.first_divisor(u, table.lms, table.left,
-                                            table.right, mode == "thick",
-                                            others) is None
+            if all(involutive.first_divisor(_encode(u), table._encoded,
+                                            table.left, table.right,
+                                            mode == "thick", others) is None
                    for _, u in p.terms):
                 continue
             rem, dlog = inv_divide(p, basis, table, mode, others)
