@@ -80,8 +80,16 @@ class Alphabet:
 
 def _encode(word):
     """A word as a str with one code point per letter, so that ``str.find``
-    searches for one word inside another in C, for any alphabet size."""
-    return "".join(map(chr, word))
+    searches for one word inside another in C, for any alphabet size.
+
+    Letters below 256 go through ``bytes``: latin-1 decodes byte b to
+    ``chr(b)``, so the string is the same, made in C.  A letter past 255
+    makes ``bytes`` raise, and the word is then joined letter by letter
+    (a negative letter raises ``ValueError`` there too)."""
+    try:
+        return bytes(word).decode("latin-1")
+    except ValueError:
+        return "".join(map(chr, word))
 
 
 def _terms_text(p):
@@ -107,7 +115,9 @@ class _Divisors:
     and their integer forms (``forms``, see ``form``).
 
     Each element is checked once, when it is added.  ``first`` and
-    ``occurrences`` find the lead words inside a word.  ``add`` and
+    ``occurrences`` find the lead words inside a word, in C: a lead word
+    is tested with ``in`` and only one that occurs is looked up with
+    ``str.find`` for its offsets.  ``add`` and
     ``remove`` edit the set in place, so a caller whose basis changes by
     one element at a time keeps one set, and the forms it has built.
     """
@@ -157,19 +167,19 @@ class _Divisors:
         leftmost offset there, as (j, s), or None."""
         text = _encode(u)
         for j, v in enumerate(self.words):
-            s = text.find(v)
-            if s >= 0:
-                return j, s
+            if v in text:
+                return j, text.find(v)
         return None
 
     def occurrences(self, u):
         """Every (j, s) with element j's lead word at offset s in u."""
         text = _encode(u)
         for j, v in enumerate(self.words):
-            s = text.find(v)
-            while s >= 0:
-                yield j, s
-                s = text.find(v, s + 1)
+            if v in text:
+                s = text.find(v)
+                while s >= 0:
+                    yield j, s
+                    s = text.find(v, s + 1)
 
 
 def normal_word_counts(words, n_letters, max_degree):

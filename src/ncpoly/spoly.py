@@ -3,17 +3,21 @@
 There is no analogue of Buchberger's first criterion here: an
 S-polynomial only exists where two lead monomials genuinely overlap
 inside one word, so non-overlapping placements never generate work.
+
+Both word searches run in C on words encoded by ``algebra._encode``:
+``enumerate_overlaps`` with ``str.find``, ``str.rfind`` and
+``str.startswith``, ``criterion2_applies`` through
+``algebra._Divisors.occurrences``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .algebra import Term, _Divisors, poly_combine, term_mul_poly
+from .algebra import Term, _Divisors, _encode, poly_combine, term_mul_poly
 
 
-@dataclass(frozen=True)
-class OverlapSpec:
+class OverlapSpec(NamedTuple):
     """A placement of two lead monomials sharing an overlap word.
 
     l1 * LM(g_i) * r1 == l2 * LM(g_j) * r2 == overlap_word, where at least
@@ -33,30 +37,47 @@ class OverlapSpec:
 
 
 def enumerate_overlaps(u1, u2, same_element, i=0, j=1):
-    """All overlap placements of u2 against u1.
+    """All overlap placements of u2 against u1, by ascending shift s (u2
+    placed at offset s of u1, s < 0 where u2 starts first).
 
-    Scans every shift of u2 relative to u1 that shares at least one
-    letter position.  When ``same_element`` the identical placement
-    (l1 == l2) is excluded, leaving only genuine self overlaps.
+    The shifts are found in C on the words encoded as ``algebra._encode``
+    encodes them: each offset where one word holds the other's first
+    letter is a candidate (``str.rfind`` in u2 for s < 0, ``str.find``
+    in u1 for s >= 0), confirmed by one ``str.startswith``.  When
+    ``same_element`` the identical placement (s == 0) is excluded,
+    leaving only genuine self overlaps.
     """
     u1, u2 = tuple(u1), tuple(u2)
     d1, d2 = len(u1), len(u2)
     if d1 == 0 or d2 == 0:
         raise ValueError("overlaps are only defined for nonempty words")
+    t1, t2 = _encode(u1), _encode(u2)
     specs = []
-    for s in range(-(d2 - 1), d1):
-        lo, hi = max(0, s), min(d1, s + d2)
-        if u1[lo:hi] != u2[lo - s:hi - s]:
-            continue
-        # u2 starts at offset s of u1; each word's cofactors are the parts
-        # of the other word that hang off its ends
-        l1, r1 = (u2[:-s] if s < 0 else ()), u2[d1 - s:]
-        l2, r2 = (u1[:s] if s > 0 else ()), u1[s + d2:]
-        if same_element and l1 == l2:
-            continue
-        kind = ("subword" if not (l1 or r1) or not (l2 or r2)
-                else "prefix" if s < 0 else "suffix")
-        specs.append(OverlapSpec(i, j, l1, r1, l2, r2, kind, l1 + u1 + r1))
+    # each word's cofactors are the parts of the other word that hang off
+    # its ends.  s = -t < 0: u1 starts at offset t of u2, so t is an
+    # offset of u1's first letter in u2, taken from the right for s to
+    # ascend; l1 is u2's head, and u1 either ends inside u2 or hangs off
+    # its right end as r2
+    first = t1[0]
+    t = t2.rfind(first, 1)
+    while t > 0:
+        if t2.startswith(t1[:d2 - t], t):
+            r2 = u1[d2 - t:]
+            specs.append(OverlapSpec(i, j, u2[:t], u2[d1 + t:], (), r2,
+                                     "prefix" if r2 else "subword",
+                                     u2 + r2))
+        t = t2.rfind(first, 1, t)
+    # s >= 0: u2 starts at offset s of u1; l2 is u1's head, and u2 either
+    # ends inside u1 or hangs off its right end as r1
+    first = t2[0]
+    s = t1.find(first, 1 if same_element else 0)
+    while s >= 0:
+        if t1.startswith(t2[:d1 - s], s):
+            r1 = u2[d1 - s:]
+            specs.append(OverlapSpec(i, j, (), r1, u1[:s], u1[s + d2:],
+                                     "suffix" if r1 and s else "subword",
+                                     u1 + r1))
+        s = t1.find(first, s + 1)
     return specs
 
 

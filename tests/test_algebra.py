@@ -333,6 +333,37 @@ def test_terms_text_holds_exactly_the_subwords_of_the_terms(case):
     assert (_encode(v) in _terms_text(p)) == subword
 
 
+def _joined(word):
+    return "".join(map(chr, word))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 299), max_size=8).map(tuple))
+@example(word=())
+@example(word=(255,))
+@example(word=(256,))
+@example(word=(254, 255, 256, 255, 0))
+@example(word=(10, 0, 13))
+def test_encode_is_one_code_point_per_letter(word):
+    # below 256 the word goes through bytes, else letter by letter: the
+    # text must not depend on which
+    assert _encode(word) == _joined(word)
+
+
+@settings(max_examples=100)
+@given(texts_and_words())
+def test_terms_text_joins_the_encoded_terms(case):
+    p, _ = case
+    assert _terms_text(p) == chr(len(p.alphabet)).join(
+        [_joined(mon) for _, mon in p.terms])
+
+
+@pytest.mark.parametrize("word", [(-1,), (0, -1), (300, -1)])
+def test_encode_refuses_a_negative_letter(word):
+    with pytest.raises(ValueError):
+        _encode(word)
+
+
 # ---------------------------------------------------------------------------
 # Normal words
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpoly import (Alphabet, MonomialOrdering, criterion2_applies,
-                    enumerate_overlaps, mora, reduce_basis, s_polynomial)
+from ncpoly import (Alphabet, MonomialOrdering, OverlapSpec,
+                    criterion2_applies, enumerate_overlaps, mora, reduce_basis,
+                    s_polynomial)
 from ncpoly.spoly import settled_key
 
 from conftest import P, brute_force_overlaps, w
@@ -168,6 +169,55 @@ def test_overlaps_match_brute_force(u1, u2, same):
         assert s.l2 + u2 + s.r2 == s.overlap_word
         assert s.l1 == () or s.l2 == ()
         assert s.r1 == () or s.r2 == ()
+
+
+def shift_loop_overlaps(u1, u2, same_element, i, j):
+    """Reference for enumerate_overlaps's list, in order: every shift s of
+    u2 against u1 from -(len(u2) - 1) up, its letters compared by
+    slices."""
+    d1, d2 = len(u1), len(u2)
+    specs = []
+    for s in range(-(d2 - 1), d1):
+        lo, hi = max(0, s), min(d1, s + d2)
+        if u1[lo:hi] != u2[lo - s:hi - s]:
+            continue
+        l1, r1 = (u2[:-s] if s < 0 else ()), u2[d1 - s:]
+        l2, r2 = (u1[:s] if s > 0 else ()), u1[s + d2:]
+        if same_element and l1 == l2:
+            continue
+        kind = ("subword" if not (l1 or r1) or not (l2 or r2)
+                else "prefix" if s < 0 else "suffix")
+        specs.append(OverlapSpec(i, j, l1, r1, l2, r2, kind, l1 + u1 + r1))
+    return specs
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words over one of three letter sets: small letters, letters
+    around 10 (``chr(10)`` is a newline) and letters across 255/256;
+    with ``same``, the second word is the first."""
+    letters = st.sampled_from(draw(st.sampled_from(
+        [(0, 1, 2), (9, 10, 11), (254, 255, 256, 299)])))
+    word = st.lists(letters, min_size=1, max_size=7).map(tuple)
+    u1, same = draw(word), draw(st.booleans())
+    return u1, u1 if same else draw(word), same
+
+
+@settings(max_examples=500)
+@given(word_pairs())
+@example(case=((0, 0), (0,), False))           # x^2 against x: equal keys
+@example(case=((10, 9, 10), (10, 9, 10), True))
+@example(case=((255, 256, 255), (256, 255), False))
+def test_overlaps_come_in_shift_order(case):
+    u1, u2, same = case
+    specs = enumerate_overlaps(u1, u2, same, 3, 5)
+    # specs compare field by field, kind included, and the lists in order
+    assert specs == shift_loop_overlaps(u1, u2, same, 3, 5)
+    assert all(type(s) is OverlapSpec for s in specs)
+    assert len(set(specs)) == len(specs)        # hashable and distinct
+    for s in specs:
+        with pytest.raises(AttributeError):
+            s.kind = "subword"
 
 
 _A = Alphabet(["x", "y", "z"])
