@@ -29,7 +29,8 @@ from typing import Optional
 
 from .algebra import (Polynomial, Term, _Divisors, _normal_counts, _seed,
                       _sum_terms, term_mul_poly)
-from .spoly import enumerate_overlaps, settled_key, criterion2_applies
+from .spoly import (criterion2_applies, enumerate_overlaps, overlap_degrees,
+                    settled_key)
 
 DEFAULT_MAX_DEGREE = 20
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -258,27 +259,43 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
          logged=False, hilbert=None):
     """Compute a Gröbner Basis for <F> (in the case of termination).
 
-    The pending list is kept ascending by overlap word (sugar strategy:
-    by sugar value first), with ties between distinct element pairs
-    broken by participant indices (a < c, or a = c and b <= d) and any
-    remaining ties by the first left cofactor; new entries with equal
-    keys go in front of existing ones.  A nonzero constant, given or
-    reached as a remainder, completes the run at once.
+    Overlaps are taken ascending by overlap word (sugar strategy: by
+    sugar value first), with ties between distinct element pairs broken
+    by participant indices (a < c, or a = c and b <= d) and any remaining
+    ties by the first left cofactor; of two overlaps with equal keys the
+    newer comes first.  They wait in one bucket per first key part, the
+    overlap degree (sugar strategy: the sugar value), and each pop takes
+    the lowest bucket.  A nonzero constant, given or reached as a
+    remainder, completes the run at once.
+
+    Under the normal strategy every overlap of a lower degree than the
+    one at hand has been taken when criterion 2 runs, so criterion 2
+    counts an induced overlap of lower degree as settled
+    (``criterion2_applies(by_degree=True)``); under sugar it reads the
+    keys of the overlaps taken so far.
 
     ``hilbert(d)``, when given, is the ideal's number of normal words of
     degree d; it needs homogeneous input and the normal strategy, so
     overlaps come in ascending degree and each remainder is homogeneous
-    of its overlap's degree.  When the run reaches a new overlap degree
-    d, it counts the degree-d words that the current lead words leave
+    of its overlap's degree.  A new pair then pends bare entries, one per
+    overlap degree: the pair, how many overlaps it has of that degree and
+    whether its first element starts first in one (``overlap_degrees``).
+    When degree d comes up, that is when its bucket is the lowest, the
+    run counts the degree-d words that the current lead words leave
     normal, once (reading on from the last count if no element was added
     since); each remainder added at degree d lowers that count by one,
     since its lead word was normal.  Once the count equals hilbert(d),
-    the lead words span the ideal's degree-d part and every pending
-    degree-d overlap reduces to zero (Traverso, J. Symb. Comput. 22,
-    1996): each is popped without being built, settled for criterion 2,
-    counted as an iteration and in ``hilbert_skips``.  A count below
-    hilbert(d) raises ``ValueError``.  Without ``hilbert`` the stats have
-    no ``hilbert_skips``.
+    the lead words span the ideal's degree-d part and every overlap of
+    degree d left reduces to zero (Traverso, J. Symb. Comput. 22, 1996):
+    the degree is dropped whole, and each of its overlaps counts as an
+    iteration and in ``hilbert_skips``, as far as ``max_iterations``
+    reaches.  A degree met when it comes up is never built; otherwise
+    its overlaps are built (``enumerate_overlaps`` restricted to d),
+    keyed and sorted then, by a stable sort of the newest first, and
+    later ones are inserted as without ``hilbert``.  A count below
+    hilbert(d) raises ``ValueError``.  Without ``hilbert`` every overlap
+    is built and inserted when its pair is formed, and the stats have no
+    ``hilbert_skips``.
     """
     if strategy not in ("normal", "sugar"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -291,24 +308,55 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             raise ValueError("hilbert counts need the normal strategy")
         if any(len(t.mon) != len(g.terms[0].mon) for g in G for t in g.terms):
             raise ValueError("hilbert counts need homogeneous input")
+    by_degree = strategy == "normal"
     sugars = [g.degree() for g in G]
     divisors = _Divisors(G, ordering)
-    G = divisors.polys      # the basis grows through divisors.add
-    pending = []   # (key, spec, sugar), ascending by key
+    G, words = divisors.polys, divisors.words   # grown through divisors.add
+    # first key part -> bucket: (key, spec) ascending by key once the part
+    # is in ``up``; before that (with ``hilbert`` only) bare entries
+    # (i, j, count, first), see ``overlap_degrees``
+    pending = {}
+    up = set()
+
+    def keyed(spec):
+        # i <= j in every spec mora builds
+        return (ordering.key(spec.overlap_word), spec.i, spec.j, len(spec.l1),
+                spec.l1), spec
+
+    def insert(part, spec):
+        entry = keyed(spec)
+        bucket = pending.setdefault(part, [])
+        bucket.insert(bisect.bisect_left(bucket, entry[0], key=itemgetter(0)),
+                      entry)
+        up.add(part)
 
     def add_overlaps(i, j):
-        for spec in enumerate_overlaps(G[i].lm(), G[j].lm(), i == j, i, j):
-            sug = sugar_value(spec, sugars[i], sugars[j])
-            key = (ordering.key(spec.overlap_word), min(i, j), max(i, j),
-                   len(spec.l1), spec.l1)
-            if strategy == "sugar":
-                key = (sug,) + key
-            pending.insert(bisect.bisect_left(pending, key, key=itemgetter(0)),
-                           (key, spec, sug))
+        u, v = G[i].lm(), G[j].lm()
+        if hilbert is None:
+            for spec in enumerate_overlaps(u, v, i == j, i, j):
+                insert(len(spec.overlap_word) if by_degree
+                       else sugar_value(spec, sugars[i], sugars[j]), spec)
+            return
+        for d, (n, first) in overlap_degrees(words[i], words[j], i == j).items():
+            if d in up:
+                for spec in enumerate_overlaps(u, v, i == j, i, j, d):
+                    insert(d, spec)
+            else:
+                pending.setdefault(d, []).append((i, j, n, first))
+
+    def come_up(d):
+        specs = []
+        for i, j, _, _ in pending[d]:
+            specs += enumerate_overlaps(G[i].lm(), G[j].lm(), i == j, i, j, d)
+        # a stable sort of the newest first leaves equal keys as inserting
+        # them in creation order would
+        specs.reverse()
+        pending[d] = sorted(map(keyed, specs), key=itemgetter(0))
+        up.add(d)
 
     # a nonzero constant generates the whole algebra, so the basis is
     # already Gröbner; the empty word has no overlaps to enumerate
-    if all(g.lm() for g in G):
+    if all(words):
         for i in range(len(G)):
             for j in range(i, len(G)):
                 add_overlaps(i, j)
@@ -321,35 +369,60 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     status = "complete"
     degree = None    # the overlap degree whose normal words ``normal`` counts
     counted = None   # len(G) when ``counts`` began to read the lead words
-    normal = 0
+    normal, wanted = 0, None   # wanted: hilbert(degree)
 
     while pending:
         if stats["iterations"] >= max_iterations:
             status = "iteration_cap_hit"
             break
+        part = min(pending)
+        bucket = pending[part]
+        if hilbert is not None and part != degree:
+            if counted != len(G):       # new lead words: count afresh
+                counted, degree = len(G), -1
+                counts = _normal_counts([g.lm() for g in G],
+                                        len(ordering.alphabet))
+            # ``counts`` has yielded degrees up to ``degree``: read on to part
+            normal = next(islice(counts, part - degree - 1, None))
+            degree, wanted = part, hilbert(part)
+            if normal < wanted:
+                raise ValueError(
+                    f"the lead words leave {normal} normal words of degree "
+                    f"{part}, fewer than the {wanted} of hilbert: the basis "
+                    "that hilbert counts is not a Gröbner Basis")
+        if normal == wanted:
+            # settled_key gives every overlap of elements i <= j in which
+            # g_i starts first, and every self overlap, the key (i, j, ()):
+            # the dropped overlaps settle it for criterion 2, as popped
+            # ones do; the keys of the others name their own degree only
+            if part in up:
+                size = len(bucket)
+                settled.update(settled_key(spec) for _, spec in bucket)
+            else:
+                size = sum(e[2] for e in bucket)
+                settled.update((i, j, ()) for i, j, _, first in bucket
+                               if first or i == j)
+            dropped = min(size, max_iterations - stats["iterations"])
+            stats["iterations"] += dropped
+            stats["hilbert_skips"] += dropped
+            if dropped < size:
+                status = "iteration_cap_hit"
+                break
+            del pending[part]
+            up.discard(part)
+            continue
+        if part not in up:
+            come_up(part)
+            bucket = pending[part]
         stats["iterations"] += 1
-        _, spec, sug = pending.pop(0)
+        spec = bucket.pop(0)[1]
+        if not bucket:
+            del pending[part]
+            up.discard(part)
         # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))
-        if hilbert is not None:
-            d = len(spec.overlap_word)
-            if d != degree:
-                if counted != len(G):       # new lead words: count afresh
-                    counted, degree = len(G), -1
-                    counts = _normal_counts([g.lm() for g in G],
-                                            len(ordering.alphabet))
-                # ``counts`` has yielded degrees up to ``degree``: read on to d
-                normal = next(islice(counts, d - degree - 1, None))
-                degree, wanted = d, hilbert(d)
-                if normal < wanted:
-                    raise ValueError(
-                        f"the lead words leave {normal} normal words of degree "
-                        f"{d}, fewer than the {wanted} of hilbert: the basis "
-                        "that hilbert counts is not a Gröbner Basis")
-            if normal == wanted:
-                stats["hilbert_skips"] += 1
-                continue
-        if use_criterion2 and criterion2_applies(spec, divisors, settled):
+        if use_criterion2 and criterion2_applies(spec, divisors, settled,
+                                                 by_degree):
             stats["criterion2_skips"] += 1
             continue
         stats["spolys_considered"] += 1
@@ -373,7 +446,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             logs.append(log_reduced(s_log, dlog, logs))
         divisors.add(rem)
         normal -= 1     # a homogeneous remainder: its lead word, of this degree
-        sugars.append(sug)
+        sugars.append(sugar_value(spec, sugars[spec.i], sugars[spec.j]))
         if not rem.lm():
             break    # a nonzero constant: see above
         new = len(G) - 1

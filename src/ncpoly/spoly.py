@@ -36,9 +36,66 @@ class OverlapSpec(NamedTuple):
     overlap_word: tuple
 
 
-def enumerate_overlaps(u1, u2, same_element, i=0, j=1):
+def _shifts(t1, t2, same_element, degree=None):
+    """The list of the shifts s of the overlaps of u2 against u1, given
+    encoded as t1 and t2, ascending; only those of overlap degree
+    ``degree`` if given.
+
+    u2 placed at offset s of u1 covers max(d1, d2 + s) - min(s, 0)
+    letters.  For s = -t < 0, u1 starts at offset t of u2: the degree is
+    d2 for every t <= d2 - d1 (u1 inside u2) and d1 + t past that.  For
+    s >= 0 it is d1 for every s <= d1 - d2 (u2 inside u1) and d2 + s past
+    that.  So a degree bounds each side to one shift, or to the range of
+    containments, and the search below runs over those bounds only.
+    """
+    d1, d2 = len(t1), len(t2)
+    start = 1 if same_element else 0
+    if degree is None:
+        t_lo, t_end, s_lo, s_end = 1, d2, start, d1
+    else:
+        t_lo = 1 if degree == d2 else max(degree - d1, 1)
+        t_end = max(min(degree - d1 + 1, d2), 0) if degree >= d2 else 0
+        s_lo = start if degree == d1 else max(degree - d2, start)
+        s_end = max(min(degree - d2 + 1, d1), 0) if degree >= d1 else 0
+    # each offset where one word holds the other's first letter is a
+    # candidate, confirmed by one startswith.  s = -t < 0: t is an offset
+    # of u1's first letter in u2, taken from the right for s to ascend
+    shifts = []
+    first = t1[0]
+    t = t2.rfind(first, t_lo, t_end)
+    while t > 0:
+        if t2.startswith(t1[:d2 - t], t):
+            shifts.append(-t)
+        t = t2.rfind(first, t_lo, t)
+    # s >= 0: s is an offset of u2's first letter in u1
+    first = t2[0]
+    s = t1.find(first, s_lo, s_end)
+    while s >= 0:
+        if t1.startswith(t2[:d1 - s], s):
+            shifts.append(s)
+        s = t1.find(first, s + 1, s_end)
+    return shifts
+
+
+def overlap_degrees(t1, t2, same_element):
+    """The overlaps of u2 against u1, given encoded as t1 and t2, per
+    overlap degree d: {d: (n, first)}, n the number of degree-d overlaps
+    and ``first`` whether u1 starts first (s >= 0) in one of them, which
+    then has an empty l1.  Degrees come by the shift of their first
+    overlap, ascending."""
+    d1, d2 = len(t1), len(t2)
+    degrees = {}
+    for s in _shifts(t1, t2, same_element):
+        d = max(d1, d2 + s) - min(s, 0)
+        # shifts ascend: the last one of a degree says whether any is >= 0
+        degrees[d] = (degrees[d][0] + 1 if d in degrees else 1, s >= 0)
+    return degrees
+
+
+def enumerate_overlaps(u1, u2, same_element, i=0, j=1, degree=None):
     """All overlap placements of u2 against u1, by ascending shift s (u2
-    placed at offset s of u1, s < 0 where u2 starts first).
+    placed at offset s of u1, s < 0 where u2 starts first); only those
+    whose overlap word has ``degree`` letters, if given.
 
     The shifts are found in C on the words encoded as ``algebra._encode``
     encodes them: each offset where one word holds the other's first
@@ -51,33 +108,22 @@ def enumerate_overlaps(u1, u2, same_element, i=0, j=1):
     d1, d2 = len(u1), len(u2)
     if d1 == 0 or d2 == 0:
         raise ValueError("overlaps are only defined for nonempty words")
-    t1, t2 = _encode(u1), _encode(u2)
     specs = []
     # each word's cofactors are the parts of the other word that hang off
-    # its ends.  s = -t < 0: u1 starts at offset t of u2, so t is an
-    # offset of u1's first letter in u2, taken from the right for s to
-    # ascend; l1 is u2's head, and u1 either ends inside u2 or hangs off
-    # its right end as r2
-    first = t1[0]
-    t = t2.rfind(first, 1)
-    while t > 0:
-        if t2.startswith(t1[:d2 - t], t):
-            r2 = u1[d2 - t:]
-            specs.append(OverlapSpec(i, j, u2[:t], u2[d1 + t:], (), r2,
-                                     "prefix" if r2 else "subword",
-                                     u2 + r2))
-        t = t2.rfind(first, 1, t)
+    # its ends.  s = -t < 0: u1 starts at offset t of u2; l1 is u2's head,
+    # and u1 either ends inside u2 or hangs off its right end as r2.
     # s >= 0: u2 starts at offset s of u1; l2 is u1's head, and u2 either
     # ends inside u1 or hangs off its right end as r1
-    first = t2[0]
-    s = t1.find(first, 1 if same_element else 0)
-    while s >= 0:
-        if t1.startswith(t2[:d1 - s], s):
+    for s in _shifts(_encode(u1), _encode(u2), same_element, degree):
+        if s < 0:
+            r2 = u1[d2 + s:]
+            specs.append(OverlapSpec(i, j, u2[:-s], u2[d1 - s:], (), r2,
+                                     "prefix" if r2 else "subword", u2 + r2))
+        else:
             r1 = u2[d1 - s:]
             specs.append(OverlapSpec(i, j, (), r1, u1[:s], u1[s + d2:],
                                      "suffix" if r1 and s else "subword",
                                      u1 + r1))
-        s = t1.find(first, s + 1)
     return specs
 
 
@@ -98,7 +144,9 @@ def s_polynomial(spec, p1, p2):
 
 def settled_key(spec):
     """Canonical bookkeeping key for an overlap: participant indices in
-    ascending order plus the left cofactor of the smaller-index element."""
+    ascending order plus the left cofactor of the smaller-index element.
+    It is not unique: every overlap of i < j in which g_i starts first,
+    and every self overlap of i, has the key (i, j, ())."""
     return _overlap_key(spec.i, spec.l1, spec.j, spec.l2)
 
 
@@ -112,7 +160,7 @@ def _overlap_key(i, l_i, j, l_j):
     return (i, j, min(l_i, l_j))
 
 
-def criterion2_applies(spec, basis, settled):
+def criterion2_applies(spec, basis, settled, by_degree=False):
     """Buchberger's second criterion.
 
     True iff some basis lead monomial divides the overlap word at a
@@ -120,9 +168,15 @@ def criterion2_applies(spec, basis, settled):
     overlap S-polynomial is already settled (processed or known to
     reduce to zero).  Placements where the third monomial does not
     overlap a participant need no check at all: a non-overlapping pair
-    of placements always reduces to zero.  ``basis`` is a list of
-    nonzero polynomials, or the prepared divisor set
-    (``algebra._Divisors``) that holds ``mora``'s basis; the
+    of placements always reduces to zero.  An induced overlap is settled
+    when its ``settled_key`` is in ``settled``; with ``by_degree`` also
+    when its overlap word is shorter than the spec's, for a caller that
+    takes overlaps by ascending degree and has therefore popped, or
+    dropped by its Hilbert counts, every overlap of a lower degree.  An
+    induced overlap whose key equals the spec's own is never settled, of
+    whatever degree: keys are not unique (see ``settled_key``).
+    ``basis`` is a list of nonzero polynomials, or the prepared divisor
+    set (``algebra._Divisors``) that holds ``mora``'s basis; the
     placements come from its string search.
     """
     if not isinstance(basis, _Divisors):
@@ -133,12 +187,13 @@ def criterion2_applies(spec, basis, settled):
     own = ((spec.i, len(spec.l1)), (spec.j, len(spec.l2)))
     for h_idx, s in basis.occurrences(w):
         if (h_idx, s) not in own and _admits_skip(w, basis.words, own, h_idx,
-                                                  s, settled, own_key):
+                                                  s, settled, own_key,
+                                                  by_degree):
             return True
     return False
 
 
-def _admits_skip(w, words, own, h_idx, b0, settled, own_key):
+def _admits_skip(w, words, own, h_idx, b0, settled, own_key, by_degree):
     b1 = b0 + len(words[h_idx])
     for p_idx, a0 in own:
         a1 = a0 + len(words[p_idx])
@@ -148,6 +203,10 @@ def _admits_skip(w, words, own, h_idx, b0, settled, own_key):
         # the shorter one
         cut_l = min(a0, b0)
         induced = _overlap_key(p_idx, w[cut_l:a0], h_idx, w[cut_l:b0])
-        if induced == own_key or induced not in settled:
+        if induced == own_key:
+            return False
+        if by_degree and max(a1, b1) - cut_l < len(w):
+            continue  # a lower degree: popped or dropped already
+        if induced not in settled:
             return False
     return True

@@ -13,12 +13,12 @@ normal words of each degree as G's lead words do.  So the Gröbner walk
 passes those counts to its inner ``mora`` as ``hilbert``, read from one
 automaton of G's lead words a degree at a time, as far as the run's
 overlap degrees reach.  Once the inner run's lead words leave that many
-normal words of the overlap degree at hand, its other overlaps of that
-degree are dropped unbuilt; fewer than that many refuses G as not
-Gröbner, as a remainder of full degree in the lift does.  Neither test
-finds every G that is not Gröbner: the walk trusts its source, and on
-such a G its counts can drop overlaps that a full inner run would have
-turned into a refusal.
+normal words of the overlap degree at hand, the rest of that degree is
+dropped whole, and a degree met when it comes up is never built;
+fewer than that many refuses G as not Gröbner, as a remainder of full
+degree in the lift does.  Neither test finds every G that is not
+Gröbner: the walk trusts its source, and on such a G its counts can
+drop overlaps that a full inner run would have turned into a refusal.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, MonomialOrdering, OverlapSpec,
                     criterion2_applies, enumerate_overlaps, mora, reduce_basis,
                     s_polynomial)
-from ncpoly.spoly import settled_key
+from ncpoly.algebra import _encode
+from ncpoly.spoly import overlap_degrees, settled_key
 
 from conftest import P, brute_force_overlaps, w
 
@@ -218,6 +219,33 @@ def test_overlaps_come_in_shift_order(case):
     for s in specs:
         with pytest.raises(AttributeError):
             s.kind = "subword"
+
+
+@settings(max_examples=500)
+@given(word_pairs())
+@example(case=((0, 0), (0,), False))            # x in x^2, twice
+@example(case=((0,), (0, 0), False))
+@example(case=((0, 1, 0, 1, 0), (1, 0), False))
+@example(case=((10, 9, 10, 9), (9, 10), False))
+@example(case=((9, 10), (10, 9, 10, 9), False))
+@example(case=((0, 0, 0), (0, 0, 0), True))
+@example(case=((255, 256, 255), (256, 255), False))
+def test_overlaps_of_one_degree(case):
+    # enumerate_overlaps restricted to a degree is the full list filtered
+    # by degree, in order and kind included; overlap_degrees counts each
+    # degree's overlaps and says whether u1 starts first in one of them
+    u1, u2, same = case
+    full = enumerate_overlaps(u1, u2, same, 3, 5)
+    degrees = {}
+    for spec in full:
+        d = len(spec.overlap_word)
+        n, first = degrees.get(d, (0, False))
+        degrees[d] = (n + 1, first or spec.l1 == ())
+    got = overlap_degrees(_encode(u1), _encode(u2), same)
+    assert got == degrees and list(got) == list(degrees)
+    for d in range(len(u1) + len(u2) + 2):
+        restricted = enumerate_overlaps(u1, u2, same, 3, 5, d)
+        assert restricted == [s for s in full if len(s.overlap_word) == d]
 
 
 _A = Alphabet(["x", "y", "z"])

@@ -9,9 +9,12 @@ from ncpoly import (InvolutiveDivision, MonomialOrdering, Polynomial, WalkJob,
                     log_expand, mora, groebner_walk, involutive_walk,
                     normal_word_counts, reduce_basis)
 
+from ncpoly import groebner
 from ncpoly.groebner import DEFAULT_MAX_DEGREE
+from ncpoly.spoly import enumerate_overlaps
 
 from conftest import P, all_spolys_reduce_to_zero, group_presentation
+from test_digest import DENSE_CUBICS
 
 
 @pytest.fixture
@@ -108,6 +111,80 @@ def test_hilbert_driven_inner_run_is_groebner(group_alphabet, source, target):
     assert inner.stats["hilbert_skips"] > 0
     assert (inner.stats["hilbert_skips"] + inner.stats["criterion2_skips"]
             + inner.stats["spolys_considered"] == inner.stats["iterations"])
+
+
+def s3_walk_inner_run(alphabet):
+    """The initials of S3's reduced degrevlex basis in deglex, and the
+    basis's normal words per degree.  Their inner run reads the counts at
+    degrees 2 to 5: degree 3 is met after its 12th overlap, at iteration
+    13, and dropped from iteration 14 to 33; degrees 4 (iterations 34 to
+    44) and 5 (45 to 48) are met when they come up and dropped whole."""
+    drl = MonomialOrdering("degrevlex", alphabet)
+    dl = MonomialOrdering("deglex", alphabet)
+    gb = reduce_basis(mora(group_presentation(alphabet, drl, "S3"), drl).basis,
+                      drl)
+    initials = [initial(g, degree_function()).with_ordering(dl) for g in gb]
+    return initials, dl, source_counts(gb)
+
+
+# (max_iterations, status, iterations, hilbert_skips), as before degrees
+# were dropped whole: inside degree 3's drop, inside degree 4, at the end
+# of degree 4 (degree 5 still pending), and at the end of the run
+CAP_EDGES = [(20, "iteration_cap_hit", 20, 8), (40, "iteration_cap_hit", 40, 28),
+             (44, "iteration_cap_hit", 44, 32), (48, "complete", 48, 36)]
+
+
+@pytest.mark.parametrize("cap, status, iterations, skips", CAP_EDGES)
+def test_caps_inside_and_at_the_edges_of_dropped_degrees(group_alphabet, cap,
+                                                         status, iterations,
+                                                         skips):
+    initials, dl, hilbert = s3_walk_inner_run(group_alphabet)
+    res = mora(initials, dl, hilbert=hilbert, max_iterations=cap)
+    assert (res.status, res.stats["iterations"], res.stats["hilbert_skips"]) \
+        == (status, iterations, skips)
+    assert res.stats["spolys_considered"] == 12
+
+
+def test_the_cap_stops_before_a_degree_count_is_read(group_alphabet):
+    # counts one too high at degree 5 would refuse the run, but a cap met
+    # at the boundary before degree 5 stops it first
+    initials, dl, hilbert = s3_walk_inner_run(group_alphabet)
+    too_high = lambda d: hilbert(d) + (d == 5)
+    res = mora(initials, dl, hilbert=too_high, max_iterations=44)
+    assert (res.status, res.stats["iterations"], res.stats["hilbert_skips"]) \
+        == ("iteration_cap_hit", 44, 32)
+    with pytest.raises(ValueError, match="not a Gröbner Basis"):
+        mora(initials, dl, hilbert=too_high, max_iterations=45)
+
+
+def test_a_degree_met_when_it_comes_up_is_never_built(group_alphabet,
+                                                      monkeypatch):
+    initials, dl, hilbert = s3_walk_inner_run(group_alphabet)
+    built = []
+
+    def recorded(*args):
+        specs = enumerate_overlaps(*args)
+        built.extend(len(s.overlap_word) for s in specs)
+        return specs
+
+    monkeypatch.setattr(groebner, "enumerate_overlaps", recorded)
+    res = mora(initials, dl, hilbert=hilbert)
+    assert res.stats["hilbert_skips"] == 36
+    assert set(built) == {2, 3}
+    assert len(built) == res.stats["iterations"] - 15    # degrees 4 and 5
+
+
+def test_dropped_degrees_settle_the_keys_they_share(xy):
+    # the walk of a raw (unreduced) dense basis, as the CLI walks it: with
+    # settled_key's one key per pair for the overlaps whose first element
+    # starts first, criterion 2 skips 12 overlaps only if the degrees
+    # dropped unbuilt settle those keys as popped overlaps do
+    drl, dl = MonomialOrdering("degrevlex", xy), MonomialOrdering("deglex", xy)
+    F = P(xy, drl, *DENSE_CUBICS)
+    walked = groebner_walk(WalkJob(drl, dl, mora(F, drl).basis))
+    assert walked.stats == {"spolys_considered": 16, "zero_reductions": 1,
+                            "criterion2_skips": 12, "hilbert_skips": 1961,
+                            "iterations": 1989, "basis_size": 32}
 
 
 def test_mora_refuses_hilbert_counts_it_cannot_use(xy, drl, dl):
