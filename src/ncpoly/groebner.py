@@ -291,9 +291,10 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     iteration and in ``hilbert_skips``, as far as ``max_iterations``
     reaches.  A degree met when it comes up is never built; otherwise
     its overlaps are built (``enumerate_overlaps`` restricted to d),
-    keyed and sorted then, by a stable sort of the newest first, and
-    later ones are inserted as without ``hilbert``.  A count below
-    hilbert(d) raises ``ValueError``.  Without ``hilbert`` every overlap
+    keyed and sorted then, by a stable sort of the newest first.  A
+    remainder added at degree d has a normal lead word of degree d, so
+    its overlaps all have higher degrees, whose buckets are not built
+    yet.  A count below hilbert(d) raises ``ValueError``.  Without ``hilbert`` every overlap
     is built and inserted when its pair is formed, and the stats have no
     ``hilbert_skips``.
     """
@@ -312,11 +313,11 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     sugars = [g.degree() for g in G]
     divisors = _Divisors(G, ordering)
     G, words = divisors.polys, divisors.words   # grown through divisors.add
-    # first key part -> bucket: (key, spec) ascending by key once the part
-    # is in ``up``; before that (with ``hilbert`` only) bare entries
-    # (i, j, count, first), see ``overlap_degrees``
+    # first key part -> bucket: (key, spec) ascending by key; with
+    # ``hilbert``, bare entries (i, j, count, first) until the degree is
+    # ``built`` (see ``overlap_degrees``)
     pending = {}
-    up = set()
+    built = None
 
     def keyed(spec):
         # i <= j in every spec mora builds
@@ -328,21 +329,15 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         bucket = pending.setdefault(part, [])
         bucket.insert(bisect.bisect_left(bucket, entry[0], key=itemgetter(0)),
                       entry)
-        up.add(part)
 
     def add_overlaps(i, j):
-        u, v = G[i].lm(), G[j].lm()
         if hilbert is None:
-            for spec in enumerate_overlaps(u, v, i == j, i, j):
+            for spec in enumerate_overlaps(G[i].lm(), G[j].lm(), i == j, i, j):
                 insert(len(spec.overlap_word) if by_degree
                        else sugar_value(spec, sugars[i], sugars[j]), spec)
             return
         for d, (n, first) in overlap_degrees(words[i], words[j], i == j).items():
-            if d in up:
-                for spec in enumerate_overlaps(u, v, i == j, i, j, d):
-                    insert(d, spec)
-            else:
-                pending.setdefault(d, []).append((i, j, n, first))
+            pending.setdefault(d, []).append((i, j, n, first))
 
     def come_up(d):
         specs = []
@@ -351,8 +346,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         # a stable sort of the newest first leaves equal keys as inserting
         # them in creation order would
         specs.reverse()
-        pending[d] = sorted(map(keyed, specs), key=itemgetter(0))
-        up.add(d)
+        return sorted(map(keyed, specs), key=itemgetter(0))
 
     # a nonzero constant generates the whole algebra, so the basis is
     # already Gröbner; the empty word has no overlaps to enumerate
@@ -395,7 +389,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
             # g_i starts first, and every self overlap, the key (i, j, ()):
             # the dropped overlaps settle it for criterion 2, as popped
             # ones do; the keys of the others name their own degree only
-            if part in up:
+            if part == built:
                 size = len(bucket)
                 settled.update(settled_key(spec) for _, spec in bucket)
             else:
@@ -409,16 +403,14 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 status = "iteration_cap_hit"
                 break
             del pending[part]
-            up.discard(part)
             continue
-        if part not in up:
-            come_up(part)
-            bucket = pending[part]
+        if hilbert is not None and part != built:
+            built = part
+            bucket = pending[part] = come_up(part)
         stats["iterations"] += 1
         spec = bucket.pop(0)[1]
         if not bucket:
             del pending[part]
-            up.discard(part)
         # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))
         if use_criterion2 and criterion2_applies(spec, divisors, settled,

@@ -16,16 +16,10 @@ input, where it drops most overlap degrees whole: each draw of
 x > y or x > y > z; their basis, capped at degree 6, has its initials
 completed in each ordering under the basis's normal-word counts, capped
 at 25 and 100000 iterations.
-
-Tier-1 runs the first ``SLICE_DRAWS`` draws; set ``NCPOLY_FULL_CORPUS=1``
-to run all ``CORPUS_DRAWS`` against the full digest.
 """
 
 import hashlib
-import os
 import random
-
-import pytest
 
 from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
                     degree_function, format_polynomial, groebner_walk, initial,
@@ -34,9 +28,7 @@ from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
 from conftest import random_poly
 
 CORPUS_DRAWS = 300
-SLICE_DRAWS = 100
 CORPUS_DIGEST = "92985b7c0a243669ad6c9e5efcf846c8ae258fa0f00c2a4d5dcf465dd561bf20"
-SLICE_DIGEST = "560c3134345e914b3a02cc6e7a392ab4f8c89472b5900a83dcfe92513472324a"
 
 HILBERT_DRAWS = 300
 HILBERT_DIGEST = "32631b449769b5da618b467703a9214ac8cd52623789052e12925d452e945594"
@@ -117,11 +109,5 @@ def test_hilbert_digest_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == HILBERT_DIGEST
 
 
-@pytest.mark.parametrize("draws, digest", [
-    (SLICE_DRAWS, SLICE_DIGEST),
-    pytest.param(CORPUS_DRAWS, CORPUS_DIGEST, marks=pytest.mark.skipif(
-        os.environ.get("NCPOLY_FULL_CORPUS") != "1",
-        reason="the full corpus runs with NCPOLY_FULL_CORPUS=1")),
-])
-def test_corpus_digest_pinned(draws, digest):
-    assert corpus_digest(draws) == digest
+def test_corpus_digest_pinned():
+    assert corpus_digest(CORPUS_DRAWS) == CORPUS_DIGEST
