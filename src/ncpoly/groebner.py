@@ -269,17 +269,18 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     remainder, completes the run at once.
 
     Under the normal strategy every overlap of a lower degree than the
-    one at hand has been taken when criterion 2 runs, so criterion 2
-    counts an induced overlap of lower degree as settled
-    (``criterion2_applies(by_degree=True)``); under sugar it reads the
-    keys of the overlaps taken so far.
+    one at hand has been taken, or dropped by ``hilbert``, when criterion
+    2 runs, so criterion 2 counts an induced overlap of lower degree as
+    settled (``criterion2_applies(by_degree=True)``).  Otherwise it reads
+    the keys of the overlaps taken so far, one key per overlap
+    (``settled_key``).
 
     ``hilbert(d)``, when given, is the ideal's number of normal words of
     degree d; it needs homogeneous input and the normal strategy, so
     overlaps come in ascending degree and each remainder is homogeneous
     of its overlap's degree.  A new pair then pends bare entries, one per
-    overlap degree: the pair, how many overlaps it has of that degree and
-    whether its first element starts first in one (``overlap_degrees``).
+    overlap degree: the pair and how many overlaps it has of that degree
+    (``overlap_degrees``).
     When degree d comes up, that is when its bucket is the lowest, the
     run counts the degree-d words that the current lead words leave
     normal, once (reading on from the last count if no element was added
@@ -314,7 +315,7 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     divisors = _Divisors(G, ordering)
     G, words = divisors.polys, divisors.words   # grown through divisors.add
     # first key part -> bucket: (key, spec) ascending by key; with
-    # ``hilbert``, bare entries (i, j, count, first) until the degree is
+    # ``hilbert``, bare entries (i, j, count) until the degree is
     # ``built`` (see ``overlap_degrees``)
     pending = {}
     built = None
@@ -336,12 +337,12 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                 insert(len(spec.overlap_word) if by_degree
                        else sugar_value(spec, sugars[i], sugars[j]), spec)
             return
-        for d, (n, first) in overlap_degrees(words[i], words[j], i == j).items():
-            pending.setdefault(d, []).append((i, j, n, first))
+        for d, n in overlap_degrees(words[i], words[j], i == j).items():
+            pending.setdefault(d, []).append((i, j, n))
 
     def come_up(d):
         specs = []
-        for i, j, _, _ in pending[d]:
+        for i, j, _ in pending[d]:
             specs += enumerate_overlaps(G[i].lm(), G[j].lm(), i == j, i, j, d)
         # a stable sort of the newest first leaves equal keys as inserting
         # them in creation order would
@@ -385,17 +386,8 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
                     f"{part}, fewer than the {wanted} of hilbert: the basis "
                     "that hilbert counts is not a Gröbner Basis")
         if normal == wanted:
-            # settled_key gives every overlap of elements i <= j in which
-            # g_i starts first, and every self overlap, the key (i, j, ()):
-            # the dropped overlaps settle it for criterion 2, as popped
-            # ones do; the keys of the others name their own degree only
-            if part == built:
-                size = len(bucket)
-                settled.update(settled_key(spec) for _, spec in bucket)
-            else:
-                size = sum(e[2] for e in bucket)
-                settled.update((i, j, ()) for i, j, _, first in bucket
-                               if first or i == j)
+            size = (len(bucket) if part == built
+                    else sum(e[2] for e in bucket))
             dropped = min(size, max_iterations - stats["iterations"])
             stats["iterations"] += dropped
             stats["hilbert_skips"] += dropped
@@ -411,7 +403,6 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
         spec = bucket.pop(0)[1]
         if not bucket:
             del pending[part]
-        # exact: criterion 2 rejects an induced key equal to this one's
         settled.add(settled_key(spec))
         if use_criterion2 and criterion2_applies(spec, divisors, settled,
                                                  by_degree):

@@ -78,17 +78,14 @@ def _shifts(t1, t2, same_element, degree=None):
 
 
 def overlap_degrees(t1, t2, same_element):
-    """The overlaps of u2 against u1, given encoded as t1 and t2, per
-    overlap degree d: {d: (n, first)}, n the number of degree-d overlaps
-    and ``first`` whether u1 starts first (s >= 0) in one of them, which
-    then has an empty l1.  Degrees come by the shift of their first
+    """The number of overlaps of u2 against u1, given encoded as t1 and
+    t2, per overlap degree: {d: n}, degrees by the shift of their first
     overlap, ascending."""
     d1, d2 = len(t1), len(t2)
     degrees = {}
     for s in _shifts(t1, t2, same_element):
         d = max(d1, d2 + s) - min(s, 0)
-        # shifts ascend: the last one of a degree says whether any is >= 0
-        degrees[d] = (degrees[d][0] + 1 if d in degrees else 1, s >= 0)
+        degrees[d] = degrees.get(d, 0) + 1
     return degrees
 
 
@@ -143,21 +140,22 @@ def s_polynomial(spec, p1, p2):
 
 
 def settled_key(spec):
-    """Canonical bookkeeping key for an overlap: participant indices in
-    ascending order plus the left cofactor of the smaller-index element.
-    It is not unique: every overlap of i < j in which g_i starts first,
-    and every self overlap of i, has the key (i, j, ())."""
-    return _overlap_key(spec.i, spec.l1, spec.j, spec.l2)
+    """The bookkeeping key of one overlap: its participant indices in
+    ascending order and the offset of the larger-index element's lead
+    word from the smaller one's.  A self overlap, which
+    ``enumerate_overlaps`` lists at shifts s and -s, has the absolute
+    offset."""
+    return _overlap_key(spec.i, len(spec.l1), spec.j, len(spec.l2))
 
 
-def _overlap_key(i, l_i, j, l_j):
-    """``settled_key`` of an overlap of elements i and j placed with left
-    cofactors l_i and l_j."""
+def _overlap_key(i, a, j, b):
+    """``settled_key`` of the overlap of element i placed at offset a and
+    element j at offset b of one word."""
     if i < j:
-        return (i, j, l_i)
+        return (i, j, b - a)
     if j < i:
-        return (j, i, l_j)
-    return (i, j, min(l_i, l_j))
+        return (j, i, a - b)
+    return (i, i, abs(b - a))
 
 
 def criterion2_applies(spec, basis, settled, by_degree=False):
@@ -172,9 +170,7 @@ def criterion2_applies(spec, basis, settled, by_degree=False):
     when its ``settled_key`` is in ``settled``; with ``by_degree`` also
     when its overlap word is shorter than the spec's, for a caller that
     takes overlaps by ascending degree and has therefore popped, or
-    dropped by its Hilbert counts, every overlap of a lower degree.  An
-    induced overlap whose key equals the spec's own is never settled, of
-    whatever degree: keys are not unique (see ``settled_key``).
+    dropped by its Hilbert counts, every overlap of a lower degree.
     ``basis`` is a list of nonzero polynomials, or the prepared divisor
     set (``algebra._Divisors``) that holds ``mora``'s basis; the
     placements come from its string search.
@@ -182,31 +178,23 @@ def criterion2_applies(spec, basis, settled, by_degree=False):
     if not isinstance(basis, _Divisors):
         basis = _Divisors(basis, basis[0].ordering)
     w = spec.overlap_word
-    own_key = settled_key(spec)
     # the participants' placements, as (element, offset in w)
     own = ((spec.i, len(spec.l1)), (spec.j, len(spec.l2)))
     for h_idx, s in basis.occurrences(w):
-        if (h_idx, s) not in own and _admits_skip(w, basis.words, own, h_idx,
-                                                  s, settled, own_key,
-                                                  by_degree):
+        if (h_idx, s) not in own and _admits_skip(len(w), basis.words, own,
+                                                  h_idx, s, settled, by_degree):
             return True
     return False
 
 
-def _admits_skip(w, words, own, h_idx, b0, settled, own_key, by_degree):
+def _admits_skip(n, words, own, h_idx, b0, settled, by_degree):
     b1 = b0 + len(words[h_idx])
     for p_idx, a0 in own:
         a1 = a0 + len(words[p_idx])
         if a1 <= b0 or b1 <= a0:
             continue  # disjoint as placed: reduces to zero regardless
-        # l's are prefixes of w, so the maximal common prefix is simply
-        # the shorter one
-        cut_l = min(a0, b0)
-        induced = _overlap_key(p_idx, w[cut_l:a0], h_idx, w[cut_l:b0])
-        if induced == own_key:
-            return False
-        if by_degree and max(a1, b1) - cut_l < len(w):
+        if by_degree and max(a1, b1) - min(a0, b0) < n:
             continue  # a lower degree: popped or dropped already
-        if induced not in settled:
+        if _overlap_key(p_idx, a0, h_idx, b0) not in settled:
             return False
     return True

@@ -15,7 +15,9 @@ input, where it drops most overlap degrees whole: each draw of
 ``random.Random(20261021)`` is one to four homogeneous polynomials over
 x > y or x > y > z; their basis, capped at degree 6, has its initials
 completed in each ordering under the basis's normal-word counts, capped
-at 25 and 100000 iterations.
+at 25 and 100000 iterations.  A complete inner run must leave as many
+normal words in each degree up to 8 as the source basis does: a cheap
+check that it is a Gröbner Basis.
 """
 
 import hashlib
@@ -28,10 +30,10 @@ from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
 from conftest import random_poly
 
 CORPUS_DRAWS = 300
-CORPUS_DIGEST = "92985b7c0a243669ad6c9e5efcf846c8ae258fa0f00c2a4d5dcf465dd561bf20"
+CORPUS_DIGEST = "12d5062cdc53ee57e7f9009b13f0aad37baf5710b3d0f953b93999999d808a12"
 
 HILBERT_DRAWS = 300
-HILBERT_DIGEST = "32631b449769b5da618b467703a9214ac8cd52623789052e12925d452e945594"
+HILBERT_DIGEST = "3383fc141dda3f0e38b1bf6772e4269ce4689b9fe26bd1ce052abb701ac96a75"
 
 MORA_CAPS = (7, 40, 100_000)
 WALK_CAPS = (5, 30, 100_000)
@@ -98,9 +100,15 @@ def hilbert_lines(draws):
             initials = [initial(g, degree_function()).with_ordering(target)
                         for g in gb.basis]
             for cap in (25, 100_000):
-                text, _ = _outcome(lambda: mora(
+                text, inner = _outcome(lambda: mora(
                     initials, target, max_degree=6, max_iterations=cap,
                     hilbert=counts.__getitem__))
+                # a complete inner run is a Gröbner Basis of the initial
+                # ideal, whose normal words the source's lead words count
+                if inner is not None and inner.status == "complete":
+                    assert normal_word_counts(
+                        [g.lm() for g in inner.basis], len(A), 8) \
+                        == counts[:9], f"draw {n}, {kind}"
                 yield f"  {kind} {cap}: {text}"
 
 

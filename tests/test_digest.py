@@ -38,10 +38,10 @@ from ncpoly.algebra import format_word
 
 from conftest import group_presentation, random_poly
 
-DIGEST = "7fd9d7be0ea8568f4544d5b169d449e1b4356cafd1704477da39d530b3ec3e78"
+DIGEST = "ea053978b4bb52cda0323cc204c14dbb78d4f2aae0124382ed5acb725cc331fc"
 # the same runs with every stats field None: bases, logs and tables only
 OUTPUT_DIGEST = "5358fe15006200a51a9a2b59d7bef465e38a0f8eb9d0708458b0be5cebdcc913"
-DENSE_DIGEST = "d49eb802722d751c777d39154bc728f7806e28b40296144edf2fa36b82f24e96"
+DENSE_DIGEST = "a019d30e19fca54fc380cefd6305c9c9bf7daede458335f90dcdb5155f69ee33"
 
 GRID_DIGEST = "db55adc49a7b71b2e140c717db9141fec31bb34ac79467a290dafd3037ed9f37"
 RANDOM_DIGEST = "18bf3ddbb160c07c09c65931285a0a7fdcecdb3ba7ef1690f788e55ef084a8df"

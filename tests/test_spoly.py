@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, OverlapSpec,
-                    criterion2_applies, enumerate_overlaps, mora, reduce_basis,
-                    s_polynomial)
+                    criterion2_applies, enumerate_overlaps, mora,
+                    normal_word_counts, reduce_basis, s_polynomial)
 from ncpoly.algebra import _encode
 from ncpoly.spoly import overlap_degrees, settled_key
 
@@ -118,8 +118,8 @@ def test_criterion_needs_a_third_placement(xyz, o):
     basis = P(xyz, o, "x*y - z", "y*z + x")
     (spec,) = enumerate_overlaps(basis[0].lm(), basis[1].lm(), False, 0, 1)
     # flood the settled set: still no third lead monomial divides xyz
-    settled = {(i, j, l) for i in range(2) for j in range(2)
-               for l in [(), (0,), (1,), (2,)]}
+    settled = {(i, j, s) for i in range(2) for j in range(2)
+               for s in range(-3, 4)}
     assert not criterion2_applies(spec, basis, settled)
 
 
@@ -141,12 +141,26 @@ def test_criterion_fires_once_induced_overlaps_settle(xyz, o):
     assert criterion2_applies(spec, basis, settled)
 
 
-def test_criterion_invariance_on_fixture(xyz, o):
+def test_criterion_invariance_on_fixture(xyz, xy, o):
     F = P(xyz, o, "x*y - z", "y*z + 2*x + z", "y*z + x")
     with_c2 = mora(F, o, use_criterion2=True)
     without = mora(F, o, use_criterion2=False)
     assert with_c2.stats["criterion2_skips"] > 0
     assert (reduce_basis(with_c2.basis, o) == reduce_basis(without.basis, o))
+    # criterion 2 must not skip an overlap this input needs: with one key
+    # for many overlaps it did, and the run said complete with 5 elements
+    # where the run without criterion 2 stops at the degree cap with 6
+    dil = MonomialOrdering("deginvlex", xy)
+    F = P(xy, dil, "x^3*y", "y^2*x*y - 3*y*x^2*y + 2*x*y^3 + 3*x^3*y",
+          "2*x^2*y^2", "-y^2*x*y - 2*x*y^3")
+    for strategy in ("normal", "sugar"):
+        runs = [mora(F, dil, strategy, use_criterion2=c, max_degree=8)
+                for c in (True, False)]
+        assert [r.status for r in runs] == ["degree_cap_hit"] * 2
+        assert runs[0].stats["criterion2_skips"] > 0
+        counts = [normal_word_counts([g.lm() for g in r.basis], 2, 8)
+                  for r in runs]
+        assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +230,11 @@ def test_overlaps_come_in_shift_order(case):
     assert specs == shift_loop_overlaps(u1, u2, same, 3, 5)
     assert all(type(s) is OverlapSpec for s in specs)
     assert len(set(specs)) == len(specs)        # hashable and distinct
+    # settled_key names one overlap; a self overlap is listed at shifts
+    # s and -s, one overlap under one key
+    keys = {settled_key(s) for s in
+            enumerate_overlaps(u1, u2, same, 3, 3 if same else 5)}
+    assert len(keys) == (len(specs) // 2 if same else len(specs))
     for s in specs:
         with pytest.raises(AttributeError):
             s.kind = "subword"
@@ -233,14 +252,13 @@ def test_overlaps_come_in_shift_order(case):
 def test_overlaps_of_one_degree(case):
     # enumerate_overlaps restricted to a degree is the full list filtered
     # by degree, in order and kind included; overlap_degrees counts each
-    # degree's overlaps and says whether u1 starts first in one of them
+    # degree's overlaps
     u1, u2, same = case
     full = enumerate_overlaps(u1, u2, same, 3, 5)
     degrees = {}
     for spec in full:
         d = len(spec.overlap_word)
-        n, first = degrees.get(d, (0, False))
-        degrees[d] = (n + 1, first or spec.l1 == ())
+        degrees[d] = degrees.get(d, 0) + 1
     got = overlap_degrees(_encode(u1), _encode(u2), same)
     assert got == degrees and list(got) == list(degrees)
     for d in range(len(u1) + len(u2) + 2):

@@ -174,17 +174,19 @@ def test_a_degree_met_when_it_comes_up_is_never_built(group_alphabet,
     assert len(built) == res.stats["iterations"] - 15    # degrees 4 and 5
 
 
-def test_dropped_degrees_settle_the_keys_they_share(xy):
-    # the walk of a raw (unreduced) dense basis, as the CLI walks it: with
-    # settled_key's one key per pair for the overlaps whose first element
-    # starts first, criterion 2 skips 12 overlaps only if the degrees
-    # dropped unbuilt settle those keys as popped overlaps do
+def test_raw_dense_walk_reads_one_key_per_overlap(xy):
+    # the walk of a raw (unreduced) dense basis, as the CLI walks it: most
+    # of its inner run's degrees are dropped unbuilt and settle no key, so
+    # criterion 2 skips by the keys of the overlaps taken at the degree at
+    # hand, and counts every lower degree as settled
     drl, dl = MonomialOrdering("degrevlex", xy), MonomialOrdering("deglex", xy)
     F = P(xy, drl, *DENSE_CUBICS)
     walked = groebner_walk(WalkJob(drl, dl, mora(F, drl).basis))
     assert walked.stats == {"spolys_considered": 16, "zero_reductions": 1,
-                            "criterion2_skips": 12, "hilbert_skips": 1961,
+                            "criterion2_skips": 6, "hilbert_skips": 1967,
                             "iterations": 1989, "basis_size": 32}
+    direct = mora([f.with_ordering(dl) for f in F], dl)
+    assert walked.basis == reduce_basis(direct.basis, dl)
 
 
 def test_mora_refuses_hilbert_counts_it_cannot_use(xy, drl, dl):
