@@ -25,9 +25,9 @@ import random
 
 from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
                     degree_function, format_polynomial, groebner_walk, initial,
-                    mora, normal_word_counts)
+                    mora, normal_word_counts, reduce_basis)
 
-from conftest import random_poly
+from conftest import all_spolys_reduce_to_zero, random_poly
 
 CORPUS_DRAWS = 300
 CORPUS_DIGEST = "12d5062cdc53ee57e7f9009b13f0aad37baf5710b3d0f953b93999999d808a12"
@@ -53,24 +53,48 @@ def _outcome(run):
 def corpus_lines(draws):
     A = Alphabet(["x", "y", "z"])
     orderings = {kind: MonomialOrdering(kind, A) for kind in KINDS}
+    deglex = orderings["deglex"]
     rng = random.Random(20261020)
+    checked = 0     # complete uncapped runs without a constant so far
     for n in range(draws):
         o = orderings[rng.choice(KINDS)]
         F = [random_poly(rng, A, o, max_terms=3)
              for _ in range(rng.randint(1, 4))]
+        reduced = {}    # strategy -> reduced basis of its complete uncapped run
+        direct = []     # the reduced basis of a complete direct deglex run
         for strategy in ("normal", "sugar"):
             for cap in MORA_CAPS:
                 text, res = _outcome(lambda: mora(F, o, strategy, max_degree=6,
                                                   max_iterations=cap))
                 yield f"{n} {o.kind} {strategy} {cap}: {text}"
-                if (res is None or res.status != "complete"
-                        or o.kind != "degrevlex"):
+                if res is None or res.status != "complete":
                     continue
-                job = WalkJob(o, orderings["deglex"], res.basis)
+                if cap == MORA_CAPS[-1]:
+                    reduced[strategy] = reduce_basis(res.basis, o)
+                    if all(g.lm() for g in res.basis):
+                        if checked % 10 == 0:
+                            assert all_spolys_reduce_to_zero(res.basis), \
+                                f"draw {n}, {strategy}"
+                        checked += 1
+                if o.kind != "degrevlex":
+                    continue
+                job = WalkJob(o, deglex, res.basis)
                 for walk_cap in WALK_CAPS:
-                    text, _ = _outcome(lambda: groebner_walk(
+                    text, walked = _outcome(lambda: groebner_walk(
                         job, max_degree=6, max_iterations=walk_cap))
                     yield f"  walk {walk_cap}: {text}"
+                    if walked is None or walked.status != "complete":
+                        continue
+                    # a complete walk is the reduced basis of the target
+                    if not direct:
+                        run = mora(F, deglex, max_degree=6)
+                        direct.append(run.status == "complete"
+                                      and reduce_basis(run.basis, deglex))
+                    assert not direct[0] or walked.basis == direct[0], \
+                        f"draw {n}, {strategy} {cap}, walk {walk_cap}"
+        # a complete run's reduced basis does not depend on the strategy
+        if len(reduced) == 2:
+            assert reduced["normal"] == reduced["sugar"], f"draw {n}"
 
 
 def corpus_digest(draws):

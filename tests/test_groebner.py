@@ -408,6 +408,10 @@ def test_mora_gb_property_on_fixture(xyz, o):
     assert all_spolys_reduce_to_zero(result.basis)
 
 
+def test_a_basis_with_a_constant_is_groebner(xyz, o):
+    assert all_spolys_reduce_to_zero(P(xyz, o, "x*y*x - z", "3"))
+
+
 def test_mora_strategy_independence(xyz, xy, o):
     fixtures = [
         (o, P(xyz, o, *MORA_FIXTURE)),
