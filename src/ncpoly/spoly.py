@@ -2,7 +2,8 @@
 
 There is no analogue of Buchberger's first criterion here: an
 S-polynomial only exists where two lead monomials genuinely overlap
-inside one word, so non-overlapping placements never generate work.
+inside one word, so non-overlapping placements never generate work,
+and each overlap is listed once (a self overlap at its positive shift).
 
 Both word searches run in C on words encoded by ``algebra._encode``:
 ``enumerate_overlaps`` with ``str.find``, ``str.rfind`` and
@@ -39,7 +40,7 @@ class OverlapSpec(NamedTuple):
 def _shifts(t1, t2, same_element, degree=None):
     """The list of the shifts s of the overlaps of u2 against u1, given
     encoded as t1 and t2, ascending; only those of overlap degree
-    ``degree`` if given.
+    ``degree`` if given; only s > 0 if ``same_element``.
 
     u2 placed at offset s of u1 covers max(d1, d2 + s) - min(s, 0)
     letters.  For s = -t < 0, u1 starts at offset t of u2: the degree is
@@ -61,12 +62,13 @@ def _shifts(t1, t2, same_element, degree=None):
     # candidate, confirmed by one startswith.  s = -t < 0: t is an offset
     # of u1's first letter in u2, taken from the right for s to ascend
     shifts = []
-    first = t1[0]
-    t = t2.rfind(first, t_lo, t_end)
-    while t > 0:
-        if t2.startswith(t1[:d2 - t], t):
-            shifts.append(-t)
-        t = t2.rfind(first, t_lo, t)
+    if not same_element:
+        first = t1[0]
+        t = t2.rfind(first, t_lo, t_end)
+        while t > 0:
+            if t2.startswith(t1[:d2 - t], t):
+                shifts.append(-t)
+            t = t2.rfind(first, t_lo, t)
     # s >= 0: s is an offset of u2's first letter in u1
     first = t2[0]
     s = t1.find(first, s_lo, s_end)
@@ -80,7 +82,7 @@ def _shifts(t1, t2, same_element, degree=None):
 def overlap_degrees(t1, t2, same_element):
     """The number of overlaps of u2 against u1, given encoded as t1 and
     t2, per overlap degree: {d: n}, degrees by the shift of their first
-    overlap, ascending."""
+    overlap, ascending; a self pair's at s > 0 only."""
     d1, d2 = len(t1), len(t2)
     degrees = {}
     for s in _shifts(t1, t2, same_element):
@@ -98,8 +100,8 @@ def enumerate_overlaps(u1, u2, same_element, i=0, j=1, degree=None):
     encodes them: each offset where one word holds the other's first
     letter is a candidate (``str.rfind`` in u2 for s < 0, ``str.find``
     in u1 for s >= 0), confirmed by one ``str.startswith``.  When
-    ``same_element`` the identical placement (s == 0) is excluded,
-    leaving only genuine self overlaps.
+    ``same_element`` only s > 0 is listed: s == 0 is the identical
+    placement, and -s is the overlap at s with the roles swapped.
     """
     u1, u2 = tuple(u1), tuple(u2)
     d1, d2 = len(u1), len(u2)
@@ -140,22 +142,18 @@ def s_polynomial(spec, p1, p2):
 
 
 def settled_key(spec):
-    """The bookkeeping key of one overlap: its participant indices in
-    ascending order and the offset of the larger-index element's lead
-    word from the smaller one's.  A self overlap, which
-    ``enumerate_overlaps`` lists at shifts s and -s, has the absolute
-    offset."""
+    """The bookkeeping key of one overlap: its two placements ordered by
+    (element index, offset in the overlap word), as (first index, second
+    index, second offset - first offset)."""
     return _overlap_key(spec.i, len(spec.l1), spec.j, len(spec.l2))
 
 
 def _overlap_key(i, a, j, b):
     """``settled_key`` of the overlap of element i placed at offset a and
     element j at offset b of one word."""
-    if i < j:
+    if i < j or i == j and a < b:
         return (i, j, b - a)
-    if j < i:
-        return (j, i, a - b)
-    return (i, i, abs(b - a))
+    return (j, i, a - b)
 
 
 def criterion2_applies(spec, basis, settled, by_degree=False):

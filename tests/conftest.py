@@ -86,10 +86,12 @@ def brute_force_overlaps(u1, u2, same_element):
     """Oracle for enumerate_overlaps: test every placement pair of u1 and
     u2 inside every word of the right length and record the genuine
     overlaps (shared letter positions, no redundant slack on either
-    side)."""
+    side).  A self pair keeps the placements whose second copy starts
+    later (s > 0): s == 0 is the identical placement, and -s is s with
+    the roles swapped."""
     d1, d2 = len(u1), len(u2)
     found = set()
-    for s in range(-(d2 - 1), d1):
+    for s in range(1 if same_element else -(d2 - 1), d1):
         # place u1 at offset 0 and u2 at offset s; keep placements whose
         # letters agree on the intersection, which must be nonempty
         lo, hi = max(0, s), min(d1, s + d2)
@@ -107,8 +109,6 @@ def brute_force_overlaps(u1, u2, same_element):
         r1 = tuple(word[d1 - start:])
         l2 = tuple(word[:s - start])
         r2 = tuple(word[s + d2 - start:])
-        if same_element and l1 == l2:
-            continue
         found.add((l1, r1, l2, r2))
     return found
 

@@ -30,10 +30,10 @@ from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
 from conftest import all_spolys_reduce_to_zero, random_poly
 
 CORPUS_DRAWS = 300
-CORPUS_DIGEST = "12d5062cdc53ee57e7f9009b13f0aad37baf5710b3d0f953b93999999d808a12"
+CORPUS_DIGEST = "22d7dfcd25538991227bab1cceca42bb3f9402dcb340617df201189b108d9cf7"
 
 HILBERT_DRAWS = 300
-HILBERT_DIGEST = "3383fc141dda3f0e38b1bf6772e4269ce4689b9fe26bd1ce052abb701ac96a75"
+HILBERT_DIGEST = "e8a2299a592036dff59207bbf3754f344cb94b5f3a800dcbb53e50ff943cecb7"
 
 MORA_CAPS = (7, 40, 100_000)
 WALK_CAPS = (5, 30, 100_000)

@@ -32,11 +32,11 @@ def test_single_suffix_prefix_overlap(xyz):
 
 
 def test_self_overlap(xyz):
-    specs = enumerate_overlaps(w(xyz, "xyx"), w(xyz, "xyx"), True)
-    # PRE(xyx, 1) = SUFF(xyx, 1) in both roles
-    assert len(specs) == 2
-    assert {spec.overlap_word for spec in specs} == {w(xyz, "xyxyx")}
-    assert all(spec.l1 != spec.l2 for spec in specs)
+    # PRE(xyx, 1) = SUFF(xyx, 1), listed once: the second copy of xyx
+    # starts later, at shift 2
+    (spec,) = enumerate_overlaps(w(xyz, "xyx"), w(xyz, "xyx"), True)
+    assert spec.overlap_word == w(xyz, "xyxyx")
+    assert spec.l1 == () and spec.l2 == w(xyz, "xy")
 
 
 def test_disjoint_letters_no_overlap(xyz):
@@ -179,6 +179,14 @@ def test_overlaps_match_brute_force(u1, u2, same):
     got = {(s.l1, s.r1, s.l2, s.r2) for s in specs}
     assert len(got) == len(specs)
     assert got == brute_force_overlaps(u1, u2, same)
+    if same:
+        # with their mirrors, the roles swapped, the listed overlaps are
+        # every placement pair but the identical one, and no two listed
+        # overlaps mirror each other
+        mirrors = {(l2, r2, l1, r1) for l1, r1, l2, r2 in got}
+        assert not got & mirrors
+        assert got | mirrors == (brute_force_overlaps(u1, u2, False)
+                                 - {((), (), (), ())})
     for s in specs:
         assert s.l1 + u1 + s.r1 == s.overlap_word
         assert s.l2 + u2 + s.r2 == s.overlap_word
@@ -188,18 +196,16 @@ def test_overlaps_match_brute_force(u1, u2, same):
 
 def shift_loop_overlaps(u1, u2, same_element, i, j):
     """Reference for enumerate_overlaps's list, in order: every shift s of
-    u2 against u1 from -(len(u2) - 1) up, its letters compared by
-    slices."""
+    u2 against u1 from -(len(u2) - 1) up, from 1 up for a self pair, its
+    letters compared by slices."""
     d1, d2 = len(u1), len(u2)
     specs = []
-    for s in range(-(d2 - 1), d1):
+    for s in range(1 if same_element else -(d2 - 1), d1):
         lo, hi = max(0, s), min(d1, s + d2)
         if u1[lo:hi] != u2[lo - s:hi - s]:
             continue
         l1, r1 = (u2[:-s] if s < 0 else ()), u2[d1 - s:]
         l2, r2 = (u1[:s] if s > 0 else ()), u1[s + d2:]
-        if same_element and l1 == l2:
-            continue
         kind = ("subword" if not (l1 or r1) or not (l2 or r2)
                 else "prefix" if s < 0 else "suffix")
         specs.append(OverlapSpec(i, j, l1, r1, l2, r2, kind, l1 + u1 + r1))
@@ -230,11 +236,10 @@ def test_overlaps_come_in_shift_order(case):
     assert specs == shift_loop_overlaps(u1, u2, same, 3, 5)
     assert all(type(s) is OverlapSpec for s in specs)
     assert len(set(specs)) == len(specs)        # hashable and distinct
-    # settled_key names one overlap; a self overlap is listed at shifts
-    # s and -s, one overlap under one key
+    # settled_key names one overlap, and each is listed once
     keys = {settled_key(s) for s in
             enumerate_overlaps(u1, u2, same, 3, 3 if same else 5)}
-    assert len(keys) == (len(specs) // 2 if same else len(specs))
+    assert len(keys) == len(specs)
     for s in specs:
         with pytest.raises(AttributeError):
             s.kind = "subword"
