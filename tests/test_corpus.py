@@ -8,7 +8,12 @@ inside and at the edges of the overlap degrees they reach.  Each
 complete degrevlex basis is walked to deglex, whose inner run drops
 overlap degrees by the Hilbert counts, capped at 5, 30 and 100000
 iterations.  Each run's status, stats and basis, or the message of the
-exception it raises, is hashed.
+exception it raises, is hashed.  The corpus checks as well as pins,
+without changing the hashed text: a draw's complete uncapped normal and
+sugar runs give one reduced basis, each complete walk equals the reduced
+basis of a direct deglex run when that run completes, and every 10th
+complete uncapped run without a constant passes
+``all_spolys_reduce_to_zero``.
 
 ``HILBERT_DIGEST`` pins ``mora`` under Hilbert counts on homogeneous
 input, where it drops most overlap degrees whole: each draw of
@@ -61,7 +66,7 @@ def corpus_lines(draws):
         F = [random_poly(rng, A, o, max_terms=3)
              for _ in range(rng.randint(1, 4))]
         reduced = {}    # strategy -> reduced basis of its complete uncapped run
-        direct = []     # the reduced basis of a complete direct deglex run
+        direct = None   # reduced basis of a direct deglex run, [] if capped
         for strategy in ("normal", "sugar"):
             for cap in MORA_CAPS:
                 text, res = _outcome(lambda: mora(F, o, strategy, max_degree=6,
@@ -86,11 +91,11 @@ def corpus_lines(draws):
                     if walked is None or walked.status != "complete":
                         continue
                     # a complete walk is the reduced basis of the target
-                    if not direct:
+                    if direct is None:
                         run = mora(F, deglex, max_degree=6)
-                        direct.append(run.status == "complete"
-                                      and reduce_basis(run.basis, deglex))
-                    assert not direct[0] or walked.basis == direct[0], \
+                        direct = (reduce_basis(run.basis, deglex)
+                                  if run.status == "complete" else [])
+                    assert not direct or walked.basis == direct, \
                         f"draw {n}, {strategy} {cap}, walk {walk_cap}"
         # a complete run's reduced basis does not depend on the strategy
         if len(reduced) == 2:
