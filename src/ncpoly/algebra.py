@@ -132,6 +132,15 @@ class _Divisors:
         for q in polys:
             self.add(q)
 
+    @classmethod
+    def of(cls, P, ordering):
+        """P prepared in ``ordering``: a list is prepared, a set checked."""
+        if not isinstance(P, cls):
+            return cls(P, ordering)
+        if ordering is not P.ordering and ordering != P.ordering:
+            raise ValueError("polynomials live in different algebras or orderings")
+        return P
+
     def add(self, q, i=None):
         """Append the nonzero polynomial q, in the set's ordering, or put it
         in place of element i."""

@@ -188,10 +188,7 @@ def divide(p, P, logged=True):
     one divisor index per step.
     """
     if isinstance(p, Polynomial):
-        if not isinstance(P, _Divisors):
-            P = _Divisors(P, p.ordering)
-        elif p.ordering is not P.ordering and p.ordering != P.ordering:
-            raise ValueError("polynomials live in different algebras or orderings")
+        P = _Divisors.of(P, p.ordering)
         p = _seed(p)
     return reduce_by(p, P, P.first, logged)
 

@@ -18,9 +18,10 @@ their mirrors a row is the full letter set minus the letters that pairs
 of lead monomials discard, so when the basis changes only the pairs
 with the changed element are counted again; StrongLeftOverlap keeps
 LeftOverlap's counts and cuts each row's cone again, and only
-TwoSidedLeftOverlap works its rows out whole.  Every right-handed kind
-is the word-reversal mirror of its left-handed kind: it is worked out
-on reversed words, with its sides swapped.
+TwoSidedLeftOverlap works its rows out whole.  Each rule reads a pair's
+placements from ``spoly._shifts``, the overlap search of Mora's
+S-polynomials, on the encoded words; a right-handed kind runs its
+left-handed mirror's rules on reversed words, with its sides swapped.
 
 Completion autoreduces and restarts after every basis change.
 ``_edit``, the one function that changes a row, stamps the row it makes
@@ -69,6 +70,7 @@ from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, log_conjugate, log_identity, log_reduced,
                        reduce_by)
 from .orderings import _degrevlex_key
+from .spoly import _shifts
 
 DIVISION_NAMES = {
     1: "Left",
@@ -133,7 +135,7 @@ class MultiplicativeTable:
     from.  ``sets_for`` looks a row up by word (first match)."""
 
     __slots__ = ("division", "alphabet", "lms", "left", "right", "_encoded",
-                 "_mirrored", "_counts", "_stamps", "_reduced")
+                 "_counts", "_stamps", "_reduced")
 
     def __init__(self, division, alphabet, lms, left, right):
         self.division = division
@@ -141,11 +143,8 @@ class MultiplicativeTable:
         self.lms = list(lms)
         self.left = [frozenset(s) for s in left]
         self.right = [frozenset(s) for s in right]
-        # aligned with lms: each word as algebra._encode encodes it, and,
-        # for a right-handed division, each word reversed (see _as_left)
+        # aligned with lms: each word as algebra._encode encodes it
         self._encoded = [_encode(lm) for lm in self.lms]
-        self._mirrored = (None if division.left_handed
-                          else [lm[::-1] for lm in self.lms])
         # per row and letter, the number of pairs of lead monomials that
         # discard the letter (see _count_pairs), kept under every local
         # division but 5 and 10 (under 4 and 9, the counts of 3 and 8)
@@ -243,8 +242,6 @@ def _count(table, i, lm, stamp):
                if counts is not None and i < len(table.lms) else [])
     table.lms[i:i + 1] = new
     table._encoded[i:i + 1] = [_encode(lm) for lm in new]
-    if table._mirrored is not None:
-        table._mirrored[i:i + 1] = [lm[::-1] for lm in new]
     table._stamps[i:i + 1] = [stamp] * len(new)
     table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
     if counts is None:
@@ -285,21 +282,25 @@ def _derive(table, changed, stamp):
 
 def _as_left(table):
     """``table`` as its left-handed division works it out: that key, the
-    words and the (left, right) row lists.  A right-handed division is
-    the mirror: its words reversed (kept on the table, edited by
-    ``_count``) and its sides swapped, here only."""
-    if table._mirrored is None:
-        return table.division.key, table.lms, table.left, table.right
-    return _MIRROR[table.division.key], table._mirrored, table.right, table.left
+    encoded words and the (left, right) row lists; for a right-handed
+    division, the words reversed and the sides swapped, here only."""
+    key = table.division.key
+    if key not in _MIRROR:
+        return key, table._encoded, table.left, table.right
+    return _MIRROR[key], [t[::-1] for t in table._encoded], table.right, table.left
+
+
+def _placements(ua, ub, same):
+    """The shifts s of the placements of ub at offset s of ua that overlap
+    (``spoly._shifts``); every shift when a word is empty."""
+    return (_shifts(ua, ub, same) if ua and ub
+            else range(-len(ub), len(ua) + 1))
 
 
 def _count_pairs(table, i, step):
     """Add ``step`` to the count of each letter that a pair of row i with
     a row of ``table`` (itself included) discards; return the rows whose
-    letter set that changes, with repeats.
-
-    A pair is taken longer word first, as ``_discards`` needs it (two
-    words of one length discard alike in either order)."""
+    letter set that changes, with repeats."""
     key, words = _as_left(table)[:2]
     counts = table._counts
     flipped = 1 if step > 0 else 0      # the count at which a letter flips
@@ -314,79 +315,73 @@ def _count_pairs(table, i, step):
 
     ui = words[i]
     for j, uj in enumerate(words):
-        if len(uj) <= len(ui):
-            da, db = _discards(key, ui, uj)
-            bump(i, da)
-            bump(j, db)
-        else:
-            da, db = _discards(key, uj, ui)
-            bump(j, da)
-            bump(i, db)
+        da, db = _discards(key, ui, uj, i == j)
+        bump(i, da)
+        bump(j, db)
     return changed
 
 
-def _discards(key, ua, ub):
-    """The letters that the pair (ua, ub) discards from the right sets of
-    ua and of ub under LeftOverlap (3, whose counts StrongLeftOverlap, 4,
-    keeps), PrefixOnlyLeftOverlap (6) or SubwordFreeLeftOverlap (7), with
-    repeats.  ua is at least as long as ub; ua is ub for an element's
-    overlaps with itself."""
+def _discards(key, ua, ub, same):
+    """The letters that the encoded words ua and ub (``same`` for an
+    element's overlaps with itself) discard from the right sets of ua and
+    of ub under LeftOverlap (3, whose counts StrongLeftOverlap, 4, keeps),
+    PrefixOnlyLeftOverlap (6) or SubwordFreeLeftOverlap (7), with repeats:
+    at each placement, the word that ends first loses the letter after it
+    in the other, unless it lies inside the other and the division does
+    not count that subword (3 and 4 count each, 6 a prefix, 7 none)."""
     alpha, beta = len(ua), len(ub)
     da, db = [], []
-    if key in (3, 4):       # ub inside ua, but not as its suffix
-        for k in range(alpha - beta):
-            if ua[k:k + beta] == ub:
-                db.append(ua[k + beta])
-    elif key == 6 and beta < alpha and ua[:beta] == ub:     # a prefix
-        db.append(ua[beta])
-    for k in range(1, beta):    # a proper prefix of one ends the other
-        if ua[:k] == ub[beta - k:]:
-            db.append(ua[k])
-        if ua[alpha - k:] == ub[:k]:
-            da.append(ub[k])
+    for s in _placements(ua, ub, same):
+        counted = key in (3, 4) or key == 6 and not s
+        end = s + beta
+        if end < alpha and (s < 0 or counted):
+            db.append(ord(ua[end]))
+        elif end > alpha and (s > 0 or counted):
+            da.append(ord(ub[alpha - s]))
     return da, db
 
 
 def _cone(row, ascending):
     """StrongLeftOverlap's right set from LeftOverlap's ``row``: withdraw
-    the first letter of each word of ``ascending`` (the nonempty words,
-    ascending by DegRevLex) all of whose letters the row still holds."""
+    the first letter of each encoded word in ``ascending`` (the nonempty
+    ones, by ascending DegRevLex) all of whose letters it still holds."""
     for w in ascending:
-        if row.issuperset(w):
-            row = row - {w[0]}
+        if row.issuperset(map(ord, w)):
+            row = row - {ord(w[0])}
     return row
 
 
 def _two_sided_rows(words, n):
-    """TwoSidedLeftOverlap's (left, right) rows, aligned with ``words``:
-    the rules run over the pairs of words taken descending by DegRevLex
-    (stable) and read the sets as they change them."""
+    """TwoSidedLeftOverlap's (left, right) rows, aligned with the encoded
+    ``words``: the pairs (ua, ub) are taken descending by DegRevLex
+    (stable), and read the sets as earlier pairs left them.  Where ub
+    ends first, it loses the letter after it from its right set if ua's
+    left set holds the letter of ub before ua (ub inside ua: always);
+    else it loses the letter before it from its left set if ua's right
+    set holds the letter of ub after ua (a suffix: always).  A self pair
+    is taken at -s only: at s, the same overlap with the roles swapped,
+    the left-set rule would find its letter gone from the right set or
+    its own letter gone already, once the right-set rule at -s has run."""
     order = sorted(range(len(words)), key=lambda t: _degrevlex_key(words[t]),
                    reverse=True)
     left = [set(range(n)) for _ in words]
     right = [set(range(n)) for _ in words]
-    for s, a in enumerate(order):
+    for t, a in enumerate(order):
         ua, la, ra = words[a], left[a], right[a]
         alpha = len(ua)
-        for b in order[s:]:
+        for b in order[t:]:
             ub, lb, rb = words[b], left[b], right[b]
             beta = len(ub)
-            if a != b:
-                for k in range(alpha - beta + 1):
-                    if ua[k:k + beta] == ub:
-                        if k < alpha - beta:
-                            rb.discard(ua[k + beta])
-                        elif k:         # ub is a suffix of ua
-                            lb.discard(ua[k - 1])
-            for k in range(1, beta):
-                if ua[:k] == ub[beta - k:]:
-                    xl, xr = ub[beta - k - 1], ua[k]
-                    if xl in la and xr in rb:
-                        rb.discard(xr)
-                if ua[alpha - k:] == ub[:k]:
-                    xr, xl = ub[k], ua[alpha - k - 1]
-                    if xr in ra and xl in lb:
-                        lb.discard(xl)
+            shifts = _placements(ua, ub, a == b)
+            if a == b:
+                shifts = [-s for s in shifts]
+            for s in shifts:
+                end = s + beta
+                if end < alpha:
+                    if s >= 0 or ord(ub[-s - 1]) in la:
+                        rb.discard(ord(ua[end]))
+                elif s and (end == alpha or ord(ub[alpha - s]) in ra):
+                    lb.discard(ord(ua[s - 1]))
     return left, right
 
 
@@ -457,10 +452,7 @@ def inv_divide(p, P, table, mode="thin", active=None):
     P's element j: a table with another number of rows, or a divisor
     found whose lead monomial is not its row's word, raises
     ``ValueError``.  The log has one triple per reduction step."""
-    if not isinstance(P, _Divisors):
-        P = _Divisors(P, p.ordering)
-    elif p.ordering is not P.ordering and p.ordering != P.ordering:
-        raise ValueError("polynomials live in different algebras or orderings")
+    P = _Divisors.of(P, p.ordering)
     lms, lefts, rights, thick = table.lms, table.left, table.right, _thick(mode)
     encoded, polys = table._encoded, P.polys
     if len(lms) != len(polys):

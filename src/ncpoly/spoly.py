@@ -6,9 +6,10 @@ inside one word, so non-overlapping placements never generate work,
 and each overlap is listed once (a self overlap at its positive shift).
 
 Both word searches run in C on words encoded by ``algebra._encode``:
-``enumerate_overlaps`` with ``str.find``, ``str.rfind`` and
-``str.startswith``, ``criterion2_applies`` through
-``algebra._Divisors.occurrences``.
+the one overlap search, ``_shifts``, with ``str.find``, ``str.rfind``
+and ``str.startswith``, for ``enumerate_overlaps``, ``overlap_degrees``
+and the multiplicative tables of ``involutive``; ``criterion2_applies``
+through ``algebra._Divisors.occurrences``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 
 from ncpoly import (Alphabet, Polynomial, Term, divide, enumerate_overlaps,
                     parse_polynomial, s_polynomial)
+from ncpoly.algebra import _Divisors
 
 
 @pytest.fixture
@@ -66,9 +67,11 @@ def random_poly(rng, alphabet, ordering, max_degree=4, max_terms=5):
 def all_spolys_reduce_to_zero(basis):
     """The Gröbner Basis property, checked directly from the definition.
     A basis that holds a nonzero constant generates the whole algebra,
-    so it is Gröbner; the empty word has no overlaps."""
+    so it is Gröbner; the empty word has no overlaps.  The basis is
+    prepared as a divisor set once, for every division."""
     if not all(g.lm() for g in basis):
         return True
+    divisors = _Divisors(basis, basis[0].ordering)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             for spec in enumerate_overlaps(basis[i].lm(), basis[j].lm(),
@@ -76,7 +79,7 @@ def all_spolys_reduce_to_zero(basis):
                 s = s_polynomial(spec, basis[i], basis[j])
                 if s.is_zero():
                     continue
-                rem, _ = divide(s, basis)
+                rem, _ = divide(s, divisors, logged=False)
                 if not rem.is_zero():
                     return False
     return True
@@ -128,6 +131,83 @@ def brute_force_placement(u, v, left=None, right=None, thick=False):
         if all(x in left for x in tested3) and all(x in right for x in tested4):
             return s
     return None
+
+
+def reference_rows(key, lms, n):
+    """Oracle for the rows of LeftOverlap (3), TwoSidedLeftOverlap (5),
+    PrefixOnlyLeftOverlap (6), SubwordFreeLeftOverlap (7) and their
+    mirrors (8, 10, 11, 12) on the lead monomials ``lms`` over n letters,
+    as (left, right) lists of frozensets, found by letter-by-letter scans
+    over tuple slices of every pair of words.  A right-handed division is
+    worked out on the reversed words, with its sides swapped."""
+    left_key = {8: 3, 10: 5, 11: 6, 12: 7}.get(key, key)
+    words = [tuple(u) if key == left_key else tuple(u)[::-1] for u in lms]
+    if left_key == 5:
+        left, right = _two_sided_scan(words, n)
+    else:
+        left = [set(range(n)) for _ in words]
+        right = [set(range(n)) for _ in words]
+        for a in range(len(words)):
+            for b in range(a, len(words)):
+                # the longer word first
+                long, short = (a, b) if len(words[b]) <= len(words[a]) else (b, a)
+                da, db = _discards_scan(left_key, words[long], words[short])
+                right[long].difference_update(da)
+                right[short].difference_update(db)
+    rows = [frozenset(s) for s in left], [frozenset(s) for s in right]
+    return rows if key == left_key else rows[::-1]
+
+
+def _discards_scan(key, ua, ub):
+    """The letters that the pair (ua, ub), ua at least as long, discards
+    from the right sets of ua and of ub under 3, 6 or 7."""
+    alpha, beta = len(ua), len(ub)
+    da, db = [], []
+    if key == 3:            # ub inside ua, but not as its suffix
+        for k in range(alpha - beta):
+            if ua[k:k + beta] == ub:
+                db.append(ua[k + beta])
+    elif key == 6 and beta < alpha and ua[:beta] == ub:     # a prefix
+        db.append(ua[beta])
+    for k in range(1, beta):    # a proper prefix of one ends the other
+        if ua[:k] == ub[beta - k:]:
+            db.append(ua[k])
+        if ua[alpha - k:] == ub[:k]:
+            da.append(ub[k])
+    return da, db
+
+
+def _two_sided_scan(words, n):
+    """TwoSidedLeftOverlap's (left, right) sets: the rules run over the
+    pairs of words taken descending by DegRevLex (stable), the longer
+    word first, and read the sets as they change them."""
+    order = sorted(range(len(words)), reverse=True,
+                   key=lambda t: (len(words[t]), words[t][::-1]))
+    left = [set(range(n)) for _ in words]
+    right = [set(range(n)) for _ in words]
+    for s, a in enumerate(order):
+        ua, la, ra = words[a], left[a], right[a]
+        alpha = len(ua)
+        for b in order[s:]:
+            ub, lb, rb = words[b], left[b], right[b]
+            beta = len(ub)
+            if a != b:
+                for k in range(alpha - beta + 1):
+                    if ua[k:k + beta] == ub:
+                        if k < alpha - beta:
+                            rb.discard(ua[k + beta])
+                        elif k:         # ub is a suffix of ua
+                            lb.discard(ua[k - 1])
+            for k in range(1, beta):
+                if ua[:k] == ub[beta - k:]:
+                    xl, xr = ub[beta - k - 1], ua[k]
+                    if xl in la and xr in rb:
+                        rb.discard(xr)
+                if ua[alpha - k:] == ub[:k]:
+                    xr, xl = ub[k], ua[alpha - k - 1]
+                    if xr in ra and xl in lb:
+                        lb.discard(xl)
+    return left, right
 
 
 def seeded_rng(name):

@@ -18,7 +18,7 @@ from ncpoly.involutive import _certificate, _certificate_holds, _edit
 
 from conftest import (P, all_spolys_reduce_to_zero, brute_force_placement,
                       group_presentation, monic_set, random_poly, random_word,
-                      seeded_rng, w)
+                      reference_rows, seeded_rng, w)
 
 
 @pytest.fixture
@@ -185,12 +185,18 @@ def strong_overlap_rows(key, lms, alphabet):
 # Under 9 the same on the reversed words x and xy
 @example(4, [(0,), (1, 0)], [("append", 0, 0), ("append", 0, 1)])
 @example(9, [(0,), (0, 1)], [("append", 0, 0), ("append", 0, 1)])
+# x is a prefix of xy, a subword that 7 does not count: x keeps y
+@example(7, [(0,), (0, 1)], [("append", 0, 0), ("append", 0, 1)])
+# yxx takes x and y from the left set of xx, so xx, whose self overlap
+# xxx needs x on its left, keeps x on its right
+@example(5, [(0, 0), (1, 0, 0)], [("append", 0, 0), ("append", 0, 1)])
 def test_edited_rows_match_a_fresh_table(key, words, steps):
     # the rows autoreduce keeps as lead monomials are appended, deleted
     # and replaced in place are the rows of a table built afresh, and
     # under 4 and 9, whose fresh builds go through the same cone code,
-    # the rows of strong_overlap_rows.  The edited row and exactly the
-    # rows whose sets change get a stamp newer than any before.
+    # the rows of strong_overlap_rows; under the other local divisions,
+    # the rows of conftest.reference_rows.  The edited row and exactly
+    # the rows whose sets change get a stamp newer than any before.
     alphabet = Alphabet(["x", "y", "z"])
     division = InvolutiveDivision(key)
     table = assign_multiplicative(division, [], alphabet)
@@ -216,6 +222,9 @@ def test_edited_rows_match_a_fresh_table(key, words, steps):
         if key in (4, 9):
             assert (table.left, table.right) == strong_overlap_rows(
                 key, lms, alphabet)
+        elif key > 2:
+            assert (table.left, table.right) == reference_rows(
+                key, lms, len(alphabet))
         after = list(zip(table.left, table.right, table._stamps))
         assert len(after) == len(before)
         for old, (left, right, stamp) in zip(before, after):
