@@ -5,6 +5,10 @@ generator indices (index 0 is the highest-priority generator).  Terms pair
 a nonzero ``fractions.Fraction`` coefficient with a word, and polynomials
 keep their terms strictly descending under a monomial ordering supplied
 at construction time.  Floating point never appears anywhere.
+
+The word searches and the reduction kernel work on words encoded as
+``str``, one code point per letter, by a codec that each alphabet
+chooses once (``_codec``); every encoding of words is decided here.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import re
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -27,7 +32,7 @@ class ParseError(ValueError):
 class Alphabet:
     """An ordered sequence of distinct generator names, highest priority first."""
 
-    __slots__ = ("generators", "_index", "_scanner")
+    __slots__ = ("generators", "_index", "_scanner", "_codec", "_flip")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -50,6 +55,11 @@ class Alphabet:
         names = sorted(generators, key=len, reverse=True)
         self._scanner = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % "|".join(
             [*map(re.escape, names), r"\S"]))
+        # the word codec and the letter flip of the heap keys, chosen once
+        # (see _codec and _heap_keys)
+        n = len(generators)
+        self._codec = _codec(n)
+        self._flip = {x: n - 1 - x for x in range(n)}
 
     def __len__(self):
         return len(self.generators)
@@ -78,41 +88,104 @@ class Alphabet:
 # monomial.
 # ---------------------------------------------------------------------------
 
-def _encode(word):
-    """A word as a str with one code point per letter, so that ``str.find``
-    searches for one word inside another in C, for any alphabet size.
+def _codec(n_letters):
+    """The (encode, decode) pair for words over ``n_letters`` letters,
+    chosen once per alphabet (``Alphabet._codec``).  A word is encoded as
+    a str with one code point per letter, so that ``str.find`` searches
+    for one word inside another in C, for any alphabet size; decode turns
+    such a str back into the tuple.
 
-    Letters below 256 go through ``bytes``: latin-1 decodes byte b to
-    ``chr(b)``, so the string is the same, made in C.  A letter past 255
-    makes ``bytes`` raise, and the word is then joined letter by letter
-    (a negative letter raises ``ValueError`` there too)."""
+    Up to 256 letters a word goes through ``bytes``: latin-1 decodes byte
+    b to ``chr(b)``, so the string is the one the letter-by-letter path
+    makes, made in C.  A wider alphabet takes the letter-by-letter path
+    both ways.  Either path refuses a negative letter with
+    ``ValueError``."""
+    if n_letters <= 256:
+        return _bytes_encode, _bytes_decode
+    return _letters_encode, _letters_decode
+
+
+def _bytes_encode(word):
+    return bytes(word).decode("latin-1")
+
+
+def _bytes_decode(text):
+    return tuple(text.encode("latin-1"))
+
+
+def _letters_encode(word):
+    return "".join(map(chr, word))
+
+
+def _letters_decode(text):
+    return tuple(map(ord, text))
+
+
+def _encode(word):
+    """The word encoded as its alphabet's codec encodes it, for a caller
+    that knows no alphabet (``spoly.enumerate_overlaps``): through
+    ``bytes``, unless a letter past 255 makes it raise."""
     try:
-        return bytes(word).decode("latin-1")
+        return _bytes_encode(word)
     except ValueError:
-        return "".join(map(chr, word))
+        return _letters_encode(word)
 
 
 def _terms_text(p):
-    """p's term words, encoded as ``_encode`` does, joined by a code point
-    past p's alphabet: for p nonzero, a word occurs in it iff in a term."""
-    return chr(len(p.alphabet)).join([_encode(mon) for _, mon in p.terms])
+    """p's term words, encoded by p's alphabet's codec, joined by a code
+    point past p's alphabet: for p nonzero, a word occurs in it iff in a
+    term."""
+    encode = p.alphabet._codec[0]
+    return chr(len(p.alphabet)).join([encode(mon) for _, mon in p.terms])
+
+
+def _text_words(text, alphabet):
+    """The encoded term words of a nonzero polynomial over ``alphabet``,
+    in term order, from its ``_terms_text``."""
+    return text.split(chr(len(alphabet)))
 
 
 def _seed(p):
     """The polynomial p as a seed for ``groebner.reduce_by``: (work,
-    scale), a dict from each of p's words to an integer coefficient, in
-    term order, over the least positive integer scale that makes them
-    integers."""
+    scale), a dict from each of p's words, encoded by its alphabet's
+    codec, to an integer coefficient, in term order, over the least
+    positive integer scale that makes them integers."""
+    encode = p.alphabet._codec[0]
     scale = 1
     for c, _ in p.terms:
         scale = lcm(scale, c.denominator)
-    return {mon: c.numerator * (scale // c.denominator) for c, mon in p.terms}, scale
+    return {encode(mon): c.numerator * (scale // c.denominator)
+            for c, mon in p.terms}, scale
+
+
+def _heap_keys(ordering, longest):
+    """(key, word) for the admissible ``ordering``: ``key(t)`` is a str
+    that ascends as the encoded word t, of at most ``longest`` letters,
+    descends under the ordering, and ``word(key(t)) == t``.
+
+    The key is a length prefix, ``chr(longest - len(t))``, so a longer
+    word comes first, followed by t as it is under deglex (on equal
+    lengths the leftmost difference decides, index 0 greatest), t with
+    each letter x flipped to n - 1 - x by ``str.translate`` under
+    deginvlex (the later letter greatest), and t reversed, then flipped,
+    under degrevlex (the rightmost difference decides).  Every part is
+    made in C."""
+    kind = ordering.kind
+    if kind == "deglex":
+        return (lambda t: chr(longest - len(t)) + t), itemgetter(slice(1, None))
+    flip = ordering.alphabet._flip
+    if kind == "deginvlex":
+        return ((lambda t: chr(longest - len(t)) + t.translate(flip)),
+                lambda k: k[1:].translate(flip))
+    return ((lambda t: chr(longest - len(t)) + t[::-1].translate(flip)),
+            lambda k: k[:0:-1].translate(flip))
 
 
 class _Divisors:
     """The one conventional divisor search: nonzero polynomials in one
     ordering, ``polys``, with their lead words encoded once (``words``)
-    and their integer forms (``forms``, see ``form``).
+    and their integer forms (``forms``, see ``form``), words encoded by
+    the ordering's alphabet's codec.
 
     Each element is checked once, when it is added.  ``first`` and
     ``occurrences`` find the lead words inside a word, in C: a lead word
@@ -148,7 +221,7 @@ class _Divisors:
             raise ValueError("divisors must be nonzero")
         if q.ordering is not self.ordering and q.ordering != self.ordering:
             raise ValueError("polynomials live in different algebras or orderings")
-        word = _encode(q.terms[0].mon)
+        word = self.ordering.alphabet._codec[0](q.terms[0].mon)
         if i is None:
             self.polys.append(q)
             self.words.append(word)
@@ -161,28 +234,29 @@ class _Divisors:
         del self.polys[i], self.words[i], self.forms[i]
 
     def form(self, j):
-        """The integer form of element j, (den, coefficients): its
-        ``_seed`` scale and coefficients, in a list aligned with its
-        terms.  It is built the first time it is asked for: a set
-        prepared per query mostly cancels few of its elements."""
+        """The integer form of element j, (den, coefficients, words):
+        its ``_seed`` scale, and its coefficients (a list) and encoded
+        words (a tuple, the smaller), aligned with its terms.  It is built the first time it is
+        asked for: a set prepared per query mostly cancels few of its
+        elements."""
         f = self.forms[j]
         if f is None:
             work, den = _seed(self.polys[j])
-            f = self.forms[j] = den, list(work.values())
+            f = self.forms[j] = den, list(work.values()), tuple(work)
         return f
 
-    def first(self, u):
-        """The first element whose lead word occurs in the word u, and its
-        leftmost offset there, as (j, s), or None."""
-        text = _encode(u)
+    def first(self, text):
+        """The first element whose lead word occurs in the encoded word
+        ``text``, and its leftmost offset there, as (j, s), or None."""
         for j, v in enumerate(self.words):
             if v in text:
                 return j, text.find(v)
         return None
 
     def occurrences(self, u):
-        """Every (j, s) with element j's lead word at offset s in u."""
-        text = _encode(u)
+        """Every (j, s) with element j's lead word at offset s in the
+        word u, a tuple."""
+        text = self.ordering.alphabet._codec[0](u)
         for j, v in enumerate(self.words):
             if v in text:
                 s = text.find(v)

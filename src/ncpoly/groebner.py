@@ -3,12 +3,15 @@
 Also houses the division algorithm, the unique reduced basis, sugar
 values and logged representations (explicit expressions of basis
 elements over the input generators).  The division loop, ``reduce_by``,
-runs in integers.  It reads a prepared divisor set
-(``algebra._Divisors``: ordering, elements, integer forms) through a
-lookup: ``divide`` passes ``_Divisors.first``, involutive division
-``involutive.first_divisor``.  ``mora`` and ``reduce_basis`` each edit
-one set as their basis changes; ``mora`` divides each S-polynomial as
-an integer seed built from two forms.
+runs in integers, with one ``gcd`` per step, on words encoded as
+``str`` by the alphabet's codec (``algebra._codec``) from seed to
+remainder: only remainder terms and logged triples are decoded to
+tuples.  It reads a prepared divisor set (``algebra._Divisors``:
+ordering, elements, integer forms with their encoded words) through a
+lookup on the encoded word: ``divide`` passes ``_Divisors.first``,
+involutive division ``involutive.first_divisor``.  ``mora`` and
+``reduce_basis`` each edit one set as their basis changes; ``mora``
+divides each S-polynomial as an integer seed built from two forms.
 
 The algorithm need not terminate -- noncommutative monomial ideals can
 fail to be finitely generated -- so runs are bounded by a lead-monomial
@@ -23,12 +26,12 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import (Polynomial, Term, _Divisors, _normal_counts, _seed,
-                      _sum_terms, term_mul_poly)
+from .algebra import (Polynomial, Term, _Divisors, _heap_keys,
+                      _normal_counts, _seed, _sum_terms, term_mul_poly)
 from .spoly import (criterion2_applies, enumerate_overlaps, overlap_degrees,
                     settled_key)
 
@@ -97,72 +100,74 @@ def reduce_by(seed, divisors, find, logged=True):
     """Reduce the seed (work, scale) by the elements P of the prepared
     set ``divisors`` term by term, returning (remainder, log).
 
-    The running polynomial is ``work / scale``: a dict from word to
-    integer coefficient over one positive integer denominator, which the
-    kernel takes over, with a heap of its words, greatest first under
-    the set's ordering, which must be admissible.  ``find`` is the
-    caller's divisor lookup: while the greatest word u has a divisor,
-    ``find(u)`` gives (j, s), and P[j] is cancelled in place at the
-    placement whose left cofactor is u[:s], in integers, through
-    ``divisors.form(j)``, P[j]'s integer form.  ``scale``
-    grows only as far as that step needs, and scaling by a nonzero
-    integer keeps every zero test, so each step is the one exact
-    rational division takes.  A word whose coefficient is zero stays in
-    the dict until it is popped, so each word is pushed once.
-    Irreducible words go to the remainder, descending, in ``Fraction``s.
-    The log has one entry per step.  Logged, it is a triple (left term,
-    j, right term) with ``Fraction`` coefficients, and the seed equals
-    remainder + expansion(log) over P; unlogged, it is j.
+    The running polynomial is ``work / scale``: a dict from word,
+    encoded by the alphabet's codec (``algebra._codec``), to integer
+    coefficient over one positive integer denominator, which the kernel
+    takes over, with a heap of its words' ``algebra._heap_keys``,
+    greatest word first under the set's ordering, which must be
+    admissible.  ``find`` is the caller's divisor lookup: while the
+    greatest word u has a divisor, ``find(u)``, on the encoded word,
+    gives (j, s), and P[j] is cancelled in place at the placement whose
+    left cofactor is u[:s], in integers, through ``divisors.form(j)``,
+    P[j]'s integer form.  With a the coefficient of u and L the lead
+    coefficient of the form, ``scale`` grows by the least factor that
+    keeps the step integral, |L| / gcd(a, L), one ``gcd``, and scaling
+    by a nonzero integer keeps every zero test, so each step is the one
+    exact rational division takes.  A word whose coefficient is zero
+    stays in the dict until it is popped, so each word is pushed once.
+    Irreducible words go to the remainder, descending, decoded, in
+    ``Fraction``s.  The log has one entry per step.  Logged, it is a
+    triple (left term, j, right term) with ``Fraction`` coefficients,
+    and the seed equals remainder + expansion(log) over P; unlogged, it
+    is (j, u, s), u the encoded word the step cancelled.
     """
-    ordering, P, form = divisors.ordering, divisors.polys, divisors.form
+    ordering, form = divisors.ordering, divisors.form
     if not ordering.admissible:
         raise ValueError(f"ordering {ordering.kind} is not admissible")
-    desc = ordering.desc_key
     work, scale = seed
-    heap = [(desc(u), u) for u in work]
+    # every word a step makes is below, so no longer than, the word it
+    # cancels: the seed's longest word bounds them all
+    key, word = _heap_keys(ordering, max(map(len, work), default=0))
+    heap = list(map(key, work))
     heapq.heapify(heap)
+    decode = ordering.alphabet._codec[1]
     rem_terms = []
     log = []
     while heap:
-        u = heapq.heappop(heap)[1]
+        u = word(heapq.heappop(heap))
         a = work.pop(u)
         if not a:
             continue
         hit = find(u)
         if hit is None:
-            rem_terms.append(Term(Fraction(a, scale), u))
+            rem_terms.append(Term(Fraction(a, scale), decode(u)))
             continue
         j, s = hit
-        q = P[j].terms
-        # den * q has integer coefficients coeffs, the lead one L
-        den, coeffs = form(j)
+        # den * P[j] has integer coefficients coeffs, the lead one L, on
+        # the encoded words words
+        den, coeffs, words = form(j)
         L = coeffs[0]
-        left, right = u[:s], u[s + len(q[0].mon):]
-        log.append((Term(Fraction(a * den, scale * L), left), j, Term(_ONE, right))
-                   if logged else j)
-        # cancel a / scale = a1 / s1 against den * q over the least scale
-        # that keeps the multiplier (a1 / s1) / L times that scale an integer
-        g = gcd(a, scale)
-        a1, s1 = a // g, scale // g
-        g = gcd(a1, L)
-        need = s1 * abs(L // g)
-        grown = lcm(scale, need)
-        if grown != scale:
-            f = grown // scale
+        left, right = u[:s], u[s + len(words[0]):]
+        log.append((Term(Fraction(a * den, scale * L), decode(left)), j,
+                    Term(_ONE, decode(right))) if logged else (j, u, s))
+        # cancel a / scale against den * P[j]: over scale * f, the
+        # multiplier a * f / L is an integer, and f = |L| / gcd(a, L) is
+        # the least such factor
+        g = gcd(a, L)
+        f = abs(L) // g
+        if f != 1:
             for v in work:
                 work[v] *= f
-            scale = grown
-        m = a1 // g * (scale // need)
-        if L > 0:
-            m = -m
+            scale *= f
+        m = -(a // g) if L > 0 else a // g
         # every product word is below u, so none is popped already; the
         # lead term cancels u exactly
-        for k in range(1, len(q)):
-            v = left + q[k].mon + right
+        for k in range(1, len(coeffs)):
+            v = left + words[k] + right
             d = work.get(v)
             t = m * coeffs[k]
             if d is None:
-                heapq.heappush(heap, (desc(v), v))
+                heapq.heappush(heap, key(v))
                 work[v] = t
             else:
                 work[v] = d + t
@@ -185,7 +190,8 @@ def divide(p, P, logged=True):
     a seed (work, scale) in P's ordering, P prepared: ``mora`` hands
     over its S-polynomials so.  See ``reduce_by`` for the loop and the
     log; a caller that discards the log passes ``logged=False`` and gets
-    one divisor index per step.
+    one (divisor index, encoded word, offset) per step, with no
+    ``Fraction`` or ``Term`` built for it.
     """
     if isinstance(p, Polynomial):
         P = _Divisors.of(P, p.ordering)
@@ -237,17 +243,21 @@ def _s_seed(spec, divisors):
     the prepared set ``divisors``, as a seed for ``divide``.  With Tk / dk
     element k's integer form and Lk its lead coefficient, the seed is
         L2 * (l1 * T1 * r1) - L1 * (l2 * T2 * r2)  over  d1 * d2,
-    less the overlap word, whose coefficient cancels."""
-    d1, c1 = divisors.form(spec.i)
-    d2, c2 = divisors.form(spec.j)
+    less the overlap word, whose coefficient cancels.  The cofactors are
+    cut from the encoded overlap word, and the forms' words are encoded
+    already."""
+    d1, c1, w1 = divisors.form(spec.i)
+    d2, c2, w2 = divisors.form(spec.j)
     L1, L2 = c1[0], c2[0]
-    l, r = spec.l1, spec.r1
-    work = {l + t.mon + r: L2 * c for t, c in zip(divisors.polys[spec.i].terms, c1)}
-    l, r = spec.l2, spec.r2
-    for t, c in zip(divisors.polys[spec.j].terms, c2):
-        v = l + t.mon + r
+    o = divisors.ordering.alphabet._codec[0](spec.overlap_word)
+    n = len(o)
+    l, r = o[:len(spec.l1)], o[n - len(spec.r1):]
+    work = {l + t + r: L2 * c for t, c in zip(w1, c1)}
+    l, r = o[:len(spec.l2)], o[n - len(spec.r2):]
+    for t, c in zip(w2, c2):
+        v = l + t + r
         work[v] = work.get(v, 0) - L1 * c
-    del work[spec.overlap_word]
+    del work[o]
     return work, d1 * d2
 
 

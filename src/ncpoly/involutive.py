@@ -39,9 +39,13 @@ completion keeps one prepared divisor set of its basis
 their integer forms, each built once), built by appending and edited
 wherever ``_edit`` edits the table; ``autoreduce`` hands it over on the
 table, and drops the stamped rows whose lead word occurs in none of an
-element's terms (``algebra._terms_text``) before it searches them.
+element's terms (``algebra._terms_text``) before it searches them, then
+searches the term words that text holds (``algebra._text_words``).
 Prolongations are built straight from the element's terms, without
-``Fraction`` products.
+``Fraction`` products, and a reduction whose log no representation
+reads is unlogged: per step it keeps the divisor index, the encoded
+word and the offset, which a zero-reduction certificate holds as they
+are.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
@@ -64,8 +68,8 @@ from bisect import insort
 from fractions import Fraction
 from itertools import accumulate, compress, count
 
-from .algebra import (Polynomial, Term, _Divisors, _encode, _seed,
-                      _terms_text)
+from .algebra import (Polynomial, Term, _Divisors, _seed, _terms_text,
+                      _text_words)
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, log_conjugate, log_identity, log_reduced,
                        reduce_by)
@@ -143,8 +147,8 @@ class MultiplicativeTable:
         self.lms = list(lms)
         self.left = [frozenset(s) for s in left]
         self.right = [frozenset(s) for s in right]
-        # aligned with lms: each word as algebra._encode encodes it
-        self._encoded = [_encode(lm) for lm in self.lms]
+        # aligned with lms: each word encoded by the alphabet's codec
+        self._encoded = list(map(alphabet._codec[0], self.lms))
         # per row and letter, the number of pairs of lead monomials that
         # discard the letter (see _count_pairs), kept under every local
         # division but 5 and 10 (under 4 and 9, the counts of 3 and 8)
@@ -208,9 +212,10 @@ def assign_multiplicative(division, lms, alphabet):
     if division.key not in (1, 2, 5, 10):
         table._counts = []
     stamp = next(_clock)
+    view = _as_left(table)
     for lm in lms:
-        _count(table, len(table.lms), tuple(lm), stamp)
-    _derive(table, range(len(table.lms)), stamp)
+        _count(table, view, len(table.lms), tuple(lm), stamp)
+    _derive(table, view, range(len(table.lms)), stamp)
     return table
 
 
@@ -227,21 +232,27 @@ def _edit(table, i, lm=None):
     if lm is not None and i < len(table.lms) and table.lms[i] == lm:
         table._stamps[i] = stamp
         return
-    _derive(table, _count(table, i, lm, stamp), stamp)
+    view = _as_left(table)
+    _derive(table, view, _count(table, view, i, lm, stamp), stamp)
 
 
-def _count(table, i, lm, stamp):
-    """The count step of an edit (see ``_edit``): slice into the table
-    row i of ``lm``, every letter on both sides and stamped ``stamp``,
-    and count its pairs again where the table keeps counts.  Returns the
+def _count(table, view, i, lm, stamp):
+    """The count step of an edit (see ``_edit``): slice into the table,
+    and into the words of its left-handed ``view`` (``_as_left``), row i
+    of ``lm``, every letter on both sides and stamped ``stamp``, and
+    count its pairs again where the table keeps counts.  Returns the
     rows, with repeats, whose sets the counts may change."""
     n = len(table.alphabet)
     new = [] if lm is None else [lm]
     counts = table._counts
-    changed = (_count_pairs(table, i, -1)
+    key, words = view[:2]
+    changed = (_count_pairs(counts, key, words, i, -1)
                if counts is not None and i < len(table.lms) else [])
     table.lms[i:i + 1] = new
-    table._encoded[i:i + 1] = [_encode(lm) for lm in new]
+    encoded = list(map(table.alphabet._codec[0], new))
+    table._encoded[i:i + 1] = encoded
+    if words is not None and words is not table._encoded:
+        words[i:i + 1] = [t[::-1] for t in encoded]
     table._stamps[i:i + 1] = [stamp] * len(new)
     table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
     if counts is None:
@@ -249,14 +260,15 @@ def _count(table, i, lm, stamp):
     counts[i:i + 1] = [[0] * n for _ in new]
     if lm is None:
         return [j - (j > i) for j in changed if j != i]
-    return changed + _count_pairs(table, i, 1) + [i]
+    return changed + _count_pairs(counts, key, words, i, 1) + [i]
 
 
-def _derive(table, changed, stamp):
+def _derive(table, view, changed, stamp):
     """The derive step of an edit (see ``_edit``): remake the rows in
     ``changed`` under 1, 2, 3, 6, 7 and their mirrors, and every row
-    under 4, 5 and theirs; give ``stamp`` to each row whose sets change."""
-    key, words, left, right = _as_left(table)
+    under 4, 5 and theirs, from the table's left-handed ``view``
+    (``_as_left``); give ``stamp`` to each row whose sets change."""
+    key, words, left, right = view
 
     def put(rows, j, row):
         if row != rows[j]:
@@ -283,11 +295,15 @@ def _derive(table, changed, stamp):
 def _as_left(table):
     """``table`` as its left-handed division works it out: that key, the
     encoded words and the (left, right) row lists; for a right-handed
-    division, the words reversed and the sides swapped, here only."""
+    division, the words reversed and the sides swapped, here only.  An
+    edit takes this view once and keeps its words in step with the
+    table's (``_count``).  Right's rules read no words, so under Right
+    the words are None and nothing is reversed."""
     key = table.division.key
     if key not in _MIRROR:
         return key, table._encoded, table.left, table.right
-    return _MIRROR[key], [t[::-1] for t in table._encoded], table.right, table.left
+    words = None if key == 2 else [t[::-1] for t in table._encoded]
+    return _MIRROR[key], words, table.right, table.left
 
 
 def _placements(ua, ub, same):
@@ -297,12 +313,11 @@ def _placements(ua, ub, same):
             else range(-len(ub), len(ua) + 1))
 
 
-def _count_pairs(table, i, step):
-    """Add ``step`` to the count of each letter that a pair of row i with
-    a row of ``table`` (itself included) discards; return the rows whose
+def _count_pairs(counts, key, words, i, step):
+    """Add ``step`` to the ``counts`` of each letter that a pair of row i
+    with a row (itself included) discards, the rows' encoded ``words``
+    read under the left-handed division ``key``; return the rows whose
     letter set that changes, with repeats."""
-    key, words = _as_left(table)[:2]
-    counts = table._counts
     flipped = 1 if step > 0 else 0      # the count at which a letter flips
     changed = []
 
@@ -400,13 +415,14 @@ def _thick(mode):
 def first_divisor(text, words, lefts, rights, thick, active=None):
     """The first involutive divisor of a word u, as (j, s), or None.
 
-    u and row j's word v are ``text`` and ``words[j]``, encoded by
-    ``_encode``.  j is the first row (in ``active`` order, default every
-    row) with an occurrence u = u3 * v * u4, found by ``str.find``, that
-    its letter sets admit, and s = len(u3) the first such.  lefts[j] and
-    rights[j] hold the letters u3 and u4 may carry: thin divisors test
-    only the letters next to v, thick ones every cofactor letter.
-    Conventional division has its own search, ``_Divisors``.
+    u and row j's word v are ``text`` and ``words[j]``, encoded by the
+    alphabet's codec (``algebra._codec``).  j is the first row (in
+    ``active`` order, default every row) with an occurrence
+    u = u3 * v * u4, found by ``str.find``, that its letter sets admit,
+    and s = len(u3) the first such.  lefts[j] and rights[j] hold the
+    letters u3 and u4 may carry: thin divisors test only the letters
+    next to v, thick ones every cofactor letter.  Conventional division
+    has its own search, ``_Divisors``.
     """
     n = len(text)
     for j in range(len(words)) if active is None else active:
@@ -428,7 +444,8 @@ def involutively_divides(u2, u1, table, mode="thin"):
     or None.  ``mode`` selects thin or thick divisors."""
     u2, u1 = tuple(u2), tuple(u1)
     left, right = table.sets_for(u2)
-    hit = first_divisor(_encode(u1), [_encode(u2)], [left], [right],
+    encode = table.alphabet._codec[0]
+    hit = first_divisor(encode(u1), [encode(u2)], [left], [right],
                         _thick(mode))
     if hit is None:
         return None
@@ -436,7 +453,7 @@ def involutively_divides(u2, u1, table, mode="thin"):
     return u1[:s], u1[s + len(u2):]
 
 
-def inv_divide(p, P, table, mode="thin", active=None):
+def inv_divide(p, P, table, mode="thin", active=None, logged=True):
     """Involutive remainder of p modulo P, with its log over P.
 
     Conventional division under p's ordering, whose cofactors the
@@ -446,12 +463,14 @@ def inv_divide(p, P, table, mode="thin", active=None):
     left cofactor.  P is a list of nonzero polynomials or a prepared
     divisor set (``algebra._Divisors``), as for ``divide``: a list is
     prepared on every call, and ``reduce_by`` reads the set with
-    ``first_divisor`` as the lookup: each word looked up is encoded
-    once, and only the rows (in ``active`` order) whose word, as the
-    table keeps it encoded, occurs in that text are searched.  The table must describe all of P, row j for
-    P's element j: a table with another number of rows, or a divisor
-    found whose lead monomial is not its row's word, raises
-    ``ValueError``.  The log has one triple per reduction step."""
+    ``first_divisor`` as the lookup, on the encoded word the kernel
+    pops: only the rows (in ``active`` order) whose word, as the table
+    keeps it encoded, occurs in that text are searched.  The table must
+    describe all of P, row j for P's element j: a table with another
+    number of rows, or a divisor found whose lead monomial is not its
+    row's word, raises ``ValueError``.  The log has one entry per
+    reduction step, as ``divide`` gives it: a triple, or with
+    ``logged=False`` (j, encoded word, offset)."""
     P = _Divisors.of(P, p.ordering)
     lms, lefts, rights, thick = table.lms, table.left, table.right, _thick(mode)
     encoded, polys = table._encoded, P.polys
@@ -463,8 +482,7 @@ def inv_divide(p, P, table, mode="thin", active=None):
     else:
         words = [encoded[j] for j in active]
 
-    def find(u):
-        text = _encode(u)
+    def find(text):
         hit = first_divisor(text, encoded, lefts, rights, thick,
                             compress(active, map(text.__contains__, words)))
         if hit is not None and polys[hit[0]].terms[0].mon != lms[hit[0]]:
@@ -472,7 +490,7 @@ def inv_divide(p, P, table, mode="thin", active=None):
                              "table row's word")
         return hit
 
-    return reduce_by(_seed(p), P, find)
+    return reduce_by(_seed(p), P, find, logged)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +562,14 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
             text = texts[i]
             rows = [j for j in newer[since] if j != i and words[j] in text]
             if not rows or all(
-                    first_divisor(_encode(u), table._encoded, table.left,
-                                  table.right, thick, rows) is None
-                    for _, u in basis[i].terms):
+                    first_divisor(u, table._encoded, table.left, table.right,
+                                  thick, rows) is None
+                    for u in _text_words(text, ordering.alphabet)):
                 checked[i] = now
                 continue
             rem, dlog = inv_divide(basis[i], divisors, table, mode,
-                                   [j for j in range(len(basis)) if j != i])
+                                   [j for j in range(len(basis)) if j != i],
+                                   logs is not None)
             reductions += len(dlog)
             if rem.is_zero():
                 divisors.remove(i)
@@ -578,10 +597,15 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
 # ---------------------------------------------------------------------------
 
 def _certificate(P, table, dlog):
-    """The zero-reduction certificate of a reduction log: per step, the
-    divisor object, the word it reduced and its left cofactor's length."""
-    return tuple((P[j], l.mon + table.lms[j] + r.mon, len(l.mon))
-                 for l, j, r in dlog)
+    """The zero-reduction certificate of a reduction log, logged or not
+    (see ``reduce_by``): per step, the divisor object, the word it
+    reduced, encoded, and its left cofactor's length.  An unlogged step
+    holds the last two already."""
+    if dlog and isinstance(dlog[0][0], Term):
+        encode = table.alphabet._codec[0]
+        dlog = [(j, encode(l.mon + table.lms[j] + r.mon), len(l.mon))
+                for l, j, r in dlog]
+    return tuple((P[j], word, s) for j, word, s in dlog)
 
 
 def _certificate_holds(steps, made, where, stamps, newest, table, thick):
@@ -606,7 +630,7 @@ def _certificate_holds(steps, made, where, stamps, newest, table, thick):
         if newest[k] <= made:
             continue
         want = (k, left) if stamps[k] > made else None
-        if first_divisor(_encode(word), words, lefts, rights, thick,
+        if first_divisor(word, words, lefts, rights, thick,
                          [j for j in range(k + 1) if stamps[j] > made]) != want:
             return False
     return True
@@ -739,11 +763,11 @@ def involutive_basis(F, division, ordering, mode="thin",
             terms = tuple([Term(c, w + mon) for c, mon in g.terms] if side == 0
                           else [Term(c, mon + w) for c, mon in g.terms])
             s = Polynomial(terms, g.alphabet, g.ordering, _trusted=True)
-            rem, dlog = inv_divide(s, divisors, table, mode)
+            rem, dlog = inv_divide(s, divisors, table, mode, logged=logged)
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
-                entry[4] = [_certificate(basis, table, dlog), since,
-                            max([j for _, j, _ in dlog])]
+                steps = _certificate(basis, table, dlog)
+                entry[4] = [steps, since, max([where[id(d)] for d, _, _ in steps])]
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"

@@ -47,37 +47,18 @@ def _invlex_key(word):
     return word
 
 
-# ascending descending-key order is descending monomial order; the
-# degree comes first, so only words of one length compare letters, and
-# on equal lengths negating every letter reverses lexicographic order
-def _deglex_desc(word):
-    return (-len(word), word)
-
-
-def _deginvlex_desc(word):
-    return (-len(word), tuple([-l for l in word]))
-
-
-def _degrevlex_desc(word):
-    return (-len(word), tuple([-l for l in reversed(word)]))
-
-
-_KEYS = {"deglex": (_deglex_key, _deglex_desc),
-         "deginvlex": (_deginvlex_key, _deginvlex_desc),
-         "degrevlex": (_degrevlex_key, _degrevlex_desc),
-         "lex": (_lex_key, None),
-         "invlex": (_invlex_key, None)}
+_KEYS = {"deglex": _deglex_key, "deginvlex": _deginvlex_key,
+         "degrevlex": _degrevlex_key, "lex": _lex_key, "invlex": _invlex_key}
 
 
 class MonomialOrdering:
     """A monomial ordering, as a sort key on words.
 
-    ``key(w)`` ascends with the ordering.  ``desc_key(w)`` ascends as
-    the ordering descends, for a min-heap; it exists only for the
-    admissible kinds and is None for lex/invlex.
+    ``key(w)`` ascends with the ordering.  The reduction kernel orders
+    its words by ``algebra._heap_keys`` instead, on encoded words.
     """
 
-    __slots__ = ("kind", "alphabet", "_key", "desc_key")
+    __slots__ = ("kind", "alphabet", "_key")
 
     def __init__(self, kind, alphabet, unsafe=False):
         kind = kind.lower()
@@ -89,11 +70,11 @@ class MonomialOrdering:
                 "pass unsafe=True to experiment with it")
         self.kind = kind
         self.alphabet = alphabet
-        self._key, self.desc_key = _KEYS[kind]
+        self._key = _KEYS[kind]
 
     @property
     def admissible(self):
-        return self.desc_key is not None
+        return self.kind in ADMISSIBLE_KINDS
 
     def key(self, word):
         return self._key(word)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
                     format_polynomial, mora, normal_word_counts,
                     parse_polynomial, poly_combine, reduce_basis, term_mul_poly)
-from ncpoly.algebra import _encode, _terms_text
+from ncpoly.algebra import _encode, _heap_keys, _terms_text, _text_words
 
 from conftest import P, group_presentation, w
 
@@ -356,6 +356,46 @@ def test_terms_text_joins_the_encoded_terms(case):
     p, _ = case
     assert _terms_text(p) == chr(len(p.alphabet)).join(
         [_joined(mon) for _, mon in p.terms])
+    if p.terms:
+        assert _text_words(_terms_text(p), p.alphabet) == [
+            _joined(mon) for _, mon in p.terms]
+
+
+@pytest.mark.parametrize("n", [2, 300])
+def test_codec_round_trips_words(n):
+    # the alphabet's codec, chosen once from its size, encodes a word as
+    # _encode does and decodes it back; the 300-letter one covers letters
+    # 255 and 256 on both sides of the bytes path's limit
+    encode, decode = Alphabet([f"g{k}" for k in range(n)])._codec
+    words = [(), (0,), (1, 0, 1), (n - 1,) * 3]
+    if n > 256:
+        words += [(255,), (256,), (0, 255, 256, 299), (256, 255)]
+    for word in words:
+        text = encode(word)
+        assert text == _encode(word) == _joined(word)
+        assert decode(text) == word
+    with pytest.raises(ValueError):
+        encode((0, -1))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["deglex", "deginvlex", "degrevlex"]),
+       st.sampled_from([3, 300]),
+       st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple),
+                min_size=1, max_size=8, unique=True),
+       st.integers(0, 3))
+@example(kind="degrevlex", n=3, words=[(0, 1), (1, 0), (0,), (2, 2, 2)],
+         longest=0)
+def test_heap_keys_ascend_as_the_ordering_descends(kind, n, words, longest):
+    # letters 0..2 of an alphabet of n; on 300 letters they flip to
+    # 297..299, past the bytes path
+    o = MonomialOrdering(kind, Alphabet([f"g{k}" for k in range(n)]))
+    encode = o.alphabet._codec[0]
+    key, word = _heap_keys(o, max(map(len, words)) + longest)
+    texts = [encode(u) for u in words]
+    assert [word(key(t)) for t in texts] == texts
+    by_key = sorted(words, key=lambda u: key(encode(u)))
+    assert by_key == sorted(words, key=o.key, reverse=True)
 
 
 @pytest.mark.parametrize("word", [(-1,), (0, -1), (300, -1)])

@@ -199,6 +199,14 @@ def _division_example(kind, p, divisors, sets=None, thick=False, active=None):
     [f"-{2**70 + 1}/3*x*y + 7/{2**65}*y", "4/9*z*x - 1/2*z"],
     [(frozenset({0, 1, 2}), frozenset({0, 1, 2})), (frozenset(), frozenset({1}))],
     False, [1, 0]))
+# under each ordering, a step whose scale stays (x*y*z by the monic x*y - z,
+# f == 1) and one whose scale grows threefold (y*z by 3*y*z + x, f > 1)
+@example(problem=_division_example("deglex", "x*y*z + y*z",
+                                   ["x*y - z", "3*y*z + x"]))
+@example(problem=_division_example("deginvlex", "x*y*z + y*z",
+                                   ["x*y - z", "3*y*z + x"]))
+@example(problem=_division_example("degrevlex", "x*y*z + y*z",
+                                   ["x*y - z", "3*y*z + x"]))
 def test_reduction_matches_reference(problem):
     o, p, divisors, sets, thick, active = problem
     expected = reference_reduce(p, divisors, o, sets, thick,
@@ -245,11 +253,15 @@ def test_prepared_divisor_set_gives_the_list_answer(problem, data):
 @settings(max_examples=200, deadline=None)
 @given(division_problems())
 def test_unlogged_division_keeps_the_remainder_and_the_steps(problem):
+    # an unlogged step names the logged step's divisor, the word it
+    # cancelled, encoded, and the offset of the divisor's lead word there
     o, p, divisors, _, _, _ = problem
     rem, log = divide(p, divisors)
+    want = tuple((j, _encode(l.mon + divisors[j].lm() + r.mon), len(l.mon))
+                 for l, j, r in log)
     for P_ in (divisors, _Divisors(divisors, o)):
         rem_u, steps = divide(p, P_, logged=False)
-        assert (rem_u.terms, steps) == (rem.terms, tuple(j for _, j, _ in log))
+        assert (rem_u.terms, steps) == (rem.terms, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,13 +272,14 @@ def test_a_prepared_set_builds_the_forms_its_steps_use(problem):
     assert prepared.forms == [None] * len(divisors)
     _, steps = divide(p, prepared, logged=False)
     built = {j for j, f in enumerate(prepared.forms) if f is not None}
-    assert built == set(steps)
+    assert built == {j for j, _, _ in steps}
     for j in built:
-        den, coeffs = prepared.forms[j]
+        den, coeffs, words = prepared.forms[j]
         terms = divisors[j].terms
         assert den == lcm(*(c.denominator for c, _ in terms))
         assert coeffs == [c * den for c, _ in terms]
         assert all(type(c) is int for c in coeffs)
+        assert words == tuple(_encode(mon) for _, mon in terms)
 
 
 @settings(max_examples=100, deadline=None)

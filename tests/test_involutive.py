@@ -725,17 +725,21 @@ def test_certificate_replay_checks_every_choice(xyz, o):
     rem, log = inv_divide(Pset[0], Pset, table)
     assert rem.is_zero()
     steps = _certificate(Pset, table, log)
-    assert steps == ((Pset[0], w(xyz, "xy"), 0),)
+    assert steps == ((Pset[0], _encode(w(xyz, "xy")), 0),)
+    # the unlogged log gives the same certificate
+    rem, unlogged = inv_divide(Pset[0], Pset, table, logged=False)
+    assert rem.is_zero()
+    assert _certificate(Pset, table, unlogged) == steps
     assert holds(steps, Pset, table)
     # an equal polynomial is not the recorded divisor
     assert not holds(steps, [Pset[0].scaled(1), Pset[1]], table)
     # x*y - z comes first in the basis, so it divides xy, not y - z
-    assert not holds(((Pset[1], w(xyz, "xy"), 1),), Pset, table)
+    assert not holds(((Pset[1], _encode(w(xyz, "xy")), 1),), Pset, table)
     # y is not right multiplicative for y, so yy is divided at offset 1
-    assert holds(((Pset[1], w(xyz, "yy"), 1),), Pset, table)
-    assert not holds(((Pset[1], w(xyz, "yy"), 0),), Pset, table)
+    assert holds(((Pset[1], _encode(w(xyz, "yy")), 1),), Pset, table)
+    assert not holds(((Pset[1], _encode(w(xyz, "yy")), 0),), Pset, table)
     # nothing divides zz
-    assert not holds(((Pset[0], w(xyz, "zz"), 0),), Pset, table)
+    assert not holds(((Pset[0], _encode(w(xyz, "zz")), 0),), Pset, table)
 
 
 def test_certificate_replay_checks_what_changed(xyz, o):
@@ -755,17 +759,28 @@ def test_certificate_replay_checks_what_changed(xyz, o):
         return _certificate_holds(steps, 0, where, stamps, newest, table,
                                   False)
 
+    xy, yy = _encode(w(xyz, "xy")), _encode(w(xyz, "yy"))
+    # the certificate of dividing yy by y - z alone at offset 1, from an
+    # unlogged log equals the one from a logged log
+    table = MultiplicativeTable(InvolutiveDivision(3), xyz, [Pset[1].lm()],
+                                [every], [{0, 2}])
+    yy_poly = P(xyz, o, "y^2")
+    logged = _certificate(Pset[1:], table, inv_divide(yy_poly, Pset[1:],
+                                                      table)[1])
+    assert logged == _certificate(Pset[1:], table, inv_divide(
+        yy_poly, Pset[1:], table, logged=False)[1])
+    assert logged[0] == (Pset[1], yy, 1)
     # y - z divided xy at offset 1 while x*y - z was not there yet; the
     # newer x*y - z comes first and divides xy now
-    assert not holds(((Pset[1], w(xyz, "xy"), 1),), [1, 0], {0, 2})
+    assert not holds(((Pset[1], xy, 1),), [1, 0], {0, 2})
     # y - z divided yy at offset 1; its row grew by y, so now it divides
     # yy at offset 0, and the step fails ...
-    assert not holds(((Pset[1], w(xyz, "yy"), 1),), [0, 1], every)
+    assert not holds(((Pset[1], yy, 1),), [0, 1], every)
     # ... but a row that grew by z leaves the placement as it was
-    assert holds(((Pset[1], w(xyz, "yy"), 1),), [0, 1], {0, 2})
+    assert holds(((Pset[1], yy, 1),), [0, 1], {0, 2})
     # both rows newer: x*y - z does not divide yy, so y - z still does,
     # at offset 1
-    assert holds(((Pset[1], w(xyz, "yy"), 1),), [1, 1], {0, 2})
+    assert holds(((Pset[1], yy, 1),), [1, 1], {0, 2})
 
 
 # reduction steps performed by each run below, keyed by (group, key,
