@@ -172,7 +172,8 @@ def _heap_keys(ordering, longest):
     made in C."""
     kind = ordering.kind
     if kind == "deglex":
-        return (lambda t: chr(longest - len(t)) + t), itemgetter(slice(1, None))
+        return ((lambda t: chr(longest - len(t)) + t),
+                itemgetter(slice(1, None)))
     flip = ordering.alphabet._flip
     if kind == "deginvlex":
         return ((lambda t: chr(longest - len(t)) + t.translate(flip)),
@@ -236,9 +237,9 @@ class _Divisors:
     def form(self, j):
         """The integer form of element j, (den, coefficients, words):
         its ``_seed`` scale, and its coefficients (a list) and encoded
-        words (a tuple, the smaller), aligned with its terms.  It is built the first time it is
-        asked for: a set prepared per query mostly cancels few of its
-        elements."""
+        words (a tuple, the smaller), aligned with its terms.  It is
+        built the first time it is asked for: a set prepared per query
+        mostly cancels few of its elements."""
         f = self.forms[j]
         if f is None:
             work, den = _seed(self.polys[j])

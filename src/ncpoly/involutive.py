@@ -767,7 +767,8 @@ def involutive_basis(F, division, ordering, mode="thin",
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
                 steps = _certificate(basis, table, dlog)
-                entry[4] = [steps, since, max([where[id(d)] for d, _, _ in steps])]
+                entry[4] = [steps, since,
+                            max([where[id(d)] for d, _, _ in steps])]
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"
