@@ -182,6 +182,24 @@ def _heap_keys(ordering, longest):
             lambda k: k[:0:-1].translate(flip))
 
 
+def _word_key(ordering):
+    """key(t) for the admissible ``ordering``: a str that ascends as the
+    encoded word t ascends under the ordering, as ``ordering.key`` on
+    the word does.
+
+    The key is a length prefix, ``chr(len(t))``, so a longer word comes
+    later, followed by t with each letter flipped as in ``_heap_keys``
+    under deglex, t as it is under deginvlex, and t reversed under
+    degrevlex: ``_heap_keys``' parts, flipped back."""
+    kind = ordering.kind
+    if kind == "deglex":
+        flip = ordering.alphabet._flip
+        return lambda t: chr(len(t)) + t.translate(flip)
+    if kind == "deginvlex":
+        return lambda t: chr(len(t)) + t
+    return lambda t: chr(len(t)) + t[::-1]
+
+
 class _Divisors:
     """The one conventional divisor search: nonzero polynomials in one
     ordering, ``polys``, with their lead words encoded once (``words``)

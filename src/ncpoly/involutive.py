@@ -29,23 +29,28 @@ and every row whose letter sets it changes from one clock, and a fact
 recorded at a clock value is checked again only against the rows
 stamped since: an element found irreducible is divided again only when
 one of its terms has a divisor among them, and the sorted prolongations
-are kept across restarts, each with its zero-reduction certificate.
-While no element has left the basis and no row up to a certificate's
-largest divisor index has been stamped since it last held, it holds by
-one integer test; a restart that only appended a remainder adds that
-element's prolongations and leaves the rest as they are.  Each
-completion keeps one prepared divisor set of its basis
-(``algebra._Divisors``: the elements, their encoded lead words and
-their integer forms, each built once), built by appending and edited
-wherever ``_edit`` edits the table; ``autoreduce`` hands it over on the
-table, and drops the stamped rows whose lead word occurs in none of an
-element's terms (``algebra._terms_text``) before it searches them, then
-searches the term words that text holds (``algebra._text_words``).
-Prolongations are built straight from the element's terms, without
-``Fraction`` products, and a reduction whose log no representation
-reads is unlogged: per step it keeps the divisor index, the encoded
-word and the offset, which a zero-reduction certificate holds as they
-are.
+are kept across restarts, sorted by one ``str`` key per prolongation
+word (``algebra._word_key``), each with its zero-reduction
+certificate on its queue entry.  While no element has left the basis
+and no row up to a certificate's largest divisor index has been
+stamped since it last held, it holds by one integer test; a restart
+that only appended a remainder adds that element's prolongations and
+leaves the rest as they are.  Each completion keeps one prepared
+divisor set of its basis (``algebra._Divisors``: the elements, their
+encoded lead words and their integer forms, each built once), built
+by appending and edited wherever ``_edit`` edits the table;
+``autoreduce`` hands it over on the table to the next ``autoreduce``
+call of the same completion, and drops the stamped rows whose lead
+word occurs in none of an element's terms (``algebra._terms_text``)
+before it searches them, then searches the term words that text holds
+(``algebra._text_words``).  The table ``involutive_basis`` returns
+carries no set.  Prolongations are built straight from the element's
+terms, without ``Fraction`` products, and a reduction whose log no
+representation reads is unlogged: per step it keeps the divisor
+index, the encoded word and the offset.  A zero-reduction certificate
+keeps one ``str`` of its steps' words, end to end, and one flat list
+of divisor objects, offsets and word ends; a table keeps one
+``frozenset`` per distinct letter set, shared by its rows.
 
 Involutive reduction is conventional reduction whose cofactors the
 multiplicative table must admit: ``inv_divide`` runs the division loop
@@ -69,7 +74,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count
 
 from .algebra import (Polynomial, Term, _Divisors, _seed, _terms_text,
-                      _text_words)
+                      _text_words, _word_key)
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, log_conjugate, log_identity, log_reduced,
                        reduce_by)
@@ -139,14 +144,16 @@ class MultiplicativeTable:
     from.  ``sets_for`` looks a row up by word (first match)."""
 
     __slots__ = ("division", "alphabet", "lms", "left", "right", "_encoded",
-                 "_counts", "_stamps", "_reduced")
+                 "_counts", "_stamps", "_reduced", "_sets")
 
     def __init__(self, division, alphabet, lms, left, right):
         self.division = division
         self.alphabet = alphabet
         self.lms = list(lms)
-        self.left = [frozenset(s) for s in left]
-        self.right = [frozenset(s) for s in right]
+        # each distinct letter set once, for all rows (see _shared)
+        self._sets = {}
+        self.left = list(map(self._shared, left))
+        self.right = list(map(self._shared, right))
         # aligned with lms: each word encoded by the alphabet's codec
         self._encoded = list(map(alphabet._codec[0], self.lms))
         # per row and letter, the number of pairs of lead monomials that
@@ -168,6 +175,11 @@ class MultiplicativeTable:
                 and self.left == other.left and self.right == other.right)
 
     __hash__ = None     # mutable lists
+
+    def _shared(self, letters):
+        """The table's one frozenset of ``letters``: equal rows share it."""
+        letters = frozenset(letters)
+        return self._sets.setdefault(letters, letters)
 
     def row(self, idx):
         return self.left[idx], self.right[idx]
@@ -254,7 +266,8 @@ def _count(table, view, i, lm, stamp):
     if words is not None and words is not table._encoded:
         words[i:i + 1] = [t[::-1] for t in encoded]
     table._stamps[i:i + 1] = [stamp] * len(new)
-    table.left[i:i + 1] = table.right[i:i + 1] = [frozenset(range(n))] * len(new)
+    table.left[i:i + 1] = table.right[i:i + 1] = \
+        [table._shared(range(n))] * len(new)
     if counts is None:
         return [i] * len(new)
     counts[i:i + 1] = [[0] * n for _ in new]
@@ -273,7 +286,7 @@ def _derive(table, view, changed, stamp):
     def put(rows, j, row):
         if row != rows[j]:
             table._stamps[j] = stamp
-            rows[j] = frozenset(row)
+            rows[j] = table._shared(row)
 
     if key == 1:
         for j in changed:
@@ -524,7 +537,9 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
     order.  Such a table is taken over with the divisor set and texts
     it carries: the last element is appended to them in place, and the
     elements of P[:-1] count as irreducible as of its stamps.  Any other
-    table is ignored.  Either way the result is the same as without
+    table is ignored, the table of an ``involutive_basis`` result among
+    them: it carries no divisor set, so only this function's own results
+    feed the handover.  Either way the result is the same as without
     ``table``."""
     if not isinstance(division, InvolutiveDivision):
         division = InvolutiveDivision(division)
@@ -597,22 +612,38 @@ def autoreduce(P, division, ordering, mode="thin", logs=None, table=None):
 # ---------------------------------------------------------------------------
 
 def _certificate(P, table, dlog):
-    """The zero-reduction certificate of a reduction log, logged or not
-    (see ``reduce_by``): per step, the divisor object, the word it
-    reduced, encoded, and its left cofactor's length.  An unlogged step
-    holds the last two already."""
-    if dlog and isinstance(dlog[0][0], Term):
+    """The zero-reduction certificate of a nonempty reduction log over
+    P, logged or not (see ``reduce_by``), as (words, steps), and the
+    largest divisor index.  ``words`` is one str, the words the steps
+    reduced, encoded, end to end; ``steps`` is one flat list holding,
+    per step, the divisor object, its left cofactor's length and the
+    end of the step's word in ``words``.  An unlogged step holds its
+    word and offset already.  A list, not a tuple: CPython keeps dead
+    tuples of under 20 items on its free lists, so a tuple per
+    certificate would stay allocated after the run."""
+    if isinstance(dlog[0][0], Term):
         encode = table.alphabet._codec[0]
         dlog = [(j, encode(l.mon + table.lms[j] + r.mon), len(l.mon))
                 for l, j, r in dlog]
-    return tuple((P[j], word, s) for j, word, s in dlog)
+    steps, end, top = [], 0, 0
+    for j, word, s in dlog:
+        end += len(word)
+        steps.append(P[j])
+        steps.append(s)
+        steps.append(end)
+        if j > top:
+            top = j
+    # an exact-size copy: a list that grew by appends holds spare room
+    return "".join([word for _, word, _ in dlog]), steps[:], top
 
 
-def _certificate_holds(steps, made, where, stamps, newest, table, thick):
-    """Whether ``inv_divide`` would make every recorded choice again: at
-    each recorded word, the same divisor object at the same placement.
-    Reduction is deterministic, so it would then reach zero again through
-    the same arithmetic.
+def _certificate_holds(words, steps, made, where, stamps, newest, table,
+                       thick):
+    """The largest index of the certificate's divisors if ``inv_divide``
+    would make every choice the certificate (words, steps) records (see
+    ``_certificate``) again, else None: at each recorded word, the same
+    divisor object at the same placement.  Reduction is deterministic,
+    so it would then reach zero again through the same arithmetic.
 
     The choices were last known to be made at clock value ``made``.
     ``where`` maps each element of the basis (by ``id``) to its index;
@@ -621,19 +652,25 @@ def _certificate_holds(steps, made, where, stamps, newest, table, thick):
     no newer than ``made`` had the same row and came before the same
     elements then, so it chooses as it chose then: a step scans the
     newer rows up to its divisor's once, and must first hit the divisor
-    at the recorded placement if its row is newer, and nothing if not."""
-    words, lefts, rights = table._encoded, table.left, table.right
-    for divisor, word, left in steps:
-        k = where.get(id(divisor))
+    at the recorded placement if its row is newer, and nothing if not.
+    A step's word is sliced from ``words`` only when it is scanned."""
+    encoded, lefts, rights = table._encoded, table.left, table.right
+    start = top = 0
+    for i in range(0, len(steps), 3):
+        k = where.get(id(steps[i]))
         if k is None:
-            return False
-        if newest[k] <= made:
-            continue
-        want = (k, left) if stamps[k] > made else None
-        if first_divisor(word, words, lefts, rights, thick,
-                         [j for j in range(k + 1) if stamps[j] > made]) != want:
-            return False
-    return True
+            return None
+        end = steps[i + 2]
+        if newest[k] > made:
+            want = (k, steps[i + 1]) if stamps[k] > made else None
+            if first_divisor(words[start:end], encoded, lefts, rights, thick,
+                             [j for j in range(k + 1) if stamps[j] > made]
+                             ) != want:
+                return None
+        if k > top:
+            top = k
+        start = end
+    return top
 
 
 def involutive_basis(F, division, ordering, mode="thin",
@@ -655,24 +692,30 @@ def involutive_basis(F, division, ordering, mode="thin",
     restart that only appended a remainder, whose edit stamped no other
     row, inserts that element's prolongations and drops none.
 
-    A prolongation that reduced to zero leaves a certificate on its queue
-    entry: the divisor and placement chosen at each step, the clock when
-    it was last known to hold and its largest divisor index.  While its
+    The queue sorts its entries by an ascending ``str`` key of the
+    prolongation word (``algebra._word_key``), then by element index,
+    side and letter.  A prolongation that reduced to zero leaves a
+    certificate on its queue entry (see ``_certificate``): the divisor
+    and placement chosen at each step, as one ``str`` of the step words
+    and one flat list of divisors, offsets and word ends, its largest
+    divisor index and the clock when it was last known to hold.  While its
     element is still in the basis and every recorded choice is still the
     one ``inv_divide`` would make, the prolongation is known to reduce to
     zero again and is not rebuilt.  If no element has left the basis
     since the certificate held, its divisors have the indices recorded,
     so when no row up to the largest is newer it holds without a replay;
     otherwise a choice is checked again only against the elements
-    stamped since.  The entries of an element whose row is stamped park
-    their certificates until the entries for the same side and letter
-    are rebuilt, even at a later restart; an element that leaves the
-    basis drops its certificates.
+    stamped since.  The entries with certificates of an element whose
+    row is stamped leave the queue and park until the element's entries
+    are rebuilt: one for the same side and letter goes back in, even at
+    a later restart; an element that leaves the basis drops its
+    certificates.
     Stats: ``prolongations`` counts prolongations examined, reused or
     reduced (``max_iterations`` caps this count); ``reused`` counts those
     settled by a certificate; ``inv_reductions`` counts the reduction
     steps actually performed; ``basis_changes`` counts remainders added
-    to the basis."""
+    to the basis.  The result's table carries no prepared divisor set
+    (see ``autoreduce``)."""
     basis, logs = _basis_in(F, ordering, [log_identity(k) for k in range(len(F))]
                             if logged else None)
     thick = _thick(mode)
@@ -683,14 +726,17 @@ def involutive_basis(F, division, ordering, mode="thin",
     stats = {"prolongations": 0, "reused": 0, "inv_reductions": 0,
              "basis_changes": 0}
     status = "complete"
-    parked = {}         # (element, side, letter) -> certificate off the queue
+    parked = {}         # (element, side, letter) -> entry off the queue
     table = None
     since = -1          # the clock at the last restart
     left_at = -1        # since, as it stood when an element last left
     where = {}          # id(element) -> its index in the basis
-    # [word key, side, letter, element, certificate], ascending by rank; a
-    # certificate is [steps, clock confirmed, largest divisor index] or None
+    # [word key (algebra._word_key), side, letter, element, then its
+    # certificate: words and steps (see _certificate), largest divisor
+    # index, clock confirmed], ascending by rank; words is None until the
+    # prolongation reduces to zero
     queue = []
+    word_key, encode = _word_key(ordering), ordering.alphabet._codec[0]
 
     def rank(entry):
         # survivors keep their order, so the queue stays sorted by this
@@ -713,12 +759,12 @@ def involutive_basis(F, division, ordering, mode="thin",
         else:
             left_at = since
             where = {id(p): idx for idx, p in enumerate(basis)}
-            parked = {k: c for k, c in parked.items() if id(k[0]) in where}
+            parked = {k: e for k, e in parked.items() if id(k[0]) in where}
         if grew and not (last and newest[last - 1] > since):
             fresh = (last,)     # only appended: no entry leaves the queue
         else:
             # the entries of elements that left go; those of stamped rows
-            # park their certificates for the entries rebuilt below
+            # with a certificate park for the entries rebuilt below
             fresh = [idx for idx in range(last + 1) if stamps[idx] > since]
             survivors = []
             for entry in queue:
@@ -726,35 +772,38 @@ def involutive_basis(F, division, ordering, mode="thin",
                 if idx is not None and stamps[idx] <= since:
                     survivors.append(entry)
                 elif idx is not None and entry[4] is not None:
-                    parked[entry[3], entry[1], entry[2]] = entry[4]
+                    parked[entry[3], entry[1], entry[2]] = entry
             queue = survivors
         for idx in fresh:
             g = basis[idx]
             lm = g.lm()
             for x in table.nonmult_left(idx):
-                insort(queue, [ordering.key((x,) + lm), 0, x, g,
-                               parked.pop((g, 0, x), None)], key=rank)
+                insort(queue, parked.pop((g, 0, x), None) or [
+                    word_key(encode((x,) + lm)), 0, x, g, None, None, None,
+                    None], key=rank)
             for x in table.nonmult_right(idx):
-                insort(queue, [ordering.key(lm + (x,)), 1, x, g,
-                               parked.pop((g, 1, x), None)], key=rank)
+                insort(queue, parked.pop((g, 1, x), None) or [
+                    word_key(encode(lm + (x,))), 1, x, g, None, None, None,
+                    None], key=rank)
         since = next(_clock)
         for entry in queue:
             if stats["prolongations"] >= max_iterations:
                 status = "iteration_cap_hit"
                 break
             stats["prolongations"] += 1
-            _, side, x, g, known = entry
-            if known is not None:
-                steps, made, top = known
+            _, side, x, g, words, steps, top, made = entry
+            if words is not None:
                 # no element has left since made, so the recorded indices
                 # stand, and no row up to top is newer: the choices stand
                 if left_at < made and newest[top] <= made:
-                    known[1] = since
+                    entry[7] = since
                     stats["reused"] += 1
                     continue
-                if _certificate_holds(steps, made, where, stamps, newest,
-                                      table, thick):
-                    known[1:] = since, max([where[id(d)] for d, _, _ in steps])
+                top = _certificate_holds(words, steps, made, where, stamps,
+                                         newest, table, thick)
+                if top is not None:
+                    entry[6] = top
+                    entry[7] = since
                     stats["reused"] += 1
                     continue
             # x*g or g*x: the ordering is admissible, so the terms stay
@@ -766,9 +815,8 @@ def involutive_basis(F, division, ordering, mode="thin",
             rem, dlog = inv_divide(s, divisors, table, mode, logged=logged)
             stats["inv_reductions"] += len(dlog)
             if rem.is_zero():
-                steps = _certificate(basis, table, dlog)
-                entry[4] = [steps, since,
-                            max([where[id(d)] for d, _, _ in steps])]
+                entry[4:7] = _certificate(basis, table, dlog)
+                entry[7] = since
                 continue
             if len(rem.lm()) > max_degree:
                 status = "degree_cap_hit"
@@ -787,6 +835,8 @@ def involutive_basis(F, division, ordering, mode="thin",
             break
 
     # the table autoreduce returned last describes the final basis: every
-    # exit above leaves the basis as that table found it
+    # exit above leaves the basis as that table found it.  Its divisor set
+    # goes: only autoreduce's own results feed the handover.
+    table._reduced = None
     stats["basis_size"] = len(basis)
     return BasisResult(basis, status, stats, logs, table)

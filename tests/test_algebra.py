@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
                     format_polynomial, mora, normal_word_counts,
                     parse_polynomial, poly_combine, reduce_basis, term_mul_poly)
-from ncpoly.algebra import _encode, _heap_keys, _terms_text, _text_words
+from ncpoly.algebra import (_encode, _heap_keys, _terms_text, _text_words,
+                            _word_key)
 
 from conftest import P, group_presentation, w
 
@@ -396,6 +397,23 @@ def test_heap_keys_ascend_as_the_ordering_descends(kind, n, words, longest):
     assert [word(key(t)) for t in texts] == texts
     by_key = sorted(words, key=lambda u: key(encode(u)))
     assert by_key == sorted(words, key=o.key, reverse=True)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["deglex", "deginvlex", "degrevlex"]),
+       st.sampled_from([3, 300]),
+       st.lists(st.lists(st.integers(0, 299), max_size=5).map(tuple),
+                min_size=1, max_size=8))
+@example(kind="deglex", n=300,
+         words=[(255,), (256,), (255, 256), (256, 255), (299, 0, 256)])
+def test_word_key_ascends_as_the_ordering_ascends(kind, n, words):
+    # letters taken modulo n: on 300 letters they reach past 255, past
+    # the bytes path
+    o = MonomialOrdering(kind, Alphabet([f"g{k}" for k in range(n)]))
+    words = sorted({tuple(x % n for x in u) for u in words})
+    key, encode = _word_key(o), o.alphabet._codec[0]
+    assert sorted(words, key=lambda u: key(encode(u))) \
+        == sorted(words, key=o.key)
 
 
 @pytest.mark.parametrize("word", [(-1,), (0, -1), (300, -1)])

@@ -503,6 +503,26 @@ def test_autoreduce_table_of_all_but_the_last(group_alphabet, xyz,
     assert autoreduce(Q, 1, o, table=T) == plain
 
 
+@pytest.mark.parametrize("group, key, mode", [
+    ("S3", 1, "thin"), ("S3", 2, "thin"), ("S3", 3, "thin"),
+    ("S3", 3, "thick"), ("A4", 3, "thin")])
+def test_completion_table_holds_no_divisor_set(group_alphabet, group, key,
+                                               mode):
+    # the table involutive_basis returns carries no prepared divisor set,
+    # so autoreduce given it builds the set afresh, to the same result;
+    # and its rows share one object per distinct letter set
+    o = MonomialOrdering("deglex", group_alphabet)
+    res = involutive_basis(group_presentation(group_alphabet, o, group), key,
+                           o, mode=mode)
+    assert res.status == "complete"
+    assert res.table._reduced is None
+    rows = res.table.left + res.table.right
+    assert len({id(s) for s in rows}) == len(set(rows))
+    Q = res.basis + [P(group_alphabet, o, "x*y*x*y*x - 3*Y + 1")]
+    assert autoreduce(Q, key, o, mode, table=res.table) \
+        == autoreduce(Q, key, o, mode)
+
+
 _XY = Alphabet(["x", "y"])
 _XY_ORDERINGS = [MonomialOrdering(kind, _XY)
                  for kind in ("deglex", "deginvlex", "degrevlex")]
@@ -705,17 +725,28 @@ def test_involutive_basis_is_groebner_basis(xy, xyz, o):
         assert all_spolys_reduce_to_zero(res.basis)
 
 
+def certificate(*steps):
+    """The certificate ``_certificate`` makes of the (divisor object,
+    encoded word, offset) steps: the words end to end, and per step the
+    divisor, the offset and the word's end."""
+    words, flat = "", []
+    for divisor, word, s in steps:
+        words += word
+        flat += [divisor, s, len(words)]
+    return words, flat
+
+
 def test_certificate_replay_checks_every_choice(xyz, o):
     # a zero-reduction certificate holds only while each recorded word
     # still picks the same divisor object at the same placement; here
     # every element is newer than the certificate, so every choice is
     # checked again
-    def holds(steps, basis, table):
+    def holds(cert, basis, table):
         where = {id(p): k for k, p in enumerate(basis)}
         stamps = [0] * len(basis)
         newest = list(itertools.accumulate(stamps, max))
-        return _certificate_holds(steps, -1, where, stamps, newest, table,
-                                  False)
+        return _certificate_holds(*cert, -1, where, stamps, newest, table,
+                                  False) is not None
 
     Pset = P(xyz, o, "x*y - z", "y - z")
     every = {0, 1, 2}
@@ -724,22 +755,36 @@ def test_certificate_replay_checks_every_choice(xyz, o):
                                 [every, every], [every, {0, 2}])
     rem, log = inv_divide(Pset[0], Pset, table)
     assert rem.is_zero()
-    steps = _certificate(Pset, table, log)
-    assert steps == ((Pset[0], _encode(w(xyz, "xy")), 0),)
+    words, steps, top = _certificate(Pset, table, log)
+    cert = words, steps
+    assert cert == certificate((Pset[0], _encode(w(xyz, "xy")), 0))
+    assert top == 0
     # the unlogged log gives the same certificate
     rem, unlogged = inv_divide(Pset[0], Pset, table, logged=False)
     assert rem.is_zero()
-    assert _certificate(Pset, table, unlogged) == steps
-    assert holds(steps, Pset, table)
+    assert _certificate(Pset, table, unlogged) == (words, steps, top)
+    assert holds(cert, Pset, table)
     # an equal polynomial is not the recorded divisor
-    assert not holds(steps, [Pset[0].scaled(1), Pset[1]], table)
+    assert not holds(cert, [Pset[0].scaled(1), Pset[1]], table)
     # x*y - z comes first in the basis, so it divides xy, not y - z
-    assert not holds(((Pset[1], _encode(w(xyz, "xy")), 1),), Pset, table)
+    xy, yy, zz = (_encode(w(xyz, u)) for u in ("xy", "yy", "zz"))
+    assert not holds(certificate((Pset[1], xy, 1)), Pset, table)
     # y is not right multiplicative for y, so yy is divided at offset 1
-    assert holds(((Pset[1], _encode(w(xyz, "yy")), 1),), Pset, table)
-    assert not holds(((Pset[1], _encode(w(xyz, "yy")), 0),), Pset, table)
+    assert holds(certificate((Pset[1], yy, 1)), Pset, table)
+    assert not holds(certificate((Pset[1], yy, 0)), Pset, table)
     # nothing divides zz
-    assert not holds(((Pset[0], _encode(w(xyz, "zz")), 0),), Pset, table)
+    assert not holds(certificate((Pset[0], zz, 0)), Pset, table)
+    # each step is checked on its own slice of the words: yy, then xy,
+    # then yy again, and one wrong step fails the certificate; one that
+    # holds gives its largest divisor index
+    three = certificate((Pset[1], yy, 1), (Pset[0], xy, 0), (Pset[1], yy, 1))
+    where = {id(p): k for k, p in enumerate(Pset)}
+    assert _certificate_holds(*three, -1, where, [0, 0], [0, 0], table,
+                              False) == 1
+    assert not holds(certificate((Pset[1], yy, 1), (Pset[0], xy, 0),
+                                 (Pset[1], yy, 0)), Pset, table)
+    assert not holds(certificate((Pset[1], yy, 1), (Pset[1], xy, 1)),
+                     Pset, table)
 
 
 def test_certificate_replay_checks_what_changed(xyz, o):
@@ -751,17 +796,18 @@ def test_certificate_replay_checks_what_changed(xyz, o):
     where = {id(p): k for k, p in enumerate(Pset)}
     every = {0, 1, 2}
 
-    def holds(steps, stamps, right_of_y):
+    def holds(cert, stamps, right_of_y):
         table = MultiplicativeTable(InvolutiveDivision(3), xyz,
                                     [p.lm() for p in Pset],
                                     [every, every], [every, right_of_y])
         newest = list(itertools.accumulate(stamps, max))
-        return _certificate_holds(steps, 0, where, stamps, newest, table,
-                                  False)
+        return _certificate_holds(*cert, 0, where, stamps, newest, table,
+                                  False) is not None
 
     xy, yy = _encode(w(xyz, "xy")), _encode(w(xyz, "yy"))
-    # the certificate of dividing yy by y - z alone at offset 1, from an
-    # unlogged log equals the one from a logged log
+    # the certificate of dividing yy by y - z alone, at offset 1, then
+    # yz at offset 0: from an unlogged log it equals the one from a
+    # logged log
     table = MultiplicativeTable(InvolutiveDivision(3), xyz, [Pset[1].lm()],
                                 [every], [{0, 2}])
     yy_poly = P(xyz, o, "y^2")
@@ -769,18 +815,26 @@ def test_certificate_replay_checks_what_changed(xyz, o):
                                                       table)[1])
     assert logged == _certificate(Pset[1:], table, inv_divide(
         yy_poly, Pset[1:], table, logged=False)[1])
-    assert logged[0] == (Pset[1], yy, 1)
+    yz = _encode(w(xyz, "yz"))
+    assert logged == (*certificate((Pset[1], yy, 1), (Pset[1], yz, 0)), 0)
     # y - z divided xy at offset 1 while x*y - z was not there yet; the
     # newer x*y - z comes first and divides xy now
-    assert not holds(((Pset[1], xy, 1),), [1, 0], {0, 2})
+    assert not holds(certificate((Pset[1], xy, 1)), [1, 0], {0, 2})
     # y - z divided yy at offset 1; its row grew by y, so now it divides
     # yy at offset 0, and the step fails ...
-    assert not holds(((Pset[1], yy, 1),), [0, 1], every)
+    assert not holds(certificate((Pset[1], yy, 1)), [0, 1], every)
     # ... but a row that grew by z leaves the placement as it was
-    assert holds(((Pset[1], yy, 1),), [0, 1], {0, 2})
+    assert holds(certificate((Pset[1], yy, 1)), [0, 1], {0, 2})
     # both rows newer: x*y - z does not divide yy, so y - z still does,
     # at offset 1
-    assert holds(((Pset[1], yy, 1),), [1, 1], {0, 2})
+    assert holds(certificate((Pset[1], yy, 1)), [1, 1], {0, 2})
+    # a step whose divisor is no newer than the certificate, with no
+    # newer row before it, is not checked, even on a word it would not
+    # divide now; the steps after it are
+    assert holds(certificate((Pset[0], yy, 0), (Pset[1], yy, 1)),
+                 [0, 1], {0, 2})
+    assert not holds(certificate((Pset[0], yy, 0), (Pset[1], yy, 0)),
+                     [0, 1], {0, 2})
 
 
 # reduction steps performed by each run below, keyed by (group, key,
