@@ -6,9 +6,10 @@ a nonzero ``fractions.Fraction`` coefficient with a word, and polynomials
 keep their terms strictly descending under a monomial ordering supplied
 at construction time.  Floating point never appears anywhere.
 
-The word searches and the reduction kernel work on words encoded as
-``str``, one code point per letter, by a codec that each alphabet
-chooses once (``_codec``); every encoding of words is decided here.
+The word searches, the reduction kernel and the orderings' keys work on
+words encoded as ``str``, one code point per letter, by a codec that
+each alphabet chooses once (``_codec``); every encoding of words is
+decided here, and every order on words in ``orderings``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import re
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -32,7 +32,7 @@ class ParseError(ValueError):
 class Alphabet:
     """An ordered sequence of distinct generator names, highest priority first."""
 
-    __slots__ = ("generators", "_index", "_scanner", "_codec", "_flip")
+    __slots__ = ("generators", "_index", "_scanner", "_codec")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -55,11 +55,7 @@ class Alphabet:
         names = sorted(generators, key=len, reverse=True)
         self._scanner = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % "|".join(
             [*map(re.escape, names), r"\S"]))
-        # the word codec and the letter flip of the heap keys, chosen once
-        # (see _codec and _heap_keys)
-        n = len(generators)
-        self._codec = _codec(n)
-        self._flip = {x: n - 1 - x for x in range(n)}
+        self._codec = _codec(len(generators))    # chosen once
 
     def __len__(self):
         return len(self.generators)
@@ -156,48 +152,6 @@ def _seed(p):
         scale = lcm(scale, c.denominator)
     return {encode(mon): c.numerator * (scale // c.denominator)
             for c, mon in p.terms}, scale
-
-
-def _heap_keys(ordering, longest):
-    """(key, word) for the admissible ``ordering``: ``key(t)`` is a str
-    that ascends as the encoded word t, of at most ``longest`` letters,
-    descends under the ordering, and ``word(key(t)) == t``.
-
-    The key is a length prefix, ``chr(longest - len(t))``, so a longer
-    word comes first, followed by t as it is under deglex (on equal
-    lengths the leftmost difference decides, index 0 greatest), t with
-    each letter x flipped to n - 1 - x by ``str.translate`` under
-    deginvlex (the later letter greatest), and t reversed, then flipped,
-    under degrevlex (the rightmost difference decides).  Every part is
-    made in C."""
-    kind = ordering.kind
-    if kind == "deglex":
-        return ((lambda t: chr(longest - len(t)) + t),
-                itemgetter(slice(1, None)))
-    flip = ordering.alphabet._flip
-    if kind == "deginvlex":
-        return ((lambda t: chr(longest - len(t)) + t.translate(flip)),
-                lambda k: k[1:].translate(flip))
-    return ((lambda t: chr(longest - len(t)) + t[::-1].translate(flip)),
-            lambda k: k[:0:-1].translate(flip))
-
-
-def _word_key(ordering):
-    """key(t) for the admissible ``ordering``: a str that ascends as the
-    encoded word t ascends under the ordering, as ``ordering.key`` on
-    the word does.
-
-    The key is a length prefix, ``chr(len(t))``, so a longer word comes
-    later, followed by t with each letter flipped as in ``_heap_keys``
-    under deglex, t as it is under deginvlex, and t reversed under
-    degrevlex: ``_heap_keys``' parts, flipped back."""
-    kind = ordering.kind
-    if kind == "deglex":
-        flip = ordering.alphabet._flip
-        return lambda t: chr(len(t)) + t.translate(flip)
-    if kind == "deginvlex":
-        return lambda t: chr(len(t)) + t
-    return lambda t: chr(len(t)) + t[::-1]
 
 
 class _Divisors:

@@ -30,8 +30,9 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import (Polynomial, Term, _Divisors, _heap_keys,
-                      _normal_counts, _seed, _sum_terms, term_mul_poly)
+from .algebra import (Polynomial, Term, _Divisors, _normal_counts, _seed,
+                      _sum_terms, term_mul_poly)
+from .orderings import _heap_keys
 from .spoly import (criterion2_applies, enumerate_overlaps, overlap_degrees,
                     settled_key)
 
@@ -103,7 +104,7 @@ def reduce_by(seed, divisors, find, logged=True):
     The running polynomial is ``work / scale``: a dict from word,
     encoded by the alphabet's codec (``algebra._codec``), to integer
     coefficient over one positive integer denominator, which the kernel
-    takes over, with a heap of its words' ``algebra._heap_keys``,
+    takes over, with a heap of its words' ``orderings._heap_keys``,
     greatest word first under the set's ordering, which must be
     admissible.  ``find`` is the caller's divisor lookup: while the
     greatest word u has a divisor, ``find(u)``, on the encoded word,
@@ -328,9 +329,9 @@ def mora(F, ordering, strategy="normal", use_criterion2=True,
     built = None
 
     def keyed(spec):
-        # i <= j in every spec mora builds
-        return (ordering.key(spec.overlap_word), spec.i, spec.j, len(spec.l1),
-                spec.l1), spec
+        # i <= j in every spec mora builds; the word and len(l1) fix l1
+        return (ordering.key(spec.overlap_word) + chr(spec.i) + chr(spec.j)
+                + chr(len(spec.l1))), spec
 
     def insert(part, spec):
         entry = keyed(spec)

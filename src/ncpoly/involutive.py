@@ -30,7 +30,7 @@ recorded at a clock value is checked again only against the rows
 stamped since: an element found irreducible is divided again only when
 one of its terms has a divisor among them, and the sorted prolongations
 are kept across restarts, sorted by one ``str`` key per prolongation
-word (``algebra._word_key``), each with its zero-reduction
+word (``MonomialOrdering.key``), each with its zero-reduction
 certificate on its queue entry.  While no element has left the basis
 and no row up to a certificate's largest divisor index has been
 stamped since it last held, it holds by one integer test; a restart
@@ -74,7 +74,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count
 
 from .algebra import (Polynomial, Term, _Divisors, _seed, _terms_text,
-                      _text_words, _word_key)
+                      _text_words)
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, log_conjugate, log_identity, log_reduced,
                        reduce_by)
@@ -693,7 +693,7 @@ def involutive_basis(F, division, ordering, mode="thin",
     row, inserts that element's prolongations and drops none.
 
     The queue sorts its entries by an ascending ``str`` key of the
-    prolongation word (``algebra._word_key``), then by element index,
+    prolongation word (``MonomialOrdering.key``), then by element index,
     side and letter.  A prolongation that reduced to zero leaves a
     certificate on its queue entry (see ``_certificate``): the divisor
     and placement chosen at each step, as one ``str`` of the step words
@@ -731,12 +731,11 @@ def involutive_basis(F, division, ordering, mode="thin",
     since = -1          # the clock at the last restart
     left_at = -1        # since, as it stood when an element last left
     where = {}          # id(element) -> its index in the basis
-    # [word key (algebra._word_key), side, letter, element, then its
+    # [word key (ordering.key), side, letter, element, then its
     # certificate: words and steps (see _certificate), largest divisor
     # index, clock confirmed], ascending by rank; words is None until the
     # prolongation reduces to zero
     queue = []
-    word_key, encode = _word_key(ordering), ordering.alphabet._codec[0]
 
     def rank(entry):
         # survivors keep their order, so the queue stays sorted by this
@@ -779,11 +778,11 @@ def involutive_basis(F, division, ordering, mode="thin",
             lm = g.lm()
             for x in table.nonmult_left(idx):
                 insort(queue, parked.pop((g, 0, x), None) or [
-                    word_key(encode((x,) + lm)), 0, x, g, None, None, None,
+                    ordering.key((x,) + lm), 0, x, g, None, None, None,
                     None], key=rank)
             for x in table.nonmult_right(idx):
                 insort(queue, parked.pop((g, 1, x), None) or [
-                    word_key(encode(lm + (x,))), 1, x, g, None, None, None,
+                    ordering.key(lm + (x,)), 1, x, g, None, None, None,
                     None], key=rank)
         since = next(_clock)
         for entry in queue:

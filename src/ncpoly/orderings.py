@@ -5,58 +5,93 @@ admissible and first-class.  Plain lex/invlex are deliberately locked
 behind ``unsafe=True``: lex fails admissibility (x < xy yet x^2 > xyx)
 and no basis algorithm will accept either.
 
-Each ordering is realised as a sort key on words, so that ascending key
-order is ascending monomial order.  With generator indices assigned
-highest-priority-first (index 0 greatest):
+Every order on words is decided here.  Each ordering is one ``str``
+sort key per word, so that ascending key order is ascending monomial
+order.  With generator indices assigned highest-priority-first (index 0
+greatest), t the word encoded by its alphabet's codec (``algebra._codec``,
+one code point per letter) and flip the letter map x -> n - 1 - x:
 
-    deglex     (len(w), negated letters)          -- leftmost difference,
-                                                     earlier generator wins
-    deginvlex  (len(w), letters)                  -- leftmost difference,
-                                                     later generator wins
-    degrevlex  (len(w), reversed letters)         -- rightmost difference,
-                                                     later generator wins
+    deglex     chr(len(t)) + t.translate(flip)  -- leftmost difference,
+                                                   earlier generator wins
+    deginvlex  chr(len(t)) + t                  -- leftmost difference,
+                                                   later generator wins
+    degrevlex  chr(len(t)) + t[::-1]            -- rightmost difference,
+                                                   later generator wins
+    lex        t.translate(flip)
+    invlex     t
+
+Under a degree-based ordering no key is a proper prefix of another, so
+a key followed by more code points sorts as the pair would (``mora``'s
+overlap keys).  ``involutive`` sorts its tables' encoded words by
+``_degrevlex_key``, and the reduction kernel pops its words greatest
+first by ``_heap_keys``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 from typing import Optional
 
 ADMISSIBLE_KINDS = ("deglex", "deginvlex", "degrevlex")
 ALL_KINDS = ADMISSIBLE_KINDS + ("lex", "invlex")
 
 
-def _deglex_key(word):
-    return (len(word), tuple([-l for l in word]))
+@cache
+def _flip(n):
+    """The letter map x -> n - 1 - x on n letters, for ``str.translate``
+    on encoded words: one per alphabet size."""
+    return {x: n - 1 - x for x in range(n)}
 
 
-def _deginvlex_key(word):
-    return (len(word), word)
+def _keys(kind, alphabet):
+    """``kind``'s key on words over ``alphabet``: one function, so that
+    ``MonomialOrdering.key`` makes one call."""
+    encode, flip = alphabet._codec[0], _flip(len(alphabet))
+    if kind == "deglex":
+        return lambda w: chr(len(w)) + encode(w).translate(flip)
+    if kind == "deginvlex":
+        return lambda w: chr(len(w)) + encode(w)
+    if kind == "degrevlex":
+        return lambda w: chr(len(w)) + encode(w)[::-1]
+    if kind == "lex":
+        return lambda w: encode(w).translate(flip)
+    return encode
 
 
-def _degrevlex_key(word):
-    return (len(word), word[::-1])
+def _degrevlex_key(t):
+    """The degrevlex key of the encoded word t."""
+    return chr(len(t)) + t[::-1]
 
 
-def _lex_key(word):
-    return tuple([-l for l in word])
+def _heap_keys(ordering, longest):
+    """(key, word) for the admissible ``ordering``: ``key(t)`` is a str
+    that ascends as the encoded word t, of at most ``longest`` letters,
+    descends under the ordering, and ``word(key(t)) == t``.
 
-
-def _invlex_key(word):
-    return word
-
-
-_KEYS = {"deglex": _deglex_key, "deginvlex": _deginvlex_key,
-         "degrevlex": _degrevlex_key, "lex": _lex_key, "invlex": _invlex_key}
+    The key is a length prefix, ``chr(longest - len(t))``, so a longer
+    word comes first, followed by t as it is under deglex (on equal
+    lengths the leftmost difference decides, index 0 greatest), t
+    flipped under deginvlex (the later letter greatest), and t reversed,
+    then flipped, under degrevlex (the rightmost difference decides):
+    the ascending keys' parts, flipped.  Every part is made in C."""
+    kind = ordering.kind
+    if kind == "deglex":
+        return ((lambda t: chr(longest - len(t)) + t),
+                itemgetter(slice(1, None)))
+    flip = _flip(len(ordering.alphabet))
+    if kind == "deginvlex":
+        return ((lambda t: chr(longest - len(t)) + t.translate(flip)),
+                lambda k: k[1:].translate(flip))
+    return ((lambda t: chr(longest - len(t)) + t[::-1].translate(flip)),
+            lambda k: k[:0:-1].translate(flip))
 
 
 class MonomialOrdering:
-    """A monomial ordering, as a sort key on words.
-
-    ``key(w)`` ascends with the ordering.  The reduction kernel orders
-    its words by ``algebra._heap_keys`` instead, on encoded words.
-    """
+    """A monomial ordering, as one ``str`` sort key per word (see the
+    module docstring)."""
 
     __slots__ = ("kind", "alphabet", "_key")
 
@@ -70,18 +105,27 @@ class MonomialOrdering:
                 "pass unsafe=True to experiment with it")
         self.kind = kind
         self.alphabet = alphabet
-        self._key = _KEYS[kind]
+        self._key = _keys(kind, alphabet)
 
     @property
     def admissible(self):
         return self.kind in ADMISSIBLE_KINDS
 
     def key(self, word):
+        """The key of ``word``, a tuple of letters of the alphabet: keys
+        ascend as words ascend.  Unchecked, since every caller passes
+        words it has checked: a letter outside the alphabet gets a
+        misplaced key or raises."""
         return self._key(word)
 
     def compare(self, m1, m2):
-        """-1, 0 or 1 as m1 <, ==, > m2."""
-        k1, k2 = self.key(tuple(m1)), self.key(tuple(m2))
+        """-1, 0 or 1 as m1 <, ==, > m2; ``ValueError`` if a letter is
+        outside the alphabet."""
+        m1, m2 = tuple(m1), tuple(m2)
+        n = len(self.alphabet)
+        if not all(0 <= x < n for x in m1 + m2):
+            raise ValueError("letter index out of range for alphabet")
+        k1, k2 = self.key(m1), self.key(m2)
         if k1 < k2:
             return -1
         if k1 > k2:

@@ -25,6 +25,17 @@ def group_alphabet():
     return Alphabet(["Y", "X", "y", "x"])
 
 
+# the oracle for each ordering's str key: a tuple key on words (index 0
+# greatest) that must sort words exactly as ``MonomialOrdering.key`` does
+ORACLE_KEYS = {
+    "deglex": lambda u: (len(u), tuple(-x for x in u)),
+    "deginvlex": lambda u: (len(u), u),
+    "degrevlex": lambda u: (len(u), u[::-1]),
+    "lex": lambda u: tuple(-x for x in u),
+    "invlex": lambda u: u,
+}
+
+
 def w(alphabet, text):
     """Word from a string of single-letter generator names."""
     return tuple(alphabet.index(ch) for ch in text)

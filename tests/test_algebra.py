@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
                     format_polynomial, mora, normal_word_counts,
                     parse_polynomial, poly_combine, reduce_basis, term_mul_poly)
-from ncpoly.algebra import (_encode, _heap_keys, _terms_text, _text_words,
-                            _word_key)
+from ncpoly.algebra import _encode, _terms_text, _text_words
+from ncpoly.orderings import _degrevlex_key, _heap_keys
 
-from conftest import P, group_presentation, w
+from conftest import ORACLE_KEYS, P, group_presentation, w
 
 
 @pytest.fixture
@@ -387,6 +387,8 @@ def test_codec_round_trips_words(n):
        st.integers(0, 3))
 @example(kind="degrevlex", n=3, words=[(0, 1), (1, 0), (0,), (2, 2, 2)],
          longest=0)
+@example(kind="deginvlex", n=300,
+         words=[(), (255,), (256,), (256, 255), (0, 299)], longest=1)
 def test_heap_keys_ascend_as_the_ordering_descends(kind, n, words, longest):
     # letters 0..2 of an alphabet of n; on 300 letters they flip to
     # 297..299, past the bytes path
@@ -396,24 +398,38 @@ def test_heap_keys_ascend_as_the_ordering_descends(kind, n, words, longest):
     texts = [encode(u) for u in words]
     assert [word(key(t)) for t in texts] == texts
     by_key = sorted(words, key=lambda u: key(encode(u)))
-    assert by_key == sorted(words, key=o.key, reverse=True)
+    assert by_key == sorted(words, key=ORACLE_KEYS[kind], reverse=True)
 
 
 @settings(max_examples=200)
 @given(st.sampled_from(["deglex", "deginvlex", "degrevlex"]),
        st.sampled_from([3, 300]),
-       st.lists(st.lists(st.integers(0, 299), max_size=5).map(tuple),
+       st.lists(st.tuples(st.lists(st.integers(0, 299), max_size=5).map(tuple),
+                          st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 5)),
                 min_size=1, max_size=8))
 @example(kind="deglex", n=300,
-         words=[(255,), (256,), (255, 256), (256, 255), (299, 0, 256)])
-def test_word_key_ascends_as_the_ordering_ascends(kind, n, words):
-    # letters taken modulo n: on 300 letters they reach past 255, past
-    # the bytes path
+         entries=[((255,), 0, 0, 0), ((256,), 0, 0, 0), ((), 1, 0, 0),
+                  ((255, 256), 1, 2, 0), ((255, 256), 1, 1, 1),
+                  ((256, 255), 0, 0, 0), ((299, 0, 256), 0, 0, 0)])
+def test_queue_keys_ascend_as_the_oracle(kind, n, entries):
+    # mora's overlap key is the word's key then chr(i), chr(j) and
+    # chr(len(l1)); completion's queue ranks by the word's key, and
+    # involutive sorts its tables by _degrevlex_key on encoded words.
+    # Letters are taken modulo n: on 300 letters they reach past 255,
+    # past the bytes path
     o = MonomialOrdering(kind, Alphabet([f"g{k}" for k in range(n)]))
-    words = sorted({tuple(x % n for x in u) for u in words})
-    key, encode = _word_key(o), o.alphabet._codec[0]
-    assert sorted(words, key=lambda u: key(encode(u))) \
-        == sorted(words, key=o.key)
+    oracle, encode = ORACLE_KEYS[kind], o.alphabet._codec[0]
+    entries = sorted({(tuple(x % n for x in u), i, j, a)
+                      for u, i, j, a in entries})
+    def overlap_key(e):
+        return o.key(e[0]) + chr(e[1]) + chr(e[2]) + chr(e[3])
+
+    assert sorted(entries, key=overlap_key) == sorted(
+        entries, key=lambda e: (oracle(e[0]), *e[1:]))
+    words = sorted({u for u, *_ in entries})
+    assert sorted(words, key=lambda u: _degrevlex_key(encode(u))) \
+        == sorted(words, key=ORACLE_KEYS["degrevlex"])
 
 
 @pytest.mark.parametrize("word", [(-1,), (0, -1), (300, -1)])

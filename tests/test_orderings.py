@@ -1,16 +1,16 @@
 """Monomial orderings, ordering functions and admissibility."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term,
                     admissibility_check, autoreduce, decomposition,
                     degree_function, harmonious, initial, mora,
                     parse_polynomial, reduce_basis)
-from ncpoly.orderings import ADMISSIBLE_KINDS, OrderingFunction
+from ncpoly.orderings import ADMISSIBLE_KINDS, ALL_KINDS, OrderingFunction
 
-from conftest import P, w
+from conftest import ORACLE_KEYS, P, w
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,33 @@ def test_unit_smallest(xyz):
     for kind in ADMISSIBLE_KINDS:
         o = MonomialOrdering(kind, xyz)
         assert o.compare((), w(xyz, "z")) == -1
+
+
+@pytest.mark.parametrize("word", [(3,), (0, -1), (256,), (0, 300)])
+def test_compare_refuses_a_letter_outside_the_alphabet(xyz, word):
+    # str keys would misplace such a word, or raise on the bytes path
+    for kind in ALL_KINDS:
+        o = MonomialOrdering(kind, xyz, unsafe=True)
+        with pytest.raises(ValueError):
+            o.compare(word, (0,))
+        with pytest.raises(ValueError):
+            o.compare((), word)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(ALL_KINDS), st.sampled_from([3, 300]),
+       st.lists(st.lists(st.integers(0, 299), max_size=5).map(tuple),
+                min_size=1, max_size=8))
+@example(kind="deglex", n=300,
+         words=[(), (255,), (256,), (255, 256), (256, 255), (299, 0, 256)])
+@example(kind="lex", n=300, words=[(), (255,), (256,), (256, 0), (255, 299)])
+def test_key_sorts_as_the_oracle(kind, n, words):
+    # letters taken modulo n: on 300 letters they reach past 255, past
+    # the bytes path
+    o = MonomialOrdering(kind, Alphabet([f"g{k}" for k in range(n)]),
+                         unsafe=True)
+    words = sorted({tuple(x % n for x in u) for u in words} | {()})
+    assert sorted(words, key=o.key) == sorted(words, key=ORACLE_KEYS[kind])
 
 
 # ---------------------------------------------------------------------------
