@@ -14,9 +14,7 @@ from .groebner import (BasisResult, divide, log_expand, mora, reduce_basis,
 from .involutive import (InvolutiveDivision, MultiplicativeTable,
                          assign_multiplicative, autoreduce, inv_divide,
                          involutive_basis, involutively_divides)
-from .orderings import (MonomialOrdering, OrderingFunction,
-                        admissibility_check, decomposition, degree_function,
-                        harmonious, initial)
+from .orderings import MonomialOrdering, initial
 from .spoly import OverlapSpec, criterion2_applies, enumerate_overlaps, s_polynomial
 from .walk import WalkJob, groebner_walk, involutive_walk
 

@@ -429,12 +429,9 @@ def term_mul_poly(l, p, r):
         raise ValueError("multiplier terms must be nonzero")
     c = Fraction(l.coeff * r.coeff)
     terms = tuple(Term(c * t.coeff, l.mon + t.mon + r.mon) for t in p.terms)
-    if not p.ordering.admissible:
-        # lex/invlex are not compatible with multiplication: re-sort
-        return Polynomial(terms, p.alphabet, p.ordering)
-    # an admissible ordering is compatible with two-sided multiplication,
-    # so the product is already strictly descending; only the multiplier
-    # letters are new
+    # every ordering is compatible with two-sided multiplication, so the
+    # product is already strictly descending; only the multiplier letters
+    # are new
     n = len(p.alphabet)
     if not all(0 <= x < n for x in l.mon + r.mon):
         raise ValueError("multiplier letter out of range for alphabet")

@@ -26,7 +26,7 @@ from .algebra import (Alphabet, ParseError, _Divisors, format_polynomial,
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
                        mora, reduce_basis)
 from .involutive import involutive_basis
-from .orderings import ALL_KINDS, MonomialOrdering
+from .orderings import MonomialOrdering
 from .walk import WalkJob, groebner_walk, involutive_walk
 
 ORDERING_ABBREV = {"deglex": "deg", "deginvlex": "dil", "degrevlex": "drl"}
@@ -139,12 +139,8 @@ def run(args, out=None, err=None):
     err = err if err is not None else sys.stderr
     try:
         alphabet, gen_lines, file_ordering = parse_problem_file(args.problem)
-        kind = (args.ordering or file_ordering or "degrevlex").lower()
-        if kind not in ORDERING_ABBREV:
-            problem = (f"{kind} is not admissible" if kind in ALL_KINDS
-                       else f"unknown ordering {kind!r}")
-            raise ValueError(f"{problem}; choose deglex, deginvlex or degrevlex")
-        ordering = MonomialOrdering(kind, alphabet)
+        ordering = MonomialOrdering(args.ordering or file_ordering
+                                    or "degrevlex", alphabet)
         generators = _parse_generators(args.problem, alphabet, ordering,
                                        gen_lines)
     except (OSError, ValueError) as exc:

@@ -105,26 +105,24 @@ def reduce_by(seed, divisors, find, logged=True):
     encoded by the alphabet's codec (``algebra._codec``), to integer
     coefficient over one positive integer denominator, which the kernel
     takes over, with a heap of its words' ``orderings._heap_keys``,
-    greatest word first under the set's ordering, which must be
-    admissible.  ``find`` is the caller's divisor lookup: while the
-    greatest word u has a divisor, ``find(u)``, on the encoded word,
-    gives (j, s), and P[j] is cancelled in place at the placement whose
-    left cofactor is u[:s], in integers, through ``divisors.form(j)``,
-    P[j]'s integer form.  With a the coefficient of u and L the lead
-    coefficient of the form, ``scale`` grows by the least factor that
-    keeps the step integral, |L| / gcd(a, L), one ``gcd``, and scaling
-    by a nonzero integer keeps every zero test, so each step is the one
-    exact rational division takes.  A word whose coefficient is zero
-    stays in the dict until it is popped, so each word is pushed once.
-    Irreducible words go to the remainder, descending, decoded, in
-    ``Fraction``s.  The log has one entry per step.  Logged, it is a
-    triple (left term, j, right term) with ``Fraction`` coefficients,
-    and the seed equals remainder + expansion(log) over P; unlogged, it
-    is (j, u, s), u the encoded word the step cancelled.
+    greatest word first under the set's ordering.  ``find`` is the
+    caller's divisor lookup: while the greatest word u has a divisor,
+    ``find(u)``, on the encoded word, gives (j, s), and P[j] is
+    cancelled in place at the placement whose left cofactor is u[:s], in
+    integers, through ``divisors.form(j)``, P[j]'s integer form.  With a
+    the coefficient of u and L the lead coefficient of the form,
+    ``scale`` grows by the least factor that keeps the step integral,
+    |L| / gcd(a, L), one ``gcd``, and scaling by a nonzero integer keeps
+    every zero test, so each step is the one exact rational division
+    takes.  A word whose coefficient is zero stays in the dict until it
+    is popped, so each word is pushed once.  Irreducible words go to the
+    remainder, descending, decoded, in ``Fraction``s.  The log has one
+    entry per step.  Logged, it is a triple (left term, j, right term)
+    with ``Fraction`` coefficients, and the seed equals remainder +
+    expansion(log) over P; unlogged, it is (j, u, s), u the encoded word
+    the step cancelled.
     """
     ordering, form = divisors.ordering, divisors.form
-    if not ordering.admissible:
-        raise ValueError(f"ordering {ordering.kind} is not admissible")
     work, scale = seed
     # every word a step makes is below, so no longer than, the word it
     # cancels: the seed's longest word bounds them all
@@ -228,12 +226,10 @@ class BasisResult:
 
 
 def _basis_in(F, ordering, logs=None):
-    """The entry of every basis algorithm: refuse a non-admissible
-    ordering, convert F to it and drop its zero polynomials.  Returns
-    (basis, logs), logs holding the entries of ``logs`` (aligned with F)
-    for the kept elements, or None."""
-    if not ordering.admissible:
-        raise ValueError(f"ordering {ordering.kind} is not admissible")
+    """The entry of every basis algorithm: convert F to ``ordering`` and
+    drop its zero polynomials.  Returns (basis, logs), logs holding the
+    entries of ``logs`` (aligned with F) for the kept elements, or
+    None."""
     keep = [k for k, f in enumerate(F) if not f.is_zero()]
     return ([F[k].with_ordering(ordering) for k in keep],
             None if logs is None else [logs[k] for k in keep])

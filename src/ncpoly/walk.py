@@ -1,4 +1,9 @@
-"""Basis conversion between harmonious orderings (the degree-based trio).
+"""Basis conversion between any two of the degree-based orderings.
+
+A walk needs harmonious orderings, whose functional decompositions share
+an extendible first ordering function.  DegLex, DegInvLex and DegRevLex
+all compare degree first, so any two over one alphabet are harmonious,
+and ``_initials`` refuses only two alphabets that differ.
 
 Two walks, two lifts; they share only ``_initials``.  Both complete the
 degree-initials G' of the source basis G in the target ordering and
@@ -31,7 +36,7 @@ from .algebra import _Divisors, _normal_counts, poly_combine
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, BasisResult,
                        _basis_in, divide, log_expand, mora, reduce_basis)
 from .involutive import involutive_basis
-from .orderings import degree_function, harmonious, initial
+from .orderings import initial
 
 
 @dataclass
@@ -46,15 +51,11 @@ class WalkJob:
 def _initials(job):
     """The source basis G in the source ordering, zero polynomials
     dropped, and its degree-initials in the target ordering."""
-    if not harmonious(job.source, job.target):
-        raise ValueError(
-            "walks require harmonious orderings: their functional "
-            "decompositions must share an identical, extendible first "
-            "ordering function (here: the degree function of deglex, "
-            "deginvlex and degrevlex)")
+    if job.source.alphabet != job.target.alphabet:
+        raise ValueError("walks require harmonious orderings: the source "
+                         "and target must order words over one alphabet")
     G, _ = _basis_in(job.basis, job.source)
-    theta = degree_function()
-    return G, [initial(g, theta).with_ordering(job.target) for g in G]
+    return G, [initial(g).with_ordering(job.target) for g in G]
 
 
 def groebner_walk(job, max_degree=DEFAULT_MAX_DEGREE,

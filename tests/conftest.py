@@ -31,9 +31,38 @@ ORACLE_KEYS = {
     "deglex": lambda u: (len(u), tuple(-x for x in u)),
     "deginvlex": lambda u: (len(u), u),
     "degrevlex": lambda u: (len(u), u[::-1]),
+    # no algorithm takes these two, and no MonomialOrdering can be built
+    # under them: they are the admissibility sampler's negative controls
     "lex": lambda u: tuple(-x for x in u),
     "invlex": lambda u: u,
 }
+
+
+def admissibility_counterexample(key, n, samples=1000):
+    """A sampled breach of the admissibility axioms by ``key``, a sort key
+    on tuple words over n letters, or None: words m != 1 must have
+    1 < m, and a < b must give l*a*r < l*b*r for cofactors l and r.
+    Words have at most 5 letters, cofactors at most 4."""
+    rng = random.Random(0)
+
+    def word(degree):
+        return tuple(rng.randrange(n) for _ in range(rng.randint(0, degree)))
+
+    for i in range(samples):
+        if i % 2 == 0:
+            m = word(5)
+            if m and not key(()) < key(m):
+                return f"1 >= {m}"
+            continue
+        a, b = word(5), word(5)
+        if a == b:
+            continue
+        if key(a) > key(b):
+            a, b = b, a
+        l, r = word(4), word(4)
+        if not key(l + a + r) < key(l + b + r):
+            return f"{a} < {b} but {l + a + r} >= {l + b + r}"
+    return None
 
 
 def w(alphabet, text):

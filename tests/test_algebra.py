@@ -113,16 +113,6 @@ def test_term_mul_poly_term_by_term(xyz, o):
     assert got == P(xyz, o, "x*y + x")
 
 
-def test_term_mul_poly_resorts_under_unsafe_lex(xy):
-    # lex is not compatible with multiplication: x < x*y, yet x^2 > x*y*x
-    lex = MonomialOrdering("lex", xy, unsafe=True)
-    p = P(xy, lex, "x*y + x")
-    assert p.terms == (Term(1, w(xy, "xy")), Term(1, w(xy, "x")))
-    got = term_mul_poly(Term(Fraction(1), ()), p, Term(Fraction(1), w(xy, "x")))
-    assert got.terms == (Term(1, w(xy, "xx")), Term(1, w(xy, "xyx")))
-    assert format_polynomial(got) == "x^2 + x*y*x"
-
-
 def test_term_mul_poly_rejects_foreign_letters(xyz, o):
     with pytest.raises(ValueError):
         term_mul_poly(Term(Fraction(1), (3,)), P(xyz, o, "x"),

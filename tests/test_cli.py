@@ -336,6 +336,8 @@ def test_bad_file_ordering_exits_usage(tmp_path, capsys):
     cases = {
         "lex": "error: lex is not admissible; "
                "choose deglex, deginvlex or degrevlex",
+        "invlex": "error: invlex is not admissible; "
+                  "choose deglex, deginvlex or degrevlex",
         "foo": "error: unknown ordering 'foo'; "
                "choose deglex, deginvlex or degrevlex",
     }

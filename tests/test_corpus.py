@@ -29,8 +29,8 @@ import hashlib
 import random
 
 from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
-                    degree_function, format_polynomial, groebner_walk, initial,
-                    mora, normal_word_counts, reduce_basis)
+                    format_polynomial, groebner_walk, initial, mora,
+                    normal_word_counts, reduce_basis)
 
 from conftest import all_spolys_reduce_to_zero, random_poly
 
@@ -126,8 +126,7 @@ def hilbert_lines(draws):
         counts = normal_word_counts([g.lm() for g in gb.basis], len(A), 16)
         for kind in KINDS:
             target = MonomialOrdering(kind, A)
-            initials = [initial(g, degree_function()).with_ordering(target)
-                        for g in gb.basis]
+            initials = [initial(g).with_ordering(target) for g in gb.basis]
             for cap in (25, 100_000):
                 text, inner = _outcome(lambda: mora(
                     initials, target, max_degree=6, max_iterations=cap,

@@ -4,8 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from ncpoly import (InvolutiveDivision, MonomialOrdering, Polynomial, WalkJob,
-                    divide, degree_function, initial, involutive_basis,
+from ncpoly import (Alphabet, InvolutiveDivision, MonomialOrdering,
+                    Polynomial, WalkJob, divide, initial, involutive_basis,
                     log_expand, mora, groebner_walk, involutive_walk,
                     normal_word_counts, reduce_basis)
 
@@ -101,7 +101,7 @@ def test_hilbert_driven_inner_run_is_groebner(group_alphabet, source, target):
     src = MonomialOrdering(source, group_alphabet)
     dst = MonomialOrdering(target, group_alphabet)
     gb = mora(group_presentation(group_alphabet, src, "A4"), src).basis
-    initials = [initial(g, degree_function()).with_ordering(dst) for g in gb]
+    initials = [initial(g).with_ordering(dst) for g in gb]
     plain = mora(initials, dst)
     inner = mora(initials, dst, hilbert=source_counts(gb))
     assert inner.basis == plain.basis
@@ -123,7 +123,7 @@ def s3_walk_inner_run(alphabet):
     dl = MonomialOrdering("deglex", alphabet)
     gb = reduce_basis(mora(group_presentation(alphabet, drl, "S3"), drl).basis,
                       drl)
-    initials = [initial(g, degree_function()).with_ordering(dl) for g in gb]
+    initials = [initial(g).with_ordering(dl) for g in gb]
     return initials, dl, source_counts(gb)
 
 
@@ -193,7 +193,7 @@ def test_raw_dense_walk_reads_one_key_per_overlap(xy):
 
 def test_mora_refuses_hilbert_counts_it_cannot_use(xy, drl, dl):
     G = drl_basis(xy, drl)
-    initials = [initial(g, degree_function()).with_ordering(dl) for g in G]
+    initials = [initial(g).with_ordering(dl) for g in G]
     hilbert = source_counts(G)
     with pytest.raises(ValueError, match="normal strategy"):
         mora(initials, dl, strategy="sugar", hilbert=hilbert)
@@ -207,17 +207,20 @@ def test_mora_refuses_hilbert_counts_it_cannot_use(xy, drl, dl):
 
 def test_groebner_walk_initials_are_groebner(xy, drl):
     G = drl_basis(xy, drl)
-    initials = [initial(g, degree_function()) for g in G]
+    initials = [initial(g) for g in G]
     assert all_spolys_reduce_to_zero(initials)
 
 
-def test_walk_refuses_non_harmonious(xy, drl):
-    lex = MonomialOrdering("lex", xy, unsafe=True)
-    job = WalkJob(source=drl, target=lex, basis=drl_basis(xy, drl))
-    with pytest.raises(ValueError, match="harmonious"):
-        groebner_walk(job)
-    with pytest.raises(ValueError):
-        groebner_walk(WalkJob(source=drl, target=drl, basis=[]))
+def test_walk_refuses_non_harmonious(xy, dl):
+    # the orderings share the degree function, but not the alphabet
+    wider = MonomialOrdering("deglex", Alphabet(["x", "y", "z"]))
+    for basis in (deglex_ib(xy, dl), []):
+        with pytest.raises(ValueError, match="harmonious"):
+            groebner_walk(WalkJob(source=dl, target=wider, basis=basis))
+    # over one alphabet, an empty basis is refused as every algorithm
+    # refuses one
+    with pytest.raises(ValueError, match="no nonzero"):
+        groebner_walk(WalkJob(source=dl, target=dl, basis=[]))
 
 
 def test_groebner_walk_refuses_a_source_that_is_not_groebner(xy, drl, dl):
@@ -236,7 +239,7 @@ def test_capped_walks_return_the_inner_run(group_alphabet):
     s3 = group_presentation(group_alphabet, drl, "S3")
     gb = reduce_basis(mora(s3, drl).basis, drl)
     walked = groebner_walk(WalkJob(drl, dl, gb), max_iterations=2)
-    initials = [initial(g, degree_function()).with_ordering(dl) for g in gb]
+    initials = [initial(g).with_ordering(dl) for g in gb]
     assert walked.status == "iteration_cap_hit"
     assert len(walked.basis) == 10
     assert walked.basis[:len(initials)] == initials
@@ -244,7 +247,7 @@ def test_capped_walks_return_the_inner_run(group_alphabet):
     ib = involutive_basis(s3, 1, drl).basis
     walked = involutive_walk(WalkJob(drl, dl, ib, InvolutiveDivision(1)),
                              max_iterations=2)
-    initials = [initial(g, degree_function()).with_ordering(dl) for g in ib]
+    initials = [initial(g).with_ordering(dl) for g in ib]
     assert walked.status == "iteration_cap_hit"
     assert len(walked.basis) == 19
     assert [log_expand(log, initials) for log in walked.logs] == walked.basis
@@ -278,8 +281,7 @@ def test_involutive_walk_worked_example(xy, drl, dl):
 
 def test_involutive_walk_intermediate_initial_basis(xy, drl, dl):
     # the inner run computes an Involutive Basis of the degree-initials
-    initials = [initial(g, degree_function()).with_ordering(drl)
-                for g in deglex_ib(xy, dl)]
+    initials = [initial(g).with_ordering(drl) for g in deglex_ib(xy, dl)]
     res = involutive_basis(initials, InvolutiveDivision(1), drl)
     assert res.status == "complete"
     assert set(res.basis) == set(P(xy, drl, "2*x*y - x^2", "-2*y*x + x^2",
