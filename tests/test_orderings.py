@@ -4,7 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpoly import Alphabet, MonomialOrdering, Polynomial, Term, initial
+from itertools import product
+
+from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, WalkJob,
+                    groebner_walk, initial)
 from ncpoly.orderings import KINDS
 
 from conftest import ORACLE_KEYS, P, admissibility_counterexample, w
@@ -148,6 +151,27 @@ def test_harmonious_trio(xyz):
     for kind in KINDS:
         top = initial(P(xyz, MonomialOrdering(kind, xyz), text))
         assert top.with_ordering(dl) == P(xyz, dl, "x^4 + z*x*y^2 - 3*y*z*x*z")
+
+
+def test_decomposition_first_function_is_degree(xyz):
+    # the first function of every kind's decomposition is the degree:
+    # each word sorts below every longer word
+    words = [w for n in range(4) for w in product(range(len(xyz)), repeat=n)]
+    for kind in KINDS:
+        key = MonomialOrdering(kind, xyz).key
+        ranked = sorted(words, key=key)
+        assert [len(w) for w in ranked] == sorted(len(w) for w in words)
+
+
+def test_not_harmonious_with_unsafe_or_other_alphabet(xyz, xy):
+    # lex cannot be built to walk to, and a walk between two alphabets is
+    # refused as not harmonious
+    with pytest.raises(ValueError, match="is not admissible"):
+        MonomialOrdering("lex", xyz)
+    wide = MonomialOrdering("deglex", xyz)
+    narrow = MonomialOrdering("deglex", xy)
+    with pytest.raises(ValueError, match="harmonious"):
+        groebner_walk(WalkJob(source=wide, target=narrow, basis=[]))
 
 
 # ---------------------------------------------------------------------------
