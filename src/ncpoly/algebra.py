@@ -10,6 +10,12 @@ The word searches, the reduction kernel and the orderings' keys work on
 words encoded as ``str``, one code point per letter, by a codec that
 each alphabet chooses once (``_codec``); every encoding of words is
 decided here, and every order on words in ``orderings``.
+
+Polynomial text is read by one grammar reader, ``_read_terms``, into
+terms of integers and words, for two consumers: ``parse_polynomial``
+builds a ``Polynomial`` of them, and ``_text_seed`` sums them straight
+into the reduction kernel's integer seed, which the membership loop
+divides with no ``Polynomial`` built.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class ParseError(ValueError):
 class Alphabet:
     """An ordered sequence of distinct generator names, highest priority first."""
 
-    __slots__ = ("generators", "_index", "_scanner", "_codec")
+    __slots__ = ("generators", "_index", "_scanner", "_placer", "_codec")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -48,13 +54,17 @@ class Alphabet:
             raise ValueError("duplicate generator names")
         self.generators = generators
         self._index = {name: i for i, name in enumerate(generators)}
-        # one match per token, with its leading whitespace: an operator, a
+        # one match per token, after its leading whitespace: an operator, a
         # decimal run, the longest name, any other character, or the end of
         # the text.  Some branch always matches after the whitespace, so
         # nothing backtracks into it and trailing whitespace is one match.
-        names = sorted(generators, key=len, reverse=True)
-        self._scanner = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % "|".join(
-            [*map(re.escape, names), r"\S"]))
+        # The scanner captures the token alone; the placer, run only to
+        # place a refusal, splits the same matches into whitespace,
+        # operator, digits, and name or other character.
+        names = "|".join([*map(re.escape, sorted(generators, key=len,
+                                                 reverse=True)), r"\S"])
+        self._scanner = re.compile(r"\s*([-+*/^]|\d+|%s|\Z)" % names)
+        self._placer = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % names)
         self._codec = _codec(len(generators))    # chosen once
 
     def __len__(self):
@@ -407,7 +417,8 @@ def _sum_terms(pairs, ordering):
         prev = acc.get(mon)
         acc[mon] = coeff if prev is None else prev + coeff
     out = [Term(c, m) for m, c in acc.items() if c != 0]
-    out.sort(key=lambda t: ordering.key(t.mon), reverse=True)
+    if len(out) > 1:    # list.sort keys even a single item
+        out.sort(key=lambda t: ordering.key(t.mon), reverse=True)
     return tuple(out)
 
 
@@ -447,29 +458,30 @@ def term_mul_poly(l, p, r):
 # ---------------------------------------------------------------------------
 
 _SIGNS = ("+", "-")
-_END = ("", "", "")         # operator, digits and name of the end-of-text match
 
 
 class _Refused(Exception):
-    """A grammar error at a token index; ``parse_polynomial`` positions it."""
+    """A grammar error at a token index; ``_read_terms`` positions it."""
 
 
 def _integer(tokens, i):
-    digits = tokens[i][2]
+    digits = tokens[i]
+    if not digits.isdecimal():
+        raise _Refused("expected int", i)
     try:
         return int(digits)
     except ValueError:
-        raise _Refused("integer too long" if digits else "expected int", i) from None
+        raise _Refused("integer too long", i) from None
 
 
 def _word(tokens, i, index):
     """The word whose first factor is token i, and the index after it."""
     letters = []
     while True:
-        gen = index.get(tokens[i][3])
+        gen = index.get(tokens[i])
         if gen is None:
             raise _Refused("expected gen", i)
-        if tokens[i + 1][1] == "^":
+        if tokens[i + 1] == "^":
             i += 2
             k = _integer(tokens, i)
             if k < 1:
@@ -480,14 +492,17 @@ def _word(tokens, i, index):
                 raise _Refused("exponent too large", i) from None
         else:
             letters.append(gen)
-        if tokens[i + 1][1] != "*":
+        if tokens[i + 1] != "*":
             return tuple(letters), i + 1
         i += 2
 
 
-def _refusal(text, tokens, index, message, k):
-    """The ParseError for token k.  Every character is classified before the
-    grammar is read, so the first character that is no token wins."""
+def _refusal(text, alphabet, message, k):
+    """The ParseError for token k of ``text``, placed by a rescan.  The
+    first character that is no token wins, wherever it stands, as if
+    every character were classified before the grammar is read."""
+    tokens = alphabet._placer.findall(text)
+    index = alphabet._index
     bad = [j for j, t in enumerate(tokens) if t[3] and t[3] not in index]
     k = bad[0] if bad else k
     at = len("".join(map("".join, tokens[:k]))) + len(tokens[k][0])
@@ -498,44 +513,75 @@ def _refusal(text, tokens, index, message, k):
     return ParseError(message, at)
 
 
-def parse_polynomial(text, alphabet, ordering):
+def _read_terms(text, alphabet):
+    """The terms of ``text`` over ``alphabet``, in text order, as a list of
+    (signed numerator, denominator, word): integers as written, so
+    ``2/4`` stays unreduced, and a word of alphabet indices, () for a
+    constant.  Nothing is summed or dropped.  Malformed text raises
+    ``ParseError`` at the first fault."""
     tokens = alphabet._scanner.findall(text)
-    if tokens[0][1:] == _END:
+    if not tokens[0]:
         raise ParseError("empty polynomial", 0)
     index = alphabet._index
-    pairs = []
-    op = tokens[0][1]
+    terms = []
+    op = tokens[0]
     i = 1 if op in _SIGNS else 0
     try:
         while True:
-            if tokens[i][2]:
+            if tokens[i].isdecimal():
                 num, den = _integer(tokens, i), 1
-                if tokens[i + 1][1] == "/":
+                if tokens[i + 1] == "/":
                     i += 2
                     den = _integer(tokens, i)
                     if den == 0:
                         raise _Refused("zero denominator", i)
-                coeff, word = Fraction(num, den), ()
+                word = ()
                 i += 1
-                if tokens[i][1] == "*":
+                if tokens[i] == "*":
                     word, i = _word(tokens, i + 1, index)
-            elif tokens[i][3] in index:
-                coeff = Fraction(1)
+            elif tokens[i] in index:
+                num, den = 1, 1
                 word, i = _word(tokens, i, index)
             else:
                 raise _Refused("expected a term", i)
-            pairs.append((-coeff if op == "-" else coeff, word))
-            op = tokens[i][1]
+            terms.append((-num if op == "-" else num, den, word))
+            op = tokens[i]
             if op not in _SIGNS:
-                if tokens[i][1:] != _END:
+                if op:
                     raise _Refused("expected '+' or '-' between terms", i)
-                break
+                return terms
             i += 1
     except _Refused as refused:
-        raise _refusal(text, tokens, index, *refused.args) from None
-    # the words hold alphabet indices and the coefficients are Fractions
+        raise _refusal(text, alphabet, *refused.args) from None
+
+
+def parse_polynomial(text, alphabet, ordering):
+    pairs = [(Fraction(num) if den == 1 else Fraction(num, den), word)
+             for num, den, word in _read_terms(text, alphabet)]
     return Polynomial(_sum_terms(pairs, ordering), alphabet, ordering,
                       _trusted=True)
+
+
+def _text_seed(text, alphabet):
+    """The polynomial ``text`` reads as over ``alphabet``, as a seed for
+    ``groebner.reduce_by`` in any of the alphabet's orderings, with no
+    ``Polynomial`` built: (work, scale), a dict from each word of the
+    text, encoded by the alphabet's codec, to an integer coefficient,
+    over the least common multiple of the text's denominators.  A word
+    whose terms cancel keeps a zero entry, which the kernel skips; it
+    refuses what ``parse_polynomial`` refuses, with the same
+    ``ParseError``."""
+    terms = _read_terms(text, alphabet)
+    encode = alphabet._codec[0]
+    scale = 1
+    for _, den, _ in terms:
+        if den != 1:
+            scale = lcm(scale, den)
+    work = {}
+    for num, den, word in terms:
+        v = encode(word)
+        work[v] = work.get(v, 0) + num * (scale // den)
+    return work, scale
 
 
 def format_word(mon, alphabet):

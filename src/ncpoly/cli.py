@@ -21,8 +21,8 @@ import os
 import sys
 import time
 
-from .algebra import (Alphabet, ParseError, _Divisors, format_polynomial,
-                      parse_polynomial)
+from .algebra import (Alphabet, ParseError, _Divisors, _text_seed,
+                      format_polynomial, parse_polynomial)
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_ITERATIONS, divide,
                        mora, reduce_basis)
 from .involutive import involutive_basis
@@ -253,9 +253,12 @@ def _write_output(path, alphabet, ordering, basis, stats, status, elapsed):
 def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
     """Answer one membership query per input line against a reduced basis.
 
-    Prints 'member' for a zero remainder, otherwise 'non-member' with the
-    remainder.  Parse errors are reported and the loop continues; 'quit'
-    (or end of input) exits."""
+    Each line is read straight into the reduction kernel's integer seed
+    (``algebra._text_seed``) and divided by the basis, prepared once, as
+    ``mora`` divides its S-polynomials: no ``Polynomial`` is built for a
+    query.  Prints 'member' for a zero remainder, otherwise 'non-member'
+    with the remainder.  Parse errors, those of ``parse_polynomial``, are
+    reported and the loop continues; 'quit' (or end of input) exits."""
     inp = inp if inp is not None else sys.stdin
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -268,11 +271,11 @@ def membership_repl(reduced_gb, ordering, inp=None, out=None, err=None):
         if line == "quit":
             break
         try:
-            p = parse_polynomial(line, alphabet, ordering)
+            seed = _text_seed(line, alphabet)
         except ParseError as exc:
             print(f"error: {exc}", file=err)
             continue
-        rem, _ = divide(p, divisors, logged=False)
+        rem, _ = divide(seed, divisors, logged=False)
         if rem.is_zero():
             print("member", file=out)
         else:

@@ -69,7 +69,7 @@ degree-cap tests for a witness.
 from __future__ import annotations
 
 import operator
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import accumulate, compress, count
 
@@ -100,6 +100,7 @@ DIVISION_NAMES = {
 _MIRROR = {2: 1, 8: 3, 9: 4, 10: 5, 11: 6, 12: 7}
 
 _clock = count()    # the source of every row stamp (see _edit)
+_word_key = operator.itemgetter(0)     # of a queue entry (see involutive_basis)
 
 
 class InvolutiveDivision:
@@ -741,6 +742,14 @@ def involutive_basis(F, division, ordering, mode="thin",
         # survivors keep their order, so the queue stays sorted by this
         return entry[0], where[id(entry[3])], entry[1], entry[2]
 
+    def insert(entry):
+        # ranks are unique and sort by word key first: rank only within
+        # the run of entries whose word key is entry's
+        k = entry[0]
+        lo = bisect_left(queue, k, key=_word_key)
+        insort(queue, entry, lo, bisect_right(queue, k, lo, key=_word_key),
+               key=rank)
+
     while True:
         previous = basis
         # after a basis change, table describes all but the appended
@@ -777,13 +786,13 @@ def involutive_basis(F, division, ordering, mode="thin",
             g = basis[idx]
             lm = g.lm()
             for x in table.nonmult_left(idx):
-                insort(queue, parked.pop((g, 0, x), None) or [
+                insert(parked.pop((g, 0, x), None) or [
                     ordering.key((x,) + lm), 0, x, g, None, None, None,
-                    None], key=rank)
+                    None])
             for x in table.nonmult_right(idx):
-                insort(queue, parked.pop((g, 1, x), None) or [
+                insert(parked.pop((g, 1, x), None) or [
                     ordering.key(lm + (x,)), 1, x, g, None, None, None,
-                    None], key=rank)
+                    None])
         since = next(_clock)
         for entry in queue:
             if stats["prolongations"] >= max_iterations:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
                     format_polynomial, mora, normal_word_counts,
                     parse_polynomial, poly_combine, reduce_basis, term_mul_poly)
-from ncpoly.algebra import _encode, _terms_text, _text_words
+from ncpoly.algebra import (_encode, _seed, _terms_text, _text_seed,
+                            _text_words)
 from ncpoly.orderings import _degrevlex_key, _heap_keys
 
 from conftest import ORACLE_KEYS, P, group_presentation, w
@@ -173,11 +174,15 @@ def test_parse_errors_carry_position(xyz, o):
              ("q", 0, "unknown generator starting at 'q'"),
              ("1" * 5000, 0, "integer too long"),
              ("x^99999999999999999999", 2, "exponent too large"))
+    # the membership loop's seed refuses as the parser does
+    readers = (lambda text: parse_polynomial(text, xyz, o),
+               lambda text: _text_seed(text, xyz))
     for text, position, message in cases:
-        with pytest.raises(ParseError) as caught:
-            parse_polynomial(text, xyz, o)
-        assert caught.value.position == position, text
-        assert str(caught.value) == f"{message} (at position {position})"
+        for read in readers:
+            with pytest.raises(ParseError) as caught:
+                read(text)
+            assert caught.value.position == position, text
+            assert str(caught.value) == f"{message} (at position {position})"
 
 
 def test_parse_longest_name_first():
@@ -350,6 +355,49 @@ def test_terms_text_joins_the_encoded_terms(case):
     if p.terms:
         assert _text_words(_terms_text(p), p.alphabet) == [
             _joined(mon) for _, mon in p.terms]
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Well-formed polynomial text over three or 300 letters, with its
+    alphabet: integer and unreduced a/b coefficients, words drawn from a
+    few so that they repeat and may cancel, constants, 0 and whitespace."""
+    alphabet = draw(st.sampled_from([_ALPHABET, _WIDE]))
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    factors = st.lists(st.tuples(st.sampled_from(alphabet.generators),
+                                 st.integers(1, 3)), max_size=3)
+    pool = draw(st.lists(factors, min_size=1, max_size=3))
+    integer = st.integers(0, 12).map(str)
+    coefficient = st.one_of(st.none(), integer, st.tuples(
+        integer, st.integers(1, 12)).map(lambda f: f"{f[0]}/{f[1]}"))
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(space)
+    for k in range(draw(st.integers(1, 5))):
+        if k:
+            text += draw(space) + draw(st.sampled_from("+-")) + draw(space)
+        word = draw(st.sampled_from(pool))
+        c = draw(coefficient) if word else draw(integer)
+        parts = ([] if c is None else [c]) + [
+            name if e == 1 else f"{name}{draw(space)}^{draw(space)}{e}"
+            for name, e in word]
+        text += (draw(space) + "*" + draw(space)).join(parts)
+    return alphabet, text + draw(space)
+
+
+@settings(max_examples=300)
+@given(polynomial_texts())
+@example(case=(_ALPHABET, "0"))
+@example(case=(_ALPHABET, " x - x\t"))
+@example(case=(_WIDE, "g255*g256 - 2/4*g256^2*g255 + 1/2*g256*g256*g255 - 3/6"))
+def test_text_seed_matches_the_parsed_seed(case):
+    alphabet, text = case
+    work, scale = _text_seed(text, alphabet)
+    parsed, den = _seed(parse_polynomial(text, alphabet,
+                                         MonomialOrdering("deglex", alphabet)))
+    assert scale > 0
+    # equal as rationals per encoded word; a zero entry only for a word
+    # whose terms cancel, which the parse drops
+    assert {v: Fraction(c, scale) for v, c in work.items() if c} == {
+        v: Fraction(c, den) for v, c in parsed.items()}
 
 
 @pytest.mark.parametrize("n", [2, 300])

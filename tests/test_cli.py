@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpoly import (Alphabet, MonomialOrdering, Polynomial, Term, divide,
-                    mora, parse_polynomial, reduce_basis)
+from ncpoly import (Alphabet, MonomialOrdering, ParseError, Polynomial, Term,
+                    divide, mora, parse_polynomial, reduce_basis)
 from ncpoly.cli import (EXIT_CAP, EXIT_OK, EXIT_USAGE, ProblemFileError,
                         _parse_generators, _write_output, main,
                         membership_repl, parse_problem_file)
@@ -387,7 +387,8 @@ def test_membership_of_generator(membership_gb):
 def test_membership_answers_match_division_oracle(membership_gb, xyz):
     gb, o = membership_gb
     for query in ("x + y + z - 2", "x*z^2 + y*z^2 - 1",
-                  "x^2*y + y^2*z + z^2*x"):
+                  "x^2*y + y^2*z + z^2*x", "x - x", "0", "0*x",
+                  "2/4*x*z - 1/3"):
         p = P(xyz, o, query)
         oracle, _ = divide(p, gb)
         out, _ = run_repl(gb, o, query + "\n")
@@ -409,6 +410,11 @@ def test_membership_parse_error_continues(membership_gb):
     assert "integer too long (at position 0)" in err
     assert "exponent too large (at position 2)" in err
     assert out.strip() == "member"     # the loop continued, quit stopped it
+    # the loop reads a query as parse_polynomial does, refusals included
+    for line in ("q + 1", "x²", "1" * 5000, "x^99999999999999999999"):
+        with pytest.raises(ParseError) as caught:
+            parse_polynomial(line, o.alphabet, o)
+        assert f"error: {caught.value}\n" in err
 
 
 def test_membership_remainder_past_the_digit_limit(xyz):
