@@ -38,7 +38,7 @@ class ParseError(ValueError):
 class Alphabet:
     """An ordered sequence of distinct generator names, highest priority first."""
 
-    __slots__ = ("generators", "_index", "_scanner", "_placer", "_codec")
+    __slots__ = ("generators", "_index", "_scanner", "_codec")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -58,13 +58,10 @@ class Alphabet:
         # decimal run, the longest name, any other character, or the end of
         # the text.  Some branch always matches after the whitespace, so
         # nothing backtracks into it and trailing whitespace is one match.
-        # The scanner captures the token alone; the placer, run only to
-        # place a refusal, splits the same matches into whitespace,
-        # operator, digits, and name or other character.
+        # The group captures the token alone.
         names = "|".join([*map(re.escape, sorted(generators, key=len,
                                                  reverse=True)), r"\S"])
         self._scanner = re.compile(r"\s*([-+*/^]|\d+|%s|\Z)" % names)
-        self._placer = re.compile(r"(\s*)(?:([-+*/^])|(\d+)|(%s)|\Z)" % names)
         self._codec = _codec(len(generators))    # chosen once
 
     def __len__(self):
@@ -501,16 +498,16 @@ def _refusal(text, alphabet, message, k):
     """The ParseError for token k of ``text``, placed by a rescan.  The
     first character that is no token wins, wherever it stands, as if
     every character were classified before the grammar is read."""
-    tokens = alphabet._placer.findall(text)
+    matches = list(alphabet._scanner.finditer(text))
     index = alphabet._index
-    bad = [j for j, t in enumerate(tokens) if t[3] and t[3] not in index]
-    k = bad[0] if bad else k
-    at = len("".join(map("".join, tokens[:k]))) + len(tokens[k][0])
-    if bad:
-        char = tokens[k][3]
-        message = (f"unknown generator starting at {text[at:at + 8]!r}"
-                   if char.isalpha() else f"unexpected character {char!r}")
-    return ParseError(message, at)
+    for m in matches:
+        t = m[1]
+        if t and t not in index and t not in "-+*/^" and not t.isdecimal():
+            at = m.start(1)
+            return ParseError(f"unknown generator starting at {text[at:at + 8]!r}"
+                              if t.isalpha() else f"unexpected character {t!r}",
+                              at)
+    return ParseError(message, matches[k].start(1))
 
 
 def _read_terms(text, alphabet):
@@ -565,12 +562,12 @@ def parse_polynomial(text, alphabet, ordering):
 def _text_seed(text, alphabet):
     """The polynomial ``text`` reads as over ``alphabet``, as a seed for
     ``groebner.reduce_by`` in any of the alphabet's orderings, with no
-    ``Polynomial`` built: (work, scale), a dict from each word of the
-    text, encoded by the alphabet's codec, to an integer coefficient,
-    over the least common multiple of the text's denominators.  A word
-    whose terms cancel keeps a zero entry, which the kernel skips; it
-    refuses what ``parse_polynomial`` refuses, with the same
-    ``ParseError``."""
+    ``Polynomial`` built: (work, scale), a dict from each word whose
+    terms do not cancel, encoded by the alphabet's codec, to an integer
+    coefficient, over the least common multiple of the text's
+    denominators.  It refuses what ``parse_polynomial``
+    refuses, with the same ``ParseError``.  ``_seed`` is kept apart: it
+    reads terms already summed, and the summing here would cost it."""
     terms = _read_terms(text, alphabet)
     encode = alphabet._codec[0]
     scale = 1
@@ -581,7 +578,7 @@ def _text_seed(text, alphabet):
     for num, den, word in terms:
         v = encode(word)
         work[v] = work.get(v, 0) + num * (scale // den)
-    return work, scale
+    return {v: c for v, c in work.items() if c}, scale
 
 
 def format_word(mon, alphabet):

@@ -394,9 +394,9 @@ def test_text_seed_matches_the_parsed_seed(case):
     parsed, den = _seed(parse_polynomial(text, alphabet,
                                          MonomialOrdering("deglex", alphabet)))
     assert scale > 0
-    # equal as rationals per encoded word; a zero entry only for a word
-    # whose terms cancel, which the parse drops
-    assert {v: Fraction(c, scale) for v, c in work.items() if c} == {
+    # equal as rationals per encoded word; a word whose terms cancel has
+    # no entry, as the parse drops it
+    assert {v: Fraction(c, scale) for v, c in work.items()} == {
         v: Fraction(c, den) for v, c in parsed.items()}
 
 
